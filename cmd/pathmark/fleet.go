@@ -534,25 +534,23 @@ func cmdFleetBench(args []string) int {
 	}
 	suspectBits := suspectTrace.DecodeBits()
 	var scanWindows int
-	oldKernelNS := best(func() error {
+	baselineNS := best(func() error {
 		st := wm.ScanBaselinePR5(suspectBits, key)
 		scanWindows = st.Windows
 		return nil
 	})
 	batchedNS := best(func() error {
-		st, err := wm.ScanOnly(suspectBits, key, wm.RecognizeOpts{
-			Workers: 1, Kernel: wm.KernelBatched,
-		})
+		st, err := wm.ScanOnly(suspectBits, key, wm.RecognizeOpts{Workers: 1})
 		if err == nil && st.Windows != scanWindows {
 			return fmt.Errorf("scan-kernel legs disagree on window count: %d vs %d",
 				st.Windows, scanWindows)
 		}
 		return err
 	})
-	scanRec := compareNS("fleet/recognize/scan-kernel", oldKernelNS, batchedNS,
+	scanRec := compareNS("fleet/recognize/scan-kernel", baselineNS, batchedNS,
 		"pre-rebuild kernel replica vs batched stacked-prefilter kernel, scan stage only, serial, uncached")
 	scanRec.WindowsPerSec = float64(scanWindows) / (float64(batchedNS) / 1e9)
-	scanRec.WindowsPerSecOld = float64(scanWindows) / (float64(oldKernelNS) / 1e9)
+	scanRec.WindowsPerSecOld = float64(scanWindows) / (float64(baselineNS) / 1e9)
 
 	records := []benchRecord{
 		scanRec,
@@ -565,7 +563,7 @@ func cmdFleetBench(args []string) int {
 	}
 	// The regression baseline is the last scan-kernel record already in
 	// the file, read before this run's records are appended.
-	baseline, haveBaseline := lastScanKernelRecord(*out)
+	baseline, haveBaseline := lastScanRecord(*out)
 
 	f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -592,7 +590,7 @@ func cmdFleetBench(args []string) int {
 		// Gate on the speedup ratio, not absolute windows/sec: the ratio
 		// cancels out machine speed, so a recorded run on fast hardware
 		// does not fail every CI box. A >10% ratio drop means the batched
-		// kernel itself regressed relative to the scalar reference.
+		// kernel itself regressed relative to the frozen PR 5 replica.
 		if scanRec.Speedup < 0.9*baseline.Speedup {
 			fmt.Fprintf(os.Stderr,
 				"pathmark: FAIL: scan-kernel speedup %.2fx regressed >10%% vs recorded %.2fx\n",
@@ -607,11 +605,11 @@ func cmdFleetBench(args []string) int {
 	return exitOK
 }
 
-// lastScanKernelRecord scans a BENCH_fleet.json JSONL file for the most
+// lastScanRecord scans a BENCH_fleet.json JSONL file for the most
 // recent scan-kernel comparison, used as the -gate regression baseline.
 // Unparseable lines are skipped: the file accumulates across versions
 // and old shapes must not wedge the gate.
-func lastScanKernelRecord(path string) (benchRecord, bool) {
+func lastScanRecord(path string) (benchRecord, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return benchRecord{}, false

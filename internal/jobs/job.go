@@ -27,8 +27,8 @@ type Options struct {
 	// 0 picks runtime.GOMAXPROCS(0), 1 forces the serial path. Results
 	// are bit-identical at any worker count.
 	Workers int
-	// ScanWorkers, StepLimit, MaxHeap, Filters and Prefilter are passed
-	// through to every grade (see wm.CorpusOpts). ScanWorkers is a
+	// ScanWorkers, StepLimit and MaxHeap are passed through to every
+	// grade (see wm.CorpusOpts); every grade scans with wm.DefaultFilters. ScanWorkers is a
 	// floor, not a fixed value: when a wave has fewer pending grades
 	// than Workers, the idle worker tier is folded into each grade's
 	// scan fan-out (intra-suspect sharding), so a single huge suspect
@@ -37,12 +37,6 @@ type Options struct {
 	ScanWorkers int
 	StepLimit   int64
 	MaxHeap     int64
-	Filters     *wm.FilterStack
-	Prefilter   *wm.PopcountBand
-	// Kernel selects the scan kernel for every grade (wm.KernelAuto =
-	// batched). Results are bit-identical across kernels, so the knob is
-	// excluded from the job digest.
-	Kernel wm.ScanKernel
 	// GradeTimeout, when > 0, deadlines each grade attempt. A timed-out
 	// attempt surfaces as a retryable resource/stage error.
 	GradeTimeout time.Duration
@@ -127,7 +121,9 @@ type Spec struct {
 // resume over a journal from a different job is refused.
 func (sp *Spec) digest(progDigests []cache.Digest) (cache.Digest, error) {
 	// v2: the prefilter band ints were replaced by the six ints of the
-	// effective filter stack (popcount, transitions, phase bands).
+	// filter stack (popcount, transitions, phase bands). The stack is
+	// always wm.DefaultFilters now, but its ints stay in the digest so
+	// every persisted job ID is unchanged.
 	parts := [][]byte{[]byte("pathmark.job.v2")}
 	num := func(v int64) { parts = append(parts, strconv.AppendInt(nil, v, 10)) }
 	num(int64(len(sp.Suspects)))
@@ -144,7 +140,7 @@ func (sp *Spec) digest(progDigests []cache.Digest) (cache.Digest, error) {
 	}
 	num(sp.Opts.StepLimit)
 	num(sp.Opts.MaxHeap)
-	f := wm.ResolveFilters(sp.Opts.Filters, sp.Opts.Prefilter)
+	f := wm.DefaultFilters
 	num(int64(f.Popcount.Lo))
 	num(int64(f.Popcount.Hi))
 	num(int64(f.Transitions.Lo))
@@ -504,9 +500,6 @@ func (j *Job) gradeOnce(ctx context.Context, s, k, scanWorkers int) (*wm.Recogni
 		ScanWorkers: scanWorkers,
 		StepLimit:   opts.StepLimit,
 		MaxHeap:     opts.MaxHeap,
-		Filters:     opts.Filters,
-		Prefilter:   opts.Prefilter,
-		Kernel:      opts.Kernel,
 		Ctx:         ctx,
 	})
 }

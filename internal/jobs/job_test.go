@@ -332,3 +332,41 @@ func TestOpenValidation(t *testing.T) {
 		t.Error("no keys accepted")
 	}
 }
+
+// TestSpecIDsPinned pins job identity: the corpus and stream job IDs of
+// fixed specs must never drift, or every persisted job directory,
+// journal header and daemon resume would be orphaned. The filter stack
+// is no longer an option, but its six DefaultFilters ints stay in both
+// digests (tags pathmark.job.v2 / pathmark.stream.v1) to keep these
+// values.
+func TestSpecIDsPinned(t *testing.T) {
+	suspects, keys, _ := fixture(t)
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Suspects: suspects, Keys: keys},
+			"05cf9e816cadfc06be7606e2178a9d5ddabedb47f3769df49d027dc0b6fac59f"},
+		{Spec{Suspects: suspects[:2], Keys: keys[:1], Opts: Options{
+			StepLimit: 5_000_000, MaxHeap: 1 << 20, Workers: 3, ScanWorkers: 2}},
+			"d4af670a35d34cb5a3efdb23730b6ad64ed15ae72001a287861ad27a0cafd5a9"},
+	} {
+		if got, err := SpecID(c.spec); err != nil || got != c.want {
+			t.Errorf("SpecID = %s, %v; want %s", got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		spec StreamSpec
+		want string
+	}{
+		{StreamSpec{Keys: keys},
+			"ce717296e374bb1f8dba587eeffc3b8e46ec4b1e26110318c99ee58010df1346"},
+		{StreamSpec{Keys: keys[:1], Opts: StreamOptions{
+			CheckEvery: 1024, SettleChecks: 2, MinConfidence: 0.5, Workers: 3}},
+			"9be68186d400d10727bbacf17a6c8eadb7043393ba06300368d0f8cd86c23474"},
+	} {
+		if got, err := StreamSpecID(c.spec); err != nil || got != c.want {
+			t.Errorf("StreamSpecID = %s, %v; want %s", got, err, c.want)
+		}
+	}
+}

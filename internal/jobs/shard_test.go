@@ -3,8 +3,6 @@ package jobs
 import (
 	"bytes"
 	"testing"
-
-	"pathmark/internal/wm"
 )
 
 // TestSingleSuspectSharding pins the intra-suspect sharding contract:
@@ -12,23 +10,20 @@ import (
 // per-grade scan parallelism (workers / pending) — and that boost must
 // be invisible in the output. A one-suspect, one-key job graded with a
 // wide worker pool produces a result manifest byte-identical to the
-// fully serial run, for both kernels.
+// fully serial run.
 func TestSingleSuspectSharding(t *testing.T) {
 	suspects, keys, _ := fixture(t)
-	for _, kernel := range []wm.ScanKernel{wm.KernelScalar, wm.KernelBatched} {
-		spec := Spec{
-			Suspects: suspects[:1],
-			Keys:     keys[:1],
-			Opts:     Options{NoSync: true, Workers: 1, Kernel: kernel},
-		}
-		want := mustEncode(t, mustExecute(t, t.TempDir(), spec))
-		for _, workers := range []int{4, 8} {
-			spec.Opts.Workers = workers
-			got := mustEncode(t, mustExecute(t, t.TempDir(), spec))
-			if !bytes.Equal(got, want) {
-				t.Errorf("kernel=%d workers=%d: sharded manifest diverged from serial run",
-					kernel, workers)
-			}
+	spec := Spec{
+		Suspects: suspects[:1],
+		Keys:     keys[:1],
+		Opts:     Options{NoSync: true, Workers: 1},
+	}
+	want := mustEncode(t, mustExecute(t, t.TempDir(), spec))
+	for _, workers := range []int{4, 8} {
+		spec.Opts.Workers = workers
+		got := mustEncode(t, mustExecute(t, t.TempDir(), spec))
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: sharded manifest diverged from serial run", workers)
 		}
 	}
 }

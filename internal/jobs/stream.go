@@ -42,10 +42,6 @@ type StreamOptions struct {
 	// 1 = serial). Excluded from the digest: results are identical at any
 	// count.
 	Workers int
-	// Filters / Prefilter select the scan's pre-decrypt filter stack with
-	// the usual precedence (wm.ResolveFilters).
-	Filters   *wm.FilterStack
-	Prefilter *wm.PopcountBand
 	// CheckEvery, SettleChecks and MinConfidence set the early-exit probe
 	// cadence and settle rule (see wm.StreamOpts). These shape the
 	// early verdict, so they are part of the job digest.
@@ -95,7 +91,9 @@ func (sp *StreamSpec) digest() (cache.Digest, error) {
 		}
 		parts = append(parts, buf.Bytes())
 	}
-	f := wm.ResolveFilters(sp.Opts.Filters, sp.Opts.Prefilter)
+	// The filter stack is always wm.DefaultFilters; its six ints stay in
+	// the digest so every persisted stream job ID is unchanged.
+	f := wm.DefaultFilters
 	num(int64(f.Popcount.Lo))
 	num(int64(f.Popcount.Hi))
 	num(int64(f.Transitions.Lo))
@@ -232,8 +230,6 @@ func (sj *StreamJob) resetRecognizers() {
 	for i, key := range sj.spec.Keys {
 		so := wm.StreamOpts{
 			Workers:       opts.Workers,
-			Filters:       opts.Filters,
-			Prefilter:     opts.Prefilter,
 			CheckEvery:    opts.CheckEvery,
 			SettleChecks:  opts.SettleChecks,
 			MinConfidence: opts.MinConfidence,

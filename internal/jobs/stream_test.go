@@ -75,7 +75,7 @@ func TestStreamJobMatchesBatchRecognition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := wm.RecognizeBits(parsed, keys[0], wm.RecognizeOpts{Kernel: wm.KernelScalar})
+	batch, err := wm.RecognizeBits(parsed, keys[0], wm.RecognizeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

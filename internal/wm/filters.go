@@ -15,11 +15,11 @@ import "math/bits"
 //	transitions OnesCount64((w ^ w>>1) low 63 bits) ~ Bin(63, ½)
 //	phase       OnesCount64(w & 0x5555…)            ~ Bin(32, ½)
 //
-// All three statistics are maintained incrementally by the batched
-// kernel (O(1) per slid window) and recomputed per window by the scalar
-// kernel; both kernels apply them in the same order (popcount, then
-// transitions, then phase) with short-circuiting, so the per-layer
-// rejection counters are kernel- and worker-count-independent.
+// The scan kernel maintains all three statistics incrementally (O(1)
+// per slid window) and applies them in a fixed order (popcount, then
+// transitions, then phase) with short-circuiting, so each window is
+// charged to exactly one layer and the per-layer rejection counters are
+// worker-count-independent.
 //
 // The stack is lossy by construction, like the original popcount band:
 // each band clips two binomial tails, and the default stack rejects a
@@ -40,10 +40,6 @@ type Band struct {
 // Written branchless-friendly: one unsigned compare after normalization.
 func (b Band) rejects(v int) bool { return uint(v-b.Lo) > uint(b.Hi-b.Lo) }
 
-// PopcountBand is the historical name of Band, from when popcount was
-// the only prefilter; the Prefilter options still speak it.
-type PopcountBand = Band
-
 // FilterStack is the full pre-decrypt filter configuration, one Band per
 // statistic.
 type FilterStack struct {
@@ -59,50 +55,24 @@ type FilterStack struct {
 	Phase Band
 }
 
-// DefaultFilters is the stack used when neither RecognizeOpts.Filters
-// nor RecognizeOpts.Prefilter is set. The popcount band is the historic
-// default; the transition and phase bands clip at ≈±3.9σ, adding ~3e-5
-// to the false-reject probability while roughly quadrupling the
-// rejection rate on structured trace garbage.
+// DefaultFilters is the stack used when RecognizeOpts.Filters is nil,
+// and by every caller that has no filter option. The popcount band is
+// the historic default; the transition and phase bands clip at ≈±3.9σ,
+// adding ~3e-5 to the false-reject probability while roughly
+// quadrupling the rejection rate on structured trace garbage.
 var DefaultFilters = FilterStack{
 	Popcount:    Band{Lo: 8, Hi: 56},
 	Transitions: Band{Lo: 13, Hi: 51},
 	Phase:       Band{Lo: 5, Hi: 27},
 }
 
-// NoFilters accepts every window on every statistic; use it (or the
-// legacy NoPrefilter) to rule the lossy filters out when hunting for
-// lost pieces. The lossless framing check still applies.
+// NoFilters accepts every window on every statistic; use it to rule the
+// lossy filters out when hunting for lost pieces. The lossless framing
+// check still applies.
 var NoFilters = FilterStack{
 	Popcount:    Band{Lo: 0, Hi: 64},
 	Transitions: Band{Lo: 0, Hi: 63},
 	Phase:       Band{Lo: 0, Hi: 32},
-}
-
-// DefaultPrefilter is the historical popcount-only default band,
-// retained for callers of the legacy Prefilter option.
-var DefaultPrefilter = Band{Lo: 8, Hi: 56}
-
-// NoPrefilter accepts every popcount; as a Prefilter option it disables
-// the whole lossy stack (legacy semantics: Prefilter configures the only
-// lossy filter there was).
-var NoPrefilter = Band{Lo: 0, Hi: 64}
-
-// ResolveFilters merges the new and legacy filter options into the
-// effective stack: an explicit FilterStack wins; otherwise a legacy
-// popcount band runs alone (transitions and phase wide open), preserving
-// the exact pre-stack behavior for existing callers; otherwise the
-// default stack applies.
-func ResolveFilters(filters *FilterStack, prefilter *PopcountBand) FilterStack {
-	if filters != nil {
-		return *filters
-	}
-	if prefilter != nil {
-		f := NoFilters
-		f.Popcount = *prefilter
-		return f
-	}
-	return DefaultFilters
 }
 
 // LayerRejects breaks the scan's rejections down by filter layer. The
@@ -110,7 +80,7 @@ func ResolveFilters(filters *FilterStack, prefilter *PopcountBand) FilterStack {
 // Recognition.PrefilterRejected); Framing counts windows that were
 // decrypted but failed the structural check of the statement codec.
 // Every count is a sum over disjoint scan shards — identical at every
-// worker count and for both kernels.
+// worker count.
 type LayerRejects struct {
 	Popcount    int
 	Transitions int
@@ -129,34 +99,8 @@ func (l *LayerRejects) add(o LayerRejects) {
 	l.Framing += o.Framing
 }
 
-// ScanKernel selects the scan stage's inner loop implementation.
-type ScanKernel int
-
-const (
-	// KernelAuto picks the batched kernel — the production path.
-	KernelAuto ScanKernel = iota
-	// KernelBatched gathers filter survivors into contiguous buffers,
-	// decrypts them through feistel.DecryptBlocks, and scans stride-2
-	// phases as packed bit vectors. The fast path.
-	KernelBatched
-	// KernelScalar is the reference kernel: one window, one filter
-	// evaluation, one cipher call at a time. Kept for differential
-	// testing and old-vs-new benchmarking; results are bit-identical to
-	// the batched kernel.
-	KernelScalar
-)
-
-// resolve maps KernelAuto to the concrete default.
-func (k ScanKernel) resolve() ScanKernel {
-	if k == KernelAuto {
-		return KernelBatched
-	}
-	return k
-}
-
 // windowStats computes the three filter statistics of one window from
-// scratch — the scalar kernel's per-window evaluation, and the batched
-// kernel's seed values for its incremental updates.
+// scratch: the seed values of the kernel's incremental updates.
 func windowStats(w uint64) (pc, tr, ev int) {
 	pc = bits.OnesCount64(w)
 	tr = bits.OnesCount64((w ^ (w >> 1)) & (1<<63 - 1))

@@ -308,14 +308,12 @@ func GradePair(p *vm.Program, progDigest cache.Digest, key *Key, fc *FleetCaches
 	return RecognizeBits(b, key, RecognizeOpts{
 		Workers:      scanWorkers,
 		Ctx:          opts.Ctx,
-		Filters:      opts.Filters,
-		Prefilter:    opts.Prefilter,
-		Kernel:       opts.Kernel,
 		DecryptCache: fc.DecryptCacheFor(key.Cipher),
 	})
 }
 
-// CorpusOpts tunes RecognizeCorpus.
+// CorpusOpts tunes RecognizeCorpus. Every pair scans with
+// DefaultFilters.
 type CorpusOpts struct {
 	// Workers bounds the goroutines processing (suspect, key) pairs:
 	// 0 picks runtime.GOMAXPROCS(0), 1 forces the serial path. Results are
@@ -329,15 +327,6 @@ type CorpusOpts struct {
 	// StepLimit / MaxHeap bound each tracing run (0 = interpreter default).
 	StepLimit int64
 	MaxHeap   int64
-	// Filters overrides the scan's lossy filter stack for every pair;
-	// Prefilter is the legacy popcount-only form. See
-	// wm.ResolveFilters for the precedence (Filters wins, then
-	// Prefilter, then DefaultFilters).
-	Filters   *FilterStack
-	Prefilter *PopcountBand
-	// Kernel selects the scan kernel for every pair (KernelAuto =
-	// batched); results are bit-identical across kernels.
-	Kernel ScanKernel
 	// Ctx, when non-nil, cancels the corpus run.
 	Ctx context.Context
 	// Obs, when non-nil, receives the recognize.corpus span and

@@ -387,6 +387,8 @@ func TestRecognizeCacheEquivalence(t *testing.T) {
 // kept (the band is inclusive), tightening the band past an edge rejects
 // them, and the rejection is visible in PrefilterRejected instead of
 // silent. A band excluding every piece defeats recognition entirely.
+// Each case runs a popcount-only stack (transitions and phase wide open)
+// so the popcount band alone decides.
 func TestPrefilterBandEdges(t *testing.T) {
 	p := workloads.RandomProgram(workloads.RandProgOptions{Seed: 7600})
 	key := testKey(t, nil, 64)
@@ -405,41 +407,46 @@ func TestPrefilterBandEdges(t *testing.T) {
 			maxPc = pc
 		}
 	}
-	if minPc < DefaultPrefilter.Lo || maxPc > DefaultPrefilter.Hi {
+	if def := DefaultFilters.Popcount; minPc < def.Lo || maxPc > def.Hi {
 		t.Fatalf("fixture pieces (popcounts %d..%d) escape the default band", minPc, maxPc)
 	}
 
-	recognize := func(band PopcountBand) *Recognition {
+	popcountOnly := func(lo, hi int) *FilterStack {
+		f := NoFilters
+		f.Popcount = Band{Lo: lo, Hi: hi}
+		return &f
+	}
+	recognize := func(f *FilterStack, reg *obs.Registry) *Recognition {
 		t.Helper()
-		rec, err := RecognizeWithOpts(marked, key, RecognizeOpts{Workers: 1, Prefilter: &band})
+		rec, err := RecognizeWithOpts(marked, key, RecognizeOpts{Workers: 1, Filters: f, Obs: reg})
 		if err != nil {
-			t.Fatalf("band %+v: %v", band, err)
+			t.Fatalf("filters %+v: %v", *f, err)
 		}
 		return rec
 	}
 
 	// Exact band: both edge pieces survive (edges are inclusive).
-	exact := recognize(PopcountBand{Lo: minPc, Hi: maxPc})
+	exact := recognize(popcountOnly(minPc, maxPc), nil)
 	if !exact.Matches(w) {
 		t.Errorf("band [%d,%d] hugging the pieces lost the watermark", minPc, maxPc)
 	}
 	// No filter: nothing rejected, still matches.
-	open := recognize(NoPrefilter)
+	open := recognize(&NoFilters, nil)
 	if !open.Matches(w) || open.PrefilterRejected != 0 {
-		t.Errorf("NoPrefilter: matches=%v rejected=%d", open.Matches(w), open.PrefilterRejected)
+		t.Errorf("NoFilters: matches=%v rejected=%d", open.Matches(w), open.PrefilterRejected)
 	}
 	// Tightening past either edge rejects strictly more windows — the
 	// edge pieces' occurrences among them — and the rejections are
 	// counted, not silent.
 	if minPc > 0 {
-		tight := recognize(PopcountBand{Lo: minPc + 1, Hi: maxPc})
+		tight := recognize(popcountOnly(minPc+1, maxPc), nil)
 		if tight.PrefilterRejected <= exact.PrefilterRejected {
 			t.Errorf("raising Lo past the lightest piece rejected nothing extra (%d vs %d)",
 				tight.PrefilterRejected, exact.PrefilterRejected)
 		}
 	}
 	if maxPc < 64 && maxPc > minPc {
-		tight := recognize(PopcountBand{Lo: minPc, Hi: maxPc - 1})
+		tight := recognize(popcountOnly(minPc, maxPc-1), nil)
 		if tight.PrefilterRejected <= exact.PrefilterRejected {
 			t.Errorf("lowering Hi past the heaviest piece rejected nothing extra (%d vs %d)",
 				tight.PrefilterRejected, exact.PrefilterRejected)
@@ -447,7 +454,7 @@ func TestPrefilterBandEdges(t *testing.T) {
 	}
 	// A band excluding every piece defeats recognition and accounts for
 	// the loss in the counter.
-	none := recognize(PopcountBand{Lo: maxPc + 1, Hi: 64})
+	none := recognize(popcountOnly(maxPc+1, 64), nil)
 	if none.Matches(w) {
 		t.Error("band excluding every piece still matched")
 	}
@@ -457,10 +464,7 @@ func TestPrefilterBandEdges(t *testing.T) {
 
 	// The counter reaches the obs registry under scan.prefilter_rejected.
 	reg := obs.NewRegistry()
-	band := PopcountBand{Lo: maxPc + 1, Hi: 64}
-	if _, err := RecognizeWithOpts(marked, key, RecognizeOpts{Workers: 1, Prefilter: &band, Obs: reg}); err != nil {
-		t.Fatal(err)
-	}
+	recognize(popcountOnly(maxPc+1, 64), reg)
 	found := false
 	for _, c := range reg.Snapshot().Counters {
 		if c.Name == "scan.prefilter_rejected" && c.Value == int64(none.PrefilterRejected) {

@@ -57,12 +57,100 @@ func equivTraces(t testing.TB, key *Key) map[string]*bitstring.Bits {
 	}
 }
 
-// TestKernelEquivalence is the scan rebuild's core property: the batched
-// kernel (packed strides, incremental filters, block decryption, cache
-// Peek/Put) produces a Recognition bit-identical to the scalar reference
-// kernel, for every trace shape, filter configuration (including the
-// legacy popcount-only band and no filtering at all), worker count, and
-// cache mode.
+// The scalar reference kernel: one window, one filter evaluation, one
+// cipher call at a time, with the stride-2 phases read through the
+// strided window iterator over the raw string rather than packed. It
+// shares the filter statistics and the statement codec with production
+// but none of the kernel's restructuring — word screen, incremental
+// statistics, AVX2 gather, block decryption, batched framing check,
+// cache Peek/Put — which the equivalence tests below pin against it.
+
+// decryptOne decrypts one window: through the memo table when a cache is
+// configured (each distinct window runs the cipher at most once within
+// capacity), directly otherwise.
+func (env *scanEnv) decryptOne(w uint64) uint64 {
+	if env.cache != nil {
+		return env.cache.GetOrCompute(w, env.cipher.Decrypt)
+	}
+	return env.cipher.Decrypt(w)
+}
+
+// decode runs the post-decrypt layers on one decrypted window: the
+// lossless framing check (structural reject, counted per layer) and the
+// statement codec.
+func (a *scanAccum) decode(env *scanEnv, dec uint64) {
+	enc, ok := env.params.Unframe(dec)
+	if !ok {
+		a.rej.Framing++
+		return
+	}
+	if st, ok := env.params.Decode(enc); ok {
+		a.valid++
+		a.counts[st]++
+	}
+}
+
+// scanRange scans windows [lo, hi) of b at the given stride and phase
+// (stride 1 = the raw string), filtering, decrypting, and decoding one
+// window at a time.
+func (a *scanAccum) scanRange(b *bitstring.Bits, stride, phase, lo, hi int, env *scanEnv) {
+	f := env.filters
+	visit := func(_ int, w uint64) bool {
+		a.windows++
+		pc, tr, ev := windowStats(w)
+		switch {
+		case f.Popcount.rejects(pc):
+			a.rej.Popcount++
+		case f.Transitions.rejects(tr):
+			a.rej.Transitions++
+		case f.Phase.rejects(ev):
+			a.rej.Phase++
+		default:
+			a.decrypted++
+			a.decode(env, env.decryptOne(w))
+		}
+		return true
+	}
+	if stride == 1 {
+		b.Windows64Range(lo, hi, visit)
+	} else {
+		b.StrideWindows64Range(stride, phase, lo, hi, visit)
+	}
+}
+
+// referenceRecognize is RecognizeBits with the scalar reference kernel:
+// a serial scan of the raw string and both stride-2 phases, then the
+// production vote tail. filters nil means DefaultFilters.
+func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.Cache64) *Recognition {
+	f := DefaultFilters
+	if filters != nil {
+		f = *filters
+	}
+	env := getScanEnv(key, scanConfig{filters: f, decryptCache: c})
+	defer putScanEnv(env)
+	acc := newScanAccum()
+	acc.scanRange(b, 1, 0, 0, b.NumWindows64(), env)
+	if b.Len() >= 2 {
+		for phase := 0; phase < 2; phase++ {
+			acc.scanRange(b, 2, phase, 0, b.StrideNumWindows64(2, phase), env)
+		}
+	}
+	rec := acc.recognition(b.Len())
+	for st, n := range acc.counts {
+		acc.counts[st] = min(n, countCap)
+	}
+	if len(acc.counts) > 0 {
+		resolveStatements(nil, rec, acc.counts, key)
+	}
+	return rec
+}
+
+// TestKernelEquivalence is the scan kernel's core property: the
+// production scan (packed strides, incremental filters, block
+// decryption, cache Peek/Put, sharded workers) produces a Recognition
+// bit-identical to the scalar reference kernel, for every trace shape,
+// filter configuration (including a popcount-only band and no filtering
+// at all), worker count, and cache mode.
 func TestKernelEquivalence(t *testing.T) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 64)
 	if err != nil {
@@ -70,52 +158,41 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	traces := equivTraces(t, key)
 
-	narrow := Band{Lo: 24, Hi: 40}
+	popcountOnly := NoFilters
+	popcountOnly.Popcount = Band{Lo: 24, Hi: 40}
 	customStack := FilterStack{
 		Popcount:    Band{Lo: 10, Hi: 54},
 		Transitions: Band{Lo: 16, Hi: 48},
 		Phase:       Band{Lo: 7, Hi: 25},
 	}
 	filterCases := []struct {
-		name      string
-		filters   *FilterStack
-		prefilter *PopcountBand
+		name    string
+		filters *FilterStack
 	}{
-		{"default", nil, nil},
-		{"no-filters", &NoFilters, nil},
-		{"legacy-no-prefilter", nil, &NoPrefilter},
-		{"legacy-band", nil, &narrow},
-		{"custom-stack", &customStack, nil},
+		{"default", nil},
+		{"no-filters", &NoFilters},
+		{"legacy-no-prefilter", &NoFilters},
+		{"legacy-band", &popcountOnly},
+		{"custom-stack", &customStack},
 	}
 
 	for name, b := range traces {
 		for _, fc := range filterCases {
-			baseOpts := RecognizeOpts{
-				Workers: 1, Kernel: KernelScalar,
-				Filters: fc.filters, Prefilter: fc.prefilter,
-			}
-			want, wantErr := RecognizeBits(b, key, baseOpts)
-			if wantErr != nil {
-				t.Fatalf("%s/%s: scalar reference failed: %v", name, fc.name, wantErr)
-			}
-			for _, kernel := range []ScanKernel{KernelScalar, KernelBatched, KernelAuto} {
-				for _, workers := range []int{1, 4, 8} {
-					for _, cached := range []bool{false, true} {
-						opts := baseOpts
-						opts.Kernel = kernel
-						opts.Workers = workers
-						if cached {
-							opts.DecryptCache = cache.NewCache64(0)
-						}
-						got, err := RecognizeBits(b, key, opts)
-						if err != nil {
-							t.Fatalf("%s/%s kernel=%d workers=%d cached=%v: %v",
-								name, fc.name, kernel, workers, cached, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s kernel=%d workers=%d cached=%v: Recognition diverged\n got %+v\nwant %+v",
-								name, fc.name, kernel, workers, cached, got, want)
-						}
+			want := referenceRecognize(b, key, fc.filters, nil)
+			for _, workers := range []int{1, 4, 8} {
+				for _, cached := range []bool{false, true} {
+					opts := RecognizeOpts{Workers: workers, Filters: fc.filters}
+					if cached {
+						opts.DecryptCache = cache.NewCache64(0)
+					}
+					got, err := RecognizeBits(b, key, opts)
+					if err != nil {
+						t.Fatalf("%s/%s workers=%d cached=%v: %v",
+							name, fc.name, workers, cached, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s workers=%d cached=%v: Recognition diverged\n got %+v\nwant %+v",
+							name, fc.name, workers, cached, got, want)
 					}
 				}
 			}
@@ -123,11 +200,11 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceSharedCache runs both kernels against the same
-// long-lived cache (the fleet topology: many scans, one memo table per
-// cipher) and checks results stay identical when the table is already
-// warm — the memoized decryptions must be exactly what each kernel would
-// compute.
+// TestKernelEquivalenceSharedCache runs the reference and the production
+// kernel against the same long-lived cache (the fleet topology: many
+// scans, one memo table per cipher) and checks results stay identical
+// when the table is already warm — the memoized decryptions must be
+// exactly what each kernel would compute.
 func TestKernelEquivalenceSharedCache(t *testing.T) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(9, 2), 64)
 	if err != nil {
@@ -136,13 +213,8 @@ func TestKernelEquivalenceSharedCache(t *testing.T) {
 	traces := equivTraces(t, key)
 	c := cache.NewCache64(0)
 	for name, b := range traces {
-		scalar, err := RecognizeBits(b, key, RecognizeOpts{
-			Workers: 2, Kernel: KernelScalar, DecryptCache: c})
-		if err != nil {
-			t.Fatalf("%s scalar: %v", name, err)
-		}
-		batched, err := RecognizeBits(b, key, RecognizeOpts{
-			Workers: 2, Kernel: KernelBatched, DecryptCache: c})
+		scalar := referenceRecognize(b, key, nil, c)
+		batched, err := RecognizeBits(b, key, RecognizeOpts{Workers: 2, DecryptCache: c})
 		if err != nil {
 			t.Fatalf("%s batched: %v", name, err)
 		}
@@ -170,22 +242,19 @@ func TestKernelEquivalenceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RecognizeBits(b, key, RecognizeOpts{Workers: 1, Kernel: KernelScalar})
-	if err != nil {
-		t.Fatal(err)
+	want := referenceRecognize(b, key, nil, nil)
+	if got := referenceRecognize(b, key, nil, cache.NewCache64(256)); !reflect.DeepEqual(got, want) {
+		t.Errorf("scalar reference with bounded cache: Recognition diverged")
 	}
-	for _, kernel := range []ScanKernel{KernelScalar, KernelBatched} {
-		for _, workers := range []int{1, 4} {
-			got, err := RecognizeBits(b, key, RecognizeOpts{
-				Workers: workers, Kernel: kernel,
-				DecryptCache: cache.NewCache64(256),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("kernel=%d workers=%d bounded cache: Recognition diverged", kernel, workers)
-			}
+	for _, workers := range []int{1, 4} {
+		got, err := RecognizeBits(b, key, RecognizeOpts{
+			Workers: workers, DecryptCache: cache.NewCache64(256),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d bounded cache: Recognition diverged", workers)
 		}
 	}
 }
@@ -194,7 +263,7 @@ func TestKernelEquivalenceBounded(t *testing.T) {
 // contract end to end: every piece actually embedded by Embed passes the
 // default filter stack and the framing check, so recognition with
 // defaults recovers the watermark exactly (ValidStatements > 0, full
-// coverage).
+// coverage) — on the production path and the scalar reference alike.
 func TestEmbeddedPiecesSurviveFilters(t *testing.T) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 96)
 	if err != nil {
@@ -206,25 +275,33 @@ func TestEmbeddedPiecesSurviveFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []ScanKernel{KernelScalar, KernelBatched} {
-		rec, err := RecognizeWithOpts(marked, key, RecognizeOpts{Kernel: kernel})
-		if err != nil {
-			t.Fatalf("kernel=%d: %v", kernel, err)
+	rec, err := RecognizeWithOpts(marked, key, RecognizeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := vm.Collect(marked, key.Input, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceRecognize(tr.DecodeBits(), key, nil, nil)
+	for name, r := range map[string]*Recognition{"production": rec, "reference": ref} {
+		if !r.Matches(w) {
+			t.Fatalf("%s: watermark not recovered: %+v", name, r)
 		}
-		if !rec.Matches(w) {
-			t.Fatalf("kernel=%d: watermark not recovered: %+v", kernel, rec)
+		if r.ValidStatements == 0 || r.Decrypted == 0 {
+			t.Fatalf("%s: no statements decoded (valid=%d decrypted=%d)",
+				name, r.ValidStatements, r.Decrypted)
 		}
-		if rec.ValidStatements == 0 || rec.Decrypted == 0 {
-			t.Fatalf("kernel=%d: no statements decoded (valid=%d decrypted=%d)",
-				kernel, rec.ValidStatements, rec.Decrypted)
-		}
+	}
+	if !reflect.DeepEqual(rec, ref) {
+		t.Errorf("production and reference recognitions diverged\n got %+v\nwant %+v", rec, ref)
 	}
 }
 
-// BenchmarkRecognizeKernels is the old-vs-new comparison at the
-// RecognizeBits level: scalar kernel with the legacy popcount-only band
-// (the pre-rebuild configuration) against the batched kernel with the
-// default stack (the production configuration).
+// BenchmarkRecognizeKernels measures RecognizeBits (scan + vote) over a
+// densely marked trace with the production kernel and default stack,
+// serial. The pre-rebuild comparison lives in the fleet bench's
+// ScanBaselinePR5 leg.
 func BenchmarkRecognizeKernels(b *testing.B) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 128)
 	if err != nil {
@@ -241,23 +318,15 @@ func BenchmarkRecognizeKernels(b *testing.B) {
 		b.Fatal(err)
 	}
 	bits := tr.DecodeBits()
-	for _, bc := range []struct {
-		name string
-		opts RecognizeOpts
-	}{
-		{"legacy-scalar", RecognizeOpts{Workers: 1, Kernel: KernelScalar, Prefilter: &DefaultPrefilter}},
-		{"batched-stack", RecognizeOpts{Workers: 1, Kernel: KernelBatched}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var windows int
-			for i := 0; i < b.N; i++ {
-				rec, err := RecognizeBits(bits, key, bc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				windows = rec.Windows
+	b.Run("batched-stack", func(b *testing.B) {
+		var windows int
+		for i := 0; i < b.N; i++ {
+			rec, err := RecognizeBits(bits, key, RecognizeOpts{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwindows/s")
-		})
-	}
+			windows = rec.Windows
+		}
+		b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwindows/s")
+	})
 }

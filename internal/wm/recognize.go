@@ -93,21 +93,8 @@ type RecognizeOpts struct {
 	// Production callers leave it nil.
 	ScanHook func(worker, chunk int)
 	// Filters overrides the scan's lossy pre-decrypt filter stack
-	// (nil = DefaultFilters unless the legacy Prefilter is set;
-	// NoFilters disables the lossy layers). See ResolveFilters for the
-	// precedence between Filters and Prefilter.
+	// (nil = DefaultFilters; NoFilters disables the lossy layers).
 	Filters *FilterStack
-	// Prefilter is the legacy popcount-only filter option: when set (and
-	// Filters is nil) the scan runs exactly the historic popcount band,
-	// with the newer transition and phase layers wide open. NoPrefilter
-	// disables the lossy stack entirely.
-	Prefilter *PopcountBand
-	// Kernel selects the scan's inner-loop implementation. The zero
-	// value (KernelAuto) picks the batched kernel; KernelScalar forces
-	// the one-window-at-a-time reference kernel. Recognition results are
-	// bit-identical across kernels — the knob exists for differential
-	// tests and old-vs-new benchmarks.
-	Kernel ScanKernel
 	// DecryptCache, when non-nil, memoizes window decryption across the
 	// scan: each distinct 64-bit window is run through the cipher at most
 	// once (within the cache's capacity) and repeats are answered from the
@@ -222,35 +209,21 @@ func RecognizeBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*Recognitio
 		return nil, &StageError{Stage: "scan", Worker: -1,
 			Cause: fmt.Errorf("invalid trace bit-string: %w", err)}
 	}
-	rec := &Recognition{TraceBits: b.Len()}
 
 	// Stage 2: scan.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	span := opts.Obs.Start("recognize.scan")
 	cacheBefore := opts.DecryptCache.Stats()
-	acc, scanErrs, err := scanBits(opts.Ctx, b, key, workers, scanConfig{
-		hook:         opts.ScanHook,
-		filters:      ResolveFilters(opts.Filters, opts.Prefilter),
-		kernel:       opts.Kernel.resolve(),
-		decryptCache: opts.DecryptCache,
-	})
+	acc, scanErrs, err := scanBits(b, key, opts)
 	if err != nil {
 		span.Finish()
 		return nil, &StageError{Stage: "scan", Worker: -1, Cause: err}
 	}
+	rec := acc.recognition(b.Len())
 	if n := len(scanErrs); n > 0 {
 		rec.Degraded = true
 		rec.StageErrors = append(rec.StageErrors, scanErrs...)
 		opts.Obs.Counter("recognize.scan_panics").Add(int64(acc.panics))
 	}
-	rec.Windows = acc.windows
-	rec.ValidStatements = acc.valid
-	rec.RejectedByLayer = acc.rej
-	rec.PrefilterRejected = acc.rej.preDecrypt()
-	rec.Decrypted = acc.decrypted
 	span.Set("windows", int64(acc.windows)).
 		Set("valid_statements", int64(acc.valid)).
 		Set("recovered_panics", int64(acc.panics)).Finish()
@@ -304,27 +277,12 @@ func RecognizeBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*Recognitio
 	return rec, nil
 }
 
-// scanTask describes one shardable window source of the scan stage. The
-// raw bit-string is scanned alongside its two stride-2 phases: the rolled
-// loop generator interleaves one constant control bit between payload
-// bits, so its pieces are contiguous in a stride-2 phase rather than in
-// the raw string. The scalar kernel reads the phases through the strided
-// window iterator over the raw string (src = the trace, stride = 2); the
-// batched kernel materializes each phase once (bitstring.PackStride2)
-// and scans the packed vector stride-1 (src = the packed phase). Window
-// counts and contents are identical either way.
-type scanTask struct {
-	src           *bitstring.Bits
-	stride, phase int // stride=1: scan src directly
-	numWindows    int
-}
-
 // statementCountHint pre-sizes a scan accumulator's statement-count map.
 // A marked trace yields at most a few hundred distinct valid statements
 // (bounded by the embedding's piece count plus coincidental decodes), and
 // growing a struct-keyed map incrementally costs more than the scan's
-// whole decode pass — rehashing showed up at ~7% of the batched kernel's
-// profile before the hint.
+// whole decode pass — rehashing showed up at ~7% of the kernel's profile
+// before the hint.
 const statementCountHint = 256
 
 func newScanAccum() *scanAccum {
@@ -341,173 +299,127 @@ type scanAccum struct {
 	counts    map[crt.Statement]int
 }
 
-// scanConfig bundles the scan stage's tuning knobs so scanBits keeps a
-// stable signature as knobs accrue.
+// add sums o into a. Every field is a sum over disjoint window ranges,
+// so the merge order never shows in the result.
+func (a *scanAccum) add(o *scanAccum) {
+	a.windows += o.windows
+	a.valid += o.valid
+	a.rej.add(o.rej)
+	a.decrypted += o.decrypted
+	a.panics += o.panics
+	for st, c := range o.counts {
+		a.counts[st] += c
+	}
+}
+
+// recognition returns a Recognition carrying the accumulated scan
+// counters over a trace of traceBits bits, before the vote stage.
+func (a *scanAccum) recognition(traceBits int) *Recognition {
+	return &Recognition{
+		TraceBits:         traceBits,
+		Windows:           a.windows,
+		ValidStatements:   a.valid,
+		RejectedByLayer:   a.rej,
+		PrefilterRejected: a.rej.preDecrypt(),
+		Decrypted:         a.decrypted,
+	}
+}
+
+// scanConfig bundles the scan stage's per-call settings.
 type scanConfig struct {
 	hook         func(worker, chunk int)
 	filters      FilterStack
-	kernel       ScanKernel
 	decryptCache *cache.Cache64
 }
 
-// scanEnv is one worker's per-goroutine scan state: its private cipher
-// instance (expanded subkeys), the shared read-only decode parameters,
-// the (shared, concurrency-safe) decrypt cache, and the batched kernel's
-// reusable gather buffers.
+// scanEnv is one worker's scan state: its private cipher instance
+// (expanded subkeys), the shared read-only decode parameters, the
+// (shared, concurrency-safe) decrypt cache, and the kernel's reusable
+// gather buffers. Envs are pooled (scanEnvPool): the buffers total ~70KB
+// per worker, and fleet and stream callers run many scans per second,
+// so allocating (and zeroing) them per scan shows up. The buffers are
+// pure scratch — fully written before they are read within each chunk —
+// so reuse cannot leak state between scans, keys, or workers.
 type scanEnv struct {
 	cipher  *feistel.Cipher
-	decrypt func(uint64) uint64 // cipher.Decrypt, bound once
 	params  *crt.Params
 	filters FilterStack
 	cache   *cache.Cache64
-	// Batched-kernel scratch, sized to the chunk granularity and reused
-	// across chunks so the gather loop never allocates.
+	// Kernel scratch, sized to the chunk granularity and reused across
+	// chunks so the gather loop never allocates.
 	winBuf  []uint64 // filter survivors of the current chunk
 	decBuf  []uint64 // their decryptions, same indexing
 	missBuf []uint64 // cache misses, gathered contiguously
 	missIdx []int    // winBuf index of each cache miss
+	passBuf []int32  // indices passing the AVX2 framing check
 	// AVX2 gather dispatch: set when the CPU has the kernel and the
 	// stack's bands fit its byte arithmetic (see bandsPackable).
 	useGather   bool
 	gatherBands uint64
 	// AVX2 framing-check dispatch for pass 3, with the flattened
-	// framing constants and the passing-index scratch it needs.
+	// framing constants it needs.
 	useUnframe  bool
 	frameConsts crt.FrameConsts
-	passBuf     []int32
-	// bufs is the pooled backing of the scratch slices above; returned
-	// to scanBufPool when the worker finishes (releaseBufs).
-	bufs *scanEnvBufs
 }
 
-// scanEnvBufs bundles one worker's batched-kernel scratch so it can be
-// recycled through scanBufPool: the buffers total ~70KB per worker, and
-// fleet/bench callers run many scans per second, so allocating (and
-// zeroing) them per scan shows up. The buffers are pure scratch —
-// fully written before they are read within each chunk — so reuse
-// cannot leak state between scans, keys, or workers.
-type scanEnvBufs struct {
-	win, dec, miss []uint64
-	missIdx        []int
-	pass           []int32
-}
-
-// packedPool recycles the batched kernel's stride-2 packed vectors
-// (PackStride2Into overwrites every word, so reuse carries no state).
-var packedPool = sync.Pool{New: func() any { return new(bitstring.Bits) }}
-
-var scanBufPool = sync.Pool{New: func() any {
-	return &scanEnvBufs{
-		win:     make([]uint64, 0, scanChunkWindows),
-		dec:     make([]uint64, scanChunkWindows),
-		miss:    make([]uint64, 0, scanChunkWindows),
+var scanEnvPool = sync.Pool{New: func() any {
+	return &scanEnv{
+		winBuf:  make([]uint64, 0, scanChunkWindows),
+		decBuf:  make([]uint64, scanChunkWindows),
+		missBuf: make([]uint64, 0, scanChunkWindows),
 		missIdx: make([]int, 0, scanChunkWindows),
-		pass:    make([]int32, scanChunkWindows),
+		passBuf: make([]int32, scanChunkWindows),
 	}
 }}
 
-// releaseBufs returns the worker's scratch to the pool; the env must
-// not touch the buffers afterwards.
-func (env *scanEnv) releaseBufs() {
-	if env.bufs == nil {
-		return
-	}
-	scanBufPool.Put(env.bufs)
-	env.bufs = nil
-	env.winBuf, env.decBuf, env.missBuf, env.missIdx, env.passBuf = nil, nil, nil, nil, nil
-}
+// packedPool recycles the stride-2 packed vectors the scan builds
+// (PackStride2Into overwrites every word, so reuse carries no state).
+var packedPool = sync.Pool{New: func() any { return new(bitstring.Bits) }}
 
-func newScanEnv(key *Key, cfg scanConfig) *scanEnv {
-	c := feistel.New(key.Cipher)
-	env := &scanEnv{
-		cipher:  c,
-		decrypt: c.Decrypt,
-		params:  key.Params,
-		filters: cfg.filters,
-		cache:   cfg.decryptCache,
+// getScanEnv borrows a pooled env and keys it for one scan; return it
+// with putScanEnv once the worker is done.
+func getScanEnv(key *Key, cfg scanConfig) *scanEnv {
+	env := scanEnvPool.Get().(*scanEnv)
+	env.cipher = feistel.New(key.Cipher)
+	env.params = key.Params
+	env.filters = cfg.filters
+	env.cache = cfg.decryptCache
+	if env.useGather = gatherAvailable && bandsPackable(cfg.filters); env.useGather {
+		env.gatherBands = packBands(cfg.filters)
 	}
-	if cfg.kernel == KernelBatched {
-		env.bufs = scanBufPool.Get().(*scanEnvBufs)
-		env.winBuf = env.bufs.win
-		env.decBuf = env.bufs.dec
-		env.missBuf = env.bufs.miss
-		env.missIdx = env.bufs.missIdx
-		env.passBuf = env.bufs.pass
-		if env.useGather = gatherAvailable && bandsPackable(cfg.filters); env.useGather {
-			env.gatherBands = packBands(cfg.filters)
-		}
-		if env.useUnframe = gatherAvailable; env.useUnframe {
-			env.frameConsts = key.Params.FrameConstants()
-		}
+	if env.useUnframe = gatherAvailable; env.useUnframe {
+		env.frameConsts = key.Params.FrameConstants()
 	}
 	return env
 }
 
-// decryptOne is the scalar kernel's single decryption path: through the
-// memo table when a cache is configured (each distinct window runs the
-// cipher at most once within capacity), directly otherwise.
-func (env *scanEnv) decryptOne(w uint64) uint64 {
-	if env.cache != nil {
-		return env.cache.GetOrCompute(w, env.decrypt)
-	}
-	return env.decrypt(w)
+// putScanEnv returns an env to the pool, dropping its references to the
+// key and cache so a pooled env pins neither.
+func putScanEnv(env *scanEnv) {
+	env.cipher, env.params, env.cache = nil, nil, nil
+	scanEnvPool.Put(env)
 }
 
-// decode runs the post-decrypt layers on one decrypted window: the
-// lossless framing check (structural reject, counted per layer) and the
-// statement codec. Shared by both kernels — the kernels differ only in
-// how windows are filtered and decrypted, never in what a decryption
-// means.
-func (a *scanAccum) decode(env *scanEnv, dec uint64) {
-	enc, ok := env.params.Unframe(dec)
-	if !ok {
-		a.rej.Framing++
-		return
-	}
-	if st, ok := env.params.Decode(enc); ok {
-		a.valid++
-		a.counts[st]++
-	}
-}
-
-// scanRange is the scalar (reference) kernel: it scans windows [lo, hi)
-// of one task, filtering, decrypting, and decoding one window at a time.
-//
-// Degenerate low-entropy windows (long constant runs, strided patterns —
-// e.g. from the generators' priming passes) are dropped by the
-// statistical filter stack before decryption — see FilterStack for the
-// layers and their false-negative rates — and counted per layer, per
-// shard, so the totals are deterministic. Windows that decrypt but fail
-// the framing check are counted in the framing layer.
-func (a *scanAccum) scanRange(b *bitstring.Bits, t scanTask, lo, hi int, env *scanEnv) {
-	f := env.filters
-	visit := func(_ int, w uint64) bool {
-		a.windows++
-		pc, tr, ev := windowStats(w)
-		switch {
-		case f.Popcount.rejects(pc):
-			a.rej.Popcount++
-		case f.Transitions.rejects(tr):
-			a.rej.Transitions++
-		case f.Phase.rejects(ev):
-			a.rej.Phase++
-		default:
-			a.decrypted++
-			a.decode(env, env.decryptOne(w))
-		}
-		return true
-	}
-	if t.stride == 1 {
-		b.Windows64Range(lo, hi, visit)
-	} else {
-		b.StrideWindows64Range(t.stride, t.phase, lo, hi, visit)
-	}
-}
-
-// scanChunk is one shard of the scan work list.
+// scanChunk is one shard of the scan work list: windows [lo, hi) of a
+// stride-1 source. The raw bit-string is scanned alongside its two
+// stride-2 phases: the rolled loop generator interleaves one constant
+// control bit between payload bits, so its pieces are contiguous in a
+// stride-2 phase rather than in the raw string. Each phase is packed
+// once per scan (bitstring.PackStride2Into) into a contiguous vector, so
+// every chunk runs the same stride-1 kernel.
 type scanChunk struct {
-	task   scanTask
+	src    *bitstring.Bits
 	lo, hi int
+}
+
+// appendChunks shards windows [lo, hi) of src into scanChunkWindows-sized
+// chunks. The grid depends only on window counts, so every merged
+// counter is schedule-independent.
+func appendChunks(chunks []scanChunk, src *bitstring.Bits, lo, hi int) []scanChunk {
+	for ; lo < hi; lo += scanChunkWindows {
+		chunks = append(chunks, scanChunk{src, lo, min(lo+scanChunkWindows, hi)})
+	}
+	return chunks
 }
 
 // runChunk processes one chunk with panic containment: a panic — from the
@@ -526,132 +438,63 @@ func (a *scanAccum) runChunk(c scanChunk, worker, chunk int,
 	if cfg.hook != nil {
 		cfg.hook(worker, chunk)
 	}
-	if cfg.kernel == KernelBatched {
-		a.scanRangeBatched(c.task.src, c.lo, c.hi, env)
-	} else {
-		a.scanRange(c.task.src, c.task, c.lo, c.hi, env)
-	}
+	a.scanRangeBatched(c.src, c.lo, c.hi, env)
 	return nil
 }
 
-// scanBits runs the scan stage over the raw bit-string and its two
-// stride-2 phases, sharded into fixed-size chunks processed by the given
-// number of workers (1 = inline, no goroutines). The returned slice holds
-// recovered per-chunk failures (capped at maxStageErrors; scanAccum.panics
-// has the true count); the error is non-nil only for cancellation, in
-// which case the scan is abandoned.
-func scanBits(ctx context.Context, b *bitstring.Bits, key *Key, workers int,
+// runScan is the scan stage's one worker pool, shared by the batch scan
+// and the stream recognizer. Workers (1 = inline, no goroutines) pull
+// chunks off a shared atomic cursor, each with a pooled env and a private
+// accumulator; the accumulators are summed at the join. The returned
+// slice holds recovered per-chunk failures (capped at maxStageErrors;
+// scanAccum.panics has the true count); the error is non-nil only for
+// cancellation, checked before every chunk, in which case the scan is
+// abandoned.
+func runScan(ctx context.Context, chunks []scanChunk, workers int, key *Key,
 	cfg scanConfig) (*scanAccum, []*StageError, error) {
-	cfg.kernel = cfg.kernel.resolve()
-	tasks := []scanTask{{src: b, stride: 1, numWindows: b.NumWindows64()}}
-	if b.Len() >= 2 {
-		if cfg.kernel == KernelBatched {
-			// The batched kernel scans each stride-2 phase as a packed
-			// contiguous vector (one word-parallel pass to build, then the
-			// same stride-1 gather loop as the raw scan). Window counts and
-			// contents match the strided iterator exactly, so the chunk
-			// grid — and every merged counter — is kernel-independent.
-			// The vectors are pooled scratch: private to this call while
-			// workers run, recycled once every worker has joined.
-			for phase := 0; phase < 2; phase++ {
-				packed := b.PackStride2Into(packedPool.Get().(*bitstring.Bits), phase)
-				defer packedPool.Put(packed)
-				tasks = append(tasks, scanTask{
-					src: packed, stride: 2, phase: phase,
-					numWindows: packed.NumWindows64(),
-				})
-			}
-		} else {
-			tasks = append(tasks,
-				scanTask{src: b, stride: 2, phase: 0, numWindows: b.StrideNumWindows64(2, 0)},
-				scanTask{src: b, stride: 2, phase: 1, numWindows: b.StrideNumWindows64(2, 1)})
-		}
-	}
-
-	// Chunk every task's window range into fixed-size shards. Scheduling
-	// order is arbitrary but the merged counts are sums over disjoint
-	// ranges, hence deterministic.
-	var chunks []scanChunk
-	for _, t := range tasks {
-		for lo := 0; lo < t.numWindows; lo += scanChunkWindows {
-			hi := lo + scanChunkWindows
-			if hi > t.numWindows {
-				hi = t.numWindows
-			}
-			chunks = append(chunks, scanChunk{t, lo, hi})
-		}
-	}
-	if len(chunks) == 0 {
-		return newScanAccum(), nil, nil
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-
-	if workers <= 1 {
-		acc := newScanAccum()
-		env := newScanEnv(key, cfg)
-		defer env.releaseBufs()
-		var errs []*StageError
-		for i, c := range chunks {
-			if ctx != nil && ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			if serr := acc.runChunk(c, 0, i, env, cfg); serr != nil {
-				if len(errs) < maxStageErrors {
-					errs = append(errs, serr)
-				}
-			}
-		}
-		return acc, errs, nil
-	}
-
-	// Workers pull chunks off a shared atomic cursor; each keeps a private
-	// accumulator and error list merged at the join.
+	workers = max(1, min(workers, len(chunks)))
 	accs := make([]*scanAccum, workers)
 	errLists := make([][]*StageError, workers)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wi := wi
+	work := func(wi int) {
+		env := getScanEnv(key, cfg)
+		defer putScanEnv(env)
 		acc := newScanAccum()
 		accs[wi] = acc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env := newScanEnv(key, cfg)
-			defer env.releaseBufs()
-			for {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				if serr := acc.runChunk(chunks[i], wi, i, env, cfg); serr != nil {
-					if len(errLists[wi]) < maxStageErrors {
-						errLists[wi] = append(errLists[wi], serr)
-					}
-				}
+		for {
+			if ctx != nil && ctx.Err() != nil {
+				return
 			}
-		}()
+			i := int(next.Add(1)) - 1
+			if i >= len(chunks) {
+				return
+			}
+			if serr := acc.runChunk(chunks[i], wi, i, env, cfg); serr != nil &&
+				len(errLists[wi]) < maxStageErrors {
+				errLists[wi] = append(errLists[wi], serr)
+			}
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for wi := 0; wi < workers; wi++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(wi)
+			}()
+		}
+		wg.Wait()
+	}
 	if ctx != nil && ctx.Err() != nil {
 		return nil, nil, ctx.Err()
 	}
 
 	merged := accs[0]
 	for _, acc := range accs[1:] {
-		merged.windows += acc.windows
-		merged.valid += acc.valid
-		merged.rej.add(acc.rej)
-		merged.decrypted += acc.decrypted
-		merged.panics += acc.panics
-		for st, c := range acc.counts {
-			merged.counts[st] += c
-		}
+		merged.add(acc)
 	}
 	var errs []*StageError
 	for _, list := range errLists {
@@ -662,6 +505,32 @@ func scanBits(ctx context.Context, b *bitstring.Bits, key *Key, workers int,
 		}
 	}
 	return merged, errs, nil
+}
+
+// scanBits runs the scan stage over the raw bit-string and its two
+// stride-2 phases with the worker count, filters, hook and cache opts
+// selects — the one place RecognizeOpts becomes a scan configuration,
+// shared by RecognizeBits and ScanOnly. Results are as for runScan.
+func scanBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*scanAccum, []*StageError, error) {
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cfg := scanConfig{hook: opts.ScanHook, filters: DefaultFilters, decryptCache: opts.DecryptCache}
+	if opts.Filters != nil {
+		cfg.filters = *opts.Filters
+	}
+	chunks := appendChunks(nil, b, 0, b.NumWindows64())
+	if b.Len() >= 2 {
+		// The packed phases are pooled scratch: private to this call
+		// while workers run, recycled once every worker has joined.
+		for phase := 0; phase < 2; phase++ {
+			packed := b.PackStride2Into(packedPool.Get().(*bitstring.Bits), phase)
+			defer packedPool.Put(packed)
+			chunks = appendChunks(chunks, packed, 0, packed.NumWindows64())
+		}
+	}
+	return runScan(opts.Ctx, chunks, workers, key, cfg)
 }
 
 // resolveStatements runs the serial tail of the pipeline on the merged

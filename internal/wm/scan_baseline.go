@@ -35,12 +35,12 @@ type ScanStats struct {
 //
 // The replica is the benchmark's control group and must stay frozen:
 // improving it would silently deflate every recorded speedup, so it
-// shares no code with the production kernels.
+// shares no code with the production kernel.
 func ScanBaselinePR5(b *bitstring.Bits, key *Key) ScanStats {
 	cipher := feistel.New(key.Cipher)
 	decrypt := cipher.Decrypt
 	params := key.Params
-	band := DefaultPrefilter
+	band := Band{Lo: 8, Hi: 56}
 	var st ScanStats
 	visit := func(_ int, w uint64) bool {
 		st.Windows++
@@ -67,21 +67,13 @@ func ScanBaselinePR5(b *bitstring.Bits, key *Key) ScanStats {
 // ScanOnly runs just the scan stage of RecognizeBits — the window
 // filter/decrypt/decode pipeline over the bit-string and its stride-2
 // phases — without the vote and CRT stages, so benchmarks can measure
-// kernel throughput in isolation. Kernel, worker count, filters, and
+// kernel throughput in isolation. Worker count, filters, scan hook, and
 // cache come from opts exactly as in RecognizeBits.
 func ScanOnly(b *bitstring.Bits, key *Key, opts RecognizeOpts) (ScanStats, error) {
 	if err := b.Validate(); err != nil {
 		return ScanStats{}, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	acc, _, err := scanBits(opts.Ctx, b, key, workers, scanConfig{
-		filters:      ResolveFilters(opts.Filters, opts.Prefilter),
-		kernel:       opts.Kernel.resolve(),
-		decryptCache: opts.DecryptCache,
-	})
+	acc, _, err := scanBits(b, key, opts)
 	if err != nil {
 		return ScanStats{}, err
 	}

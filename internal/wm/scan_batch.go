@@ -6,10 +6,10 @@ import (
 	"pathmark/internal/bitstring"
 )
 
-// The batched scan kernel. The scalar kernel pays, per window, a filter
-// evaluation built from three fresh popcounts and — for survivors — one
-// bound-method cipher call. The batched kernel restructures the chunk
-// into three passes:
+// The scan kernel, the one inner loop of batch and stream recognition.
+// Evaluated naively, each window would pay a filter evaluation built
+// from three fresh popcounts and — for survivors — one cipher call. The
+// kernel restructures the chunk into three passes:
 //
 //  1. gather: slide the window over the source words, maintaining the
 //     three filter statistics incrementally (O(1) shift/mask updates per
@@ -22,11 +22,12 @@ import (
 //  3. decode: apply the framing check and statement codec to each
 //     decrypted block.
 //
-// The passes preserve the scalar kernel's per-window decisions exactly —
-// same filter order, same cache-accounting events, same decode — so a
-// Recognition is bit-identical across kernels; only the grouping of work
-// changes. Stride-2 tasks arrive pre-packed (bitstring.PackStride2), so
-// every chunk scans a stride-1 window sequence.
+// The passes preserve the naive per-window decisions exactly — same
+// filter order, same cache-accounting events, same decode — so a
+// Recognition is bit-identical to the one-window-at-a-time scalar
+// reference kept in kernel_equiv_test.go; only the grouping of work
+// changes. Stride-2 phases arrive pre-packed (bitstring.PackStride2Into),
+// so every chunk scans a stride-1 window sequence.
 
 // bandsPackable reports whether a filter stack fits the AVX2 kernel's
 // byte arithmetic: each band's Lo in [0, 64] and width in [0, 127]. In
@@ -137,8 +138,9 @@ func (a *scanAccum) scanRangeBatched(src *bitstring.Bits, lo, hi int, env *scanE
 	// at any individual window, that every window in the group fails the
 	// popcount band: a window's popcount is bounded by [sum2-64, sum2].
 	// Popcount is the first filter in the short-circuit order, so the
-	// whole group is rejected with exactly the per-window accounting the
-	// scalar kernel would produce, at ~2 instructions per 64 windows.
+	// whole group is rejected with exactly the per-window accounting a
+	// window-by-window evaluation would produce, at ~2 instructions per
+	// 64 windows.
 	// Degenerate trace regions (constant runs from the generators'
 	// priming passes) are precisely the ones this screen eats.
 	//
@@ -204,7 +206,7 @@ func (a *scanAccum) scanRangeBatched(src *bitstring.Bits, lo, hi int, env *scanE
 		// the cipher, and Put makes their results visible to other
 		// workers. Each window still produces exactly one accounting
 		// event (Peek-hit, or Put's miss/duplicate-hit), matching the
-		// scalar kernel's GetOrCompute traffic.
+		// traffic of one GetOrCompute per window.
 		miss := env.missIdx[:0]
 		missW := env.missBuf[:0]
 		for i, win := range wins {
@@ -230,7 +232,7 @@ func (a *scanAccum) scanRangeBatched(src *bitstring.Bits, lo, hi int, env *scanE
 		env.missBuf = missW[:0]
 	}
 
-	// Pass 3: decode. Same decisions as scanAccum.decode, with the
+	// Pass 3: decode. Same decisions as a per-window decode, with the
 	// framing rejections — the overwhelmingly common outcome for windows
 	// that survived the statistical filters — tallied in bulk. On AVX2
 	// the framing check runs four windows per iteration and hands back

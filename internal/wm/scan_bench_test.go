@@ -14,7 +14,7 @@ import (
 // BenchmarkScanStage isolates the scan stage of the recognition pipeline
 // (window iteration + filter stack + decrypt + framing + inverse
 // enumeration) from tracing and voting: the trace is decoded once, then
-// scanBits runs per iteration for both kernels at several worker counts.
+// scanBits runs per iteration at several worker counts.
 // windows/s is the throughput the EXPERIMENTS.md speedup table records.
 func BenchmarkScanStage(b *testing.B) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 128)
@@ -32,31 +32,25 @@ func BenchmarkScanStage(b *testing.B) {
 		b.Fatal(err)
 	}
 	bits := tr.DecodeBits()
-	serial, _, err := scanBits(nil, bits, key, 1, scanConfig{filters: DefaultFilters})
+	serial, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kernel := range []struct {
-		name string
-		k    ScanKernel
-	}{{"batched", KernelBatched}, {"scalar", KernelScalar}} {
-		for _, workers := range scanBenchWorkers() {
-			b.Run(fmt.Sprintf("kernel=%s/workers=%d", kernel.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					acc, _, err := scanBits(nil, bits, key, workers,
-						scanConfig{filters: DefaultFilters, kernel: kernel.k})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if acc.windows != serial.windows || acc.valid != serial.valid {
-						b.Fatalf("kernel/worker count changed scan result: %d/%d vs %d/%d",
-							acc.windows, acc.valid, serial.windows, serial.valid)
-					}
+	for _, workers := range scanBenchWorkers() {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc, _, err := scanBits(bits, key, RecognizeOpts{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(serial.windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwindows/s")
-			})
-		}
+				if acc.windows != serial.windows || acc.valid != serial.valid {
+					b.Fatalf("worker count changed scan result: %d/%d vs %d/%d",
+						acc.windows, acc.valid, serial.windows, serial.valid)
+				}
+			}
+			b.ReportMetric(float64(serial.windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwindows/s")
+		})
 	}
 }
 
@@ -86,7 +80,7 @@ func BenchmarkScanCache(b *testing.B) {
 		b.ReportAllocs()
 		var windows int
 		for i := 0; i < b.N; i++ {
-			acc, _, err := scanBits(nil, bits, key, 1, scanConfig{filters: DefaultFilters, decryptCache: c})
+			acc, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1, DecryptCache: c})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,14 +93,14 @@ func BenchmarkScanCache(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := cache.NewCache64(0)
-			if _, _, err := scanBits(nil, bits, key, 1, scanConfig{filters: DefaultFilters, decryptCache: c}); err != nil {
+			if _, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1, DecryptCache: c}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cache=warm", func(b *testing.B) {
 		c := cache.NewCache64(0)
-		if _, _, err := scanBits(nil, bits, key, 1, scanConfig{filters: DefaultFilters, decryptCache: c}); err != nil {
+		if _, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1, DecryptCache: c}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -12,7 +12,7 @@ import (
 var gatherAvailable = feistel.HasAVX2()
 
 // gatherCounts receives the assembly kernel's tallies: survivors
-// written, and per-layer rejections in the scalar kernel's short-circuit
+// written, and per-layer rejections in the filter stack's short-circuit
 // order (popcount first, then transitions, then phase).
 type gatherCounts struct {
 	n, pc, tr, ph int64

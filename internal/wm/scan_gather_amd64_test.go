@@ -57,7 +57,7 @@ func checkGather(t *testing.T, words []uint64, lo, n int, f FilterStack) {
 var gatherTestStacks = []FilterStack{
 	DefaultFilters,
 	NoFilters,
-	ResolveFilters(nil, &DefaultPrefilter),
+	{Popcount: Band{8, 56}, Transitions: Band{0, 63}, Phase: Band{0, 32}},
 	{Popcount: Band{30, 34}, Transitions: Band{28, 35}, Phase: Band{14, 18}},
 	{Popcount: Band{0, 64}, Transitions: Band{13, 51}, Phase: Band{0, 32}},
 	{Popcount: Band{64, 64}, Transitions: Band{0, 0}, Phase: Band{32, 32}},

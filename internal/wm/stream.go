@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"pathmark/internal/bitstring"
 	"pathmark/internal/cache"
@@ -16,9 +14,10 @@ import (
 )
 
 // StreamOpts tunes a StreamRecognizer. The zero value is a sensible
-// online configuration: automatic worker selection, default filter
-// stack, probing every defaultCheckEvery windows, settling only on full
-// prime-basis coverage.
+// online configuration: automatic worker selection, probing every
+// defaultCheckEvery windows, settling only on full prime-basis coverage.
+// The scan always runs DefaultFilters, like every recognition path
+// without a filter option.
 type StreamOpts struct {
 	// Workers fans the per-chunk window scan out over goroutines on
 	// disjoint window ranges: 0 picks runtime.GOMAXPROCS(0), 1 forces
@@ -29,10 +28,6 @@ type StreamOpts struct {
 	// the context error and the recognizer refuses further input (its
 	// accumulated state is partial and no longer batch-identical).
 	Ctx context.Context
-	// Filters / Prefilter select the lossy pre-decrypt filter stack with
-	// the same precedence as RecognizeOpts (see ResolveFilters).
-	Filters   *FilterStack
-	Prefilter *PopcountBand
 	// DecryptCache memoizes window decryption exactly as in the batch
 	// scan; results are bit-identical with it on or off.
 	DecryptCache *cache.Cache64
@@ -96,6 +91,10 @@ const (
 //     disjoint window ranges, so Flush is bit-identical to
 //     RecognizeBits over the whole string at any worker count.
 //
+// Each append's new windows run through the batch scan's own worker pool
+// and kernel (runScan), with the tail buffer's stride-2 phases packed
+// afresh per append; no kernel scratch is held between appends.
+//
 // Between chunks the recognizer probes the accumulated evidence (every
 // CheckEvery windows): the statement counts are snapshotted, capped, and
 // run through the vote/consistency/CRT stage. A probe reaching full
@@ -126,7 +125,6 @@ type StreamRecognizer struct {
 
 	acc      *scanAccum
 	scanErrs []*StageError
-	envs     []*scanEnv
 
 	sinceProbe int
 	probes     int
@@ -164,8 +162,7 @@ func NewStreamRecognizer(key *Key, opts StreamOpts) *StreamRecognizer {
 	return &StreamRecognizer{
 		key: key,
 		cfg: scanConfig{
-			filters:      ResolveFilters(opts.Filters, opts.Prefilter),
-			kernel:       KernelScalar,
+			filters:      DefaultFilters,
 			decryptCache: opts.DecryptCache,
 		},
 		workers:      workers,
@@ -257,33 +254,20 @@ func (r *StreamRecognizer) Verdict() *Recognition { return r.verdict }
 
 // scanNew scans every window completed by the bits appended since the
 // last call: global raw windows [rawNext, total-63) and, per stride-2
-// phase p, windows [phaseNext[p], ceil((total-p)/2)-63). Window ranges
-// are converted to tail-buffer coordinates (global g ↦ g-base raw,
-// stride j ↦ j-base/2 — exact because base is kept even), sharded at
-// the batch scan's chunk granularity, and accumulated into the same
-// sums the batch scan merges. Probes run between chunk groups.
+// phase p, windows [phaseNext[p], ceil((total-p)/2)-63). The tail
+// buffer's phases are packed into contiguous vectors; because base is
+// kept even, local phase p is global phase p, so window ranges convert
+// to buffer coordinates as global g ↦ g-base raw and stride j ↦
+// j-base/2. The windows are sharded at the batch scan's chunk
+// granularity and accumulated into the same sums the batch scan merges.
+// Probes run between chunk groups.
 func (r *StreamRecognizer) scanNew() error {
 	if r.buf.Len() > r.peakBuffered {
 		r.peakBuffered = r.buf.Len()
 	}
-	rawHi := r.total - 63
-	if rawHi < 0 {
-		rawHi = 0
-	}
-	var chunks []scanChunk
-	addRange := func(t scanTask, lo, hi int) {
-		for ; lo < hi; lo += scanChunkWindows {
-			end := lo + scanChunkWindows
-			if end > hi {
-				end = hi
-			}
-			chunks = append(chunks, scanChunk{t, lo, end})
-		}
-	}
-	// Task lo/hi are buffer-local window indices; the task src is the
-	// tail buffer itself.
+	rawHi := max(r.total-63, 0)
 	halfBase := r.base / 2
-	addRange(scanTask{src: r.buf, stride: 1}, r.rawNext-r.base, rawHi-r.base)
+	chunks := appendChunks(nil, r.buf, r.rawNext-r.base, rawHi-r.base)
 	var phHi [2]int
 	for p := 0; p < 2; p++ {
 		if n := r.total - p; n > 0 {
@@ -291,8 +275,11 @@ func (r *StreamRecognizer) scanNew() error {
 				phHi[p] = L - 63
 			}
 		}
-		addRange(scanTask{src: r.buf, stride: 2, phase: p},
-			r.phaseNext[p]-halfBase, phHi[p]-halfBase)
+		if phHi[p] > r.phaseNext[p] {
+			packed := r.buf.PackStride2Into(packedPool.Get().(*bitstring.Bits), p)
+			defer packedPool.Put(packed)
+			chunks = appendChunks(chunks, packed, r.phaseNext[p]-halfBase, phHi[p]-halfBase)
+		}
 	}
 	r.rawNext = rawHi
 	r.phaseNext = phHi
@@ -301,17 +288,21 @@ func (r *StreamRecognizer) scanNew() error {
 	// groups. Group boundaries depend only on window counts, so probe
 	// inputs are deterministic at every worker count.
 	for len(chunks) > 0 {
-		group := chunks[:0:0]
-		groupWindows := 0
+		n, groupWindows := 0, 0
 		budget := r.checkEvery - r.sinceProbe
-		for len(chunks) > 0 && (len(group) == 0 || r.checkEvery < 0 || groupWindows < budget) {
-			group = append(group, chunks[0])
-			groupWindows += chunks[0].hi - chunks[0].lo
-			chunks = chunks[1:]
+		for n < len(chunks) && (n == 0 || r.checkEvery < 0 || groupWindows < budget) {
+			groupWindows += chunks[n].hi - chunks[n].lo
+			n++
 		}
-		if err := r.runGroup(group); err != nil {
+		acc, errs, err := runScan(r.ctx, chunks[:n], r.workers, r.key, r.cfg)
+		if err != nil {
 			r.err = err
 			return err
+		}
+		chunks = chunks[n:]
+		r.acc.add(acc)
+		for _, serr := range errs {
+			r.recordScanErr(serr)
 		}
 		r.sinceProbe += groupWindows
 		if r.checkEvery >= 0 && !r.settled && r.sinceProbe >= r.checkEvery {
@@ -320,86 +311,6 @@ func (r *StreamRecognizer) scanNew() error {
 		}
 	}
 	r.compact()
-	return nil
-}
-
-// runGroup scans one group of chunks, serially or fanned out over the
-// recognizer's workers with per-worker accumulators merged (summed) into
-// the persistent one — the identical merge discipline as the batch scan.
-func (r *StreamRecognizer) runGroup(group []scanChunk) error {
-	workers := r.workers
-	if workers > len(group) {
-		workers = len(group)
-	}
-	for len(r.envs) < workers {
-		r.envs = append(r.envs, newScanEnv(r.key, r.cfg))
-	}
-	ctxDone := func() error {
-		if r.ctx != nil && r.ctx.Err() != nil {
-			return r.ctx.Err()
-		}
-		return nil
-	}
-	if workers <= 1 {
-		if len(r.envs) == 0 {
-			r.envs = append(r.envs, newScanEnv(r.key, r.cfg))
-		}
-		for i, c := range group {
-			if err := ctxDone(); err != nil {
-				return err
-			}
-			if serr := r.acc.runChunk(c, 0, i, r.envs[0], r.cfg); serr != nil {
-				r.recordScanErr(serr)
-			}
-		}
-		return nil
-	}
-
-	accs := make([]*scanAccum, workers)
-	errLists := make([][]*StageError, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wi := wi
-		accs[wi] = newScanAccum()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if r.ctx != nil && r.ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(group) {
-					return
-				}
-				if serr := accs[wi].runChunk(group[i], wi, i, r.envs[wi], r.cfg); serr != nil {
-					if len(errLists[wi]) < maxStageErrors {
-						errLists[wi] = append(errLists[wi], serr)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctxDone(); err != nil {
-		return err
-	}
-	for _, acc := range accs {
-		r.acc.windows += acc.windows
-		r.acc.valid += acc.valid
-		r.acc.rej.add(acc.rej)
-		r.acc.decrypted += acc.decrypted
-		r.acc.panics += acc.panics
-		for st, c := range acc.counts {
-			r.acc.counts[st] += c
-		}
-	}
-	for _, list := range errLists {
-		for _, serr := range list {
-			r.recordScanErr(serr)
-		}
-	}
 	return nil
 }
 
@@ -444,7 +355,7 @@ func (r *StreamRecognizer) compact() {
 // counts themselves are untouched, preserving Flush's batch identity.
 func (r *StreamRecognizer) probe() {
 	r.probes++
-	rec := r.snapshotCounters()
+	rec := r.acc.recognition(r.total)
 	if len(r.acc.counts) > 0 {
 		counts := make(map[crt.Statement]int, len(r.acc.counts))
 		for st, c := range r.acc.counts {
@@ -480,19 +391,6 @@ func (r *StreamRecognizer) settle(rec *Recognition) {
 	r.verdict = rec
 }
 
-// snapshotCounters builds a Recognition carrying the scan counters as
-// they stand, shared by probes and Flush.
-func (r *StreamRecognizer) snapshotCounters() *Recognition {
-	return &Recognition{
-		TraceBits:         r.total,
-		Windows:           r.acc.windows,
-		ValidStatements:   r.acc.valid,
-		RejectedByLayer:   r.acc.rej,
-		PrefilterRejected: r.acc.rej.preDecrypt(),
-		Decrypted:         r.acc.decrypted,
-	}
-}
-
 // Flush finalizes the stream and returns the Recognition for everything
 // appended, following the batch pipeline's tail verbatim (count cap,
 // vote, consistency graphs, Generalized-CRT merge): on a completely
@@ -509,7 +407,7 @@ func (r *StreamRecognizer) Flush() (*Recognition, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	rec := r.snapshotCounters()
+	rec := r.acc.recognition(r.total)
 	if len(r.scanErrs) > 0 {
 		rec.Degraded = true
 		rec.StageErrors = append(rec.StageErrors, r.scanErrs...)

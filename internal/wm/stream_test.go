@@ -86,7 +86,7 @@ func TestStreamRecognizerMatchesBatch(t *testing.T) {
 	workerCounts := []int{1, 4, 8}
 	for seed := int64(0); seed < 2; seed++ {
 		bits, key, _ := markedTraceBits(t, seed)
-		batch, err := RecognizeBits(bits, key, RecognizeOpts{Kernel: KernelScalar})
+		batch, err := RecognizeBits(bits, key, RecognizeOpts{})
 		if err != nil {
 			t.Fatalf("seed %d: batch: %v", seed, err)
 		}
@@ -133,7 +133,7 @@ func TestStreamRecognizerMatchesBatch(t *testing.T) {
 // transfers), and requires the same batch-identical Flush.
 func TestStreamRecognizerEventFeedMatchesBatch(t *testing.T) {
 	bits, key, tr := markedTraceBits(t, 3)
-	batch, err := RecognizeBits(bits, key, RecognizeOpts{Kernel: KernelScalar})
+	batch, err := RecognizeBits(bits, key, RecognizeOpts{})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
