@@ -40,7 +40,7 @@ func main() {
 	cli.Register(flag.CommandLine)
 	flag.Parse()
 
-	reg, err := cli.Begin("experiments")
+	reg, err := cli.Begin()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

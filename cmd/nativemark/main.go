@@ -78,7 +78,7 @@ func fatal(err error) {
 // beginObs starts profiling per the registered CLI flags and returns the
 // metrics registry (nil unless -stats/-stats-json was given).
 func beginObs(cli *obs.CLI) *obs.Registry {
-	reg, err := cli.Begin("nativemark")
+	reg, err := cli.Begin()
 	if err != nil {
 		fatal(err)
 	}

@@ -170,7 +170,7 @@ func (c *common) ctx() (context.Context, context.CancelFunc) {
 // -stats/-stats-json was given). Call finishObs before exiting; fatal
 // also flushes via obsFlush.
 func (c *common) beginObs() *obs.Registry {
-	reg, err := c.obs.Begin("pathmark")
+	reg, err := c.obs.Begin()
 	if err != nil {
 		fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -235,7 +234,7 @@ type serveConfig struct {
 	reqTimeout    time.Duration
 	noSync        bool
 	reg           *obs.Registry // nil = newServer builds one (the daemon is never blind)
-	debug         bool          // mount /debug/pprof/* and /debug/vars
+	debug         bool          // mount /debug/pprof/*
 	accessLog     io.Writer     // structured request log destination; nil = off
 	fsys          iofault.FS    // nil = the real filesystem; chaos tests inject faults
 	probeInterval time.Duration // read-only recovery probe cadence (0 = 5s)
@@ -1047,7 +1046,6 @@ func (s *server) handler() http.Handler {
 		outer.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		outer.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		outer.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-		outer.Handle("GET /debug/vars", expvar.Handler())
 	}
 	outer.Handle("/", h)
 	return s.instrument(outer)
@@ -1084,7 +1082,7 @@ func cmdServe(args []string) int {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "deadline for in-flight HTTP requests on shutdown")
 	noSync := fs.Bool("no-sync", false, "skip the per-record journal fsync (faster, loses tail grades on a crash)")
 	probeEvery := fs.Duration("recovery-probe", 5*time.Second, "how often read-only mode probes the disk for recovery")
-	debug := fs.Bool("debug", false, "mount /debug/pprof/* and /debug/vars")
+	debug := fs.Bool("debug", false, "mount /debug/pprof/*")
 	accessLog := fs.Bool("access-log", true, "write a structured request log line per request to stderr")
 	var ocli obs.CLI
 	ocli.Register(fs)
@@ -1092,7 +1090,7 @@ func cmdServe(args []string) int {
 	if *dir == "" {
 		fatal(fmt.Errorf("missing -dir"))
 	}
-	reg, err := ocli.Begin("pathmark")
+	reg, err := ocli.Begin()
 	if err != nil {
 		fatal(err)
 	}
@@ -1102,7 +1100,6 @@ func cmdServe(args []string) int {
 		// just skips the exit-time summary.
 		reg = obs.NewRegistry()
 	}
-	reg.PublishExpvar("pathmark")
 
 	var logw io.Writer
 	if *accessLog {

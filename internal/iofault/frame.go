@@ -94,10 +94,9 @@ func IsCorrupt(err error) bool {
 // unterminated (torn tail: Err stays nil, Good marks the valid prefix)
 // or fails verification; a failed line followed by at least one later
 // complete line that verifies is classified as mid-log corruption and
-// reported through Err. Decoders for all four log schemas (grade
-// journal, stream chunk journal, tournament cell journal, trace stream)
-// share this walk, so the torn-vs-corrupt rule cannot drift between
-// them.
+// reported through Err. jobs.OpenWAL replays the grade journal, the
+// stream chunk journal and the tournament cell journal through this one
+// walk, so the torn-vs-corrupt rule cannot drift between them.
 type LogScanner struct {
 	data []byte
 	path string

@@ -23,14 +23,22 @@ func fuzzSeedJournal() []byte {
 	return b
 }
 
+// decodeGradeJournal walks grade-journal bytes through the shared replay
+// with the grade callbacks, accepting any well-formed header.
+func decodeGradeJournal(data []byte) (journalHeader, []gradeRecord, int64, error) {
+	g := &gradeReplay{}
+	good, _, err := replayLog(data, "journal.jsonl", g.header, g.record)
+	return g.h, g.recs, good, err
+}
+
 // FuzzJournalDecode is the resilience contract of journal recovery: for
 // ANY byte sequence — truncated mid-record, bit-flipped, concatenated
-// garbage — decodeJournal must return without panicking, report a valid
-// prefix length, and behave as a fixpoint (re-decoding the valid prefix
-// yields the same header and records, cleanly). Corruption proven
-// mid-log surfaces as a typed error, but the prefix before it is still
-// valid resumable state. Partial data means partial resume, never a
-// crash.
+// garbage — the shared replay walker (replayLog) with the grade callbacks
+// must return without panicking, report a valid prefix length, and
+// behave as a fixpoint (re-decoding the valid prefix yields the same
+// header and records, cleanly). Corruption proven mid-log surfaces as a
+// typed error, but the prefix before it is still valid resumable state.
+// Partial data means partial resume, never a crash.
 func FuzzJournalDecode(f *testing.F) {
 	// Seed with a realistic journal...
 	valid := fuzzSeedJournal()
@@ -58,7 +66,7 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte(`{"type":"grade"}`), 100))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, recs, good, err := decodeJournal(data)
+		h, recs, good, err := decodeGradeJournal(data)
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("good=%d outside [0,%d]", good, len(data))
 		}
@@ -79,7 +87,7 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		// Fixpoint: the valid prefix re-decodes cleanly to the same state —
 		// this is exactly what a resume after tail truncation sees.
-		h2, recs2, good2, err2 := decodeJournal(data[:good])
+		h2, recs2, good2, err2 := decodeGradeJournal(data[:good])
 		if err2 != nil {
 			t.Fatalf("valid prefix no longer decodes: %v", err2)
 		}
@@ -96,13 +104,13 @@ func FuzzJournalDecode(f *testing.F) {
 func TestFuzzSeedsPass(t *testing.T) {
 	// A quick structural check on the canonical seed: it decodes fully.
 	valid := fuzzSeedJournal()
-	h, recs, good, err := decodeJournal(valid)
+	h, recs, good, err := decodeGradeJournal(valid)
 	if err != nil || h.Suspects != 3 || len(recs) != 3 || good != int64(len(valid)) {
 		t.Fatalf("canonical journal did not decode: h=%+v recs=%d good=%d err=%v", h, len(recs), good, err)
 	}
 	// A v1 (unframed) journal is refused outright, not half-read.
 	legacy := []byte(`{"v":1,"type":"header","job":"abc123","suspects":3,"keys":2}` + "\n")
-	if _, _, _, err := decodeJournal(legacy); err == nil {
+	if _, _, _, err := decodeGradeJournal(legacy); err == nil {
 		t.Fatal("unframed v1 journal accepted")
 	}
 	if _, err := os.Stat("testdata"); err == nil {

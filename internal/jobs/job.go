@@ -242,47 +242,34 @@ func Open(dir string, spec Spec) (*Job, error) {
 		j.outcomes[s] = make([]*outcome, len(spec.Keys))
 	}
 
-	path := JournalPath(dir)
-	if _, statErr := fs.Stat(path); statErr == nil {
-		jr, h, recs, err := openJournal(fs, path, !spec.Opts.NoSync)
-		if err != nil {
-			return nil, err
-		}
-		if h.Job != j.ID() || h.Suspects != len(spec.Suspects) || h.Keys != len(spec.Keys) {
-			_ = jr.Close()
-			return nil, fmt.Errorf("%w: journal job %s (%dx%d), spec job %s (%dx%d)",
-				ErrJournalMismatch, h.Job, h.Suspects, h.Keys,
-				j.ID(), len(spec.Suspects), len(spec.Keys))
-		}
-		for _, r := range recs {
-			rec, err := decodeRecognition(r.Rec)
-			if err != nil {
-				_ = jr.Close()
-				return nil, fmt.Errorf("jobs: journal grade (%d,%d): %w", r.S, r.K, err)
-			}
-			o := &outcome{rec: rec, errStr: r.Err, attempts: r.Attempts, skipped: r.Skipped}
-			if r.Err != "" {
-				o.err = errors.New(r.Err)
-			}
-			// Duplicates can only arise from journals stitched together
-			// by hand; last record wins, matching append order.
-			if j.outcomes[r.S][r.K] == nil {
-				j.completed++
-				j.reused++
-			}
-			j.outcomes[r.S][r.K] = o
-		}
-		j.journal = jr
-	} else {
-		jr, err := createJournal(fs, path, journalHeader{
-			V: journalVersion, Type: "header", Job: j.ID(),
-			Suspects: len(spec.Suspects), Keys: len(spec.Keys),
-		}, !spec.Opts.NoSync)
-		if err != nil {
-			return nil, err
-		}
-		j.journal = jr
+	want := journalHeader{
+		V: journalVersion, Type: "header", Job: j.ID(),
+		Suspects: len(spec.Suspects), Keys: len(spec.Keys),
 	}
+	g := &gradeReplay{want: want}
+	jr, err := OpenWAL(fs, JournalPath(dir), want, !spec.Opts.NoSync, g.header, g.record)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range g.recs {
+		rec, err := decodeRecognition(r.Rec)
+		if err != nil {
+			_ = jr.Close()
+			return nil, fmt.Errorf("jobs: journal grade (%d,%d): %w", r.S, r.K, err)
+		}
+		o := &outcome{rec: rec, errStr: r.Err, attempts: r.Attempts, skipped: r.Skipped}
+		if r.Err != "" {
+			o.err = errors.New(r.Err)
+		}
+		// Duplicates can only arise from journals stitched together by
+		// hand; last record wins, matching append order.
+		if j.outcomes[r.S][r.K] == nil {
+			j.completed++
+			j.reused++
+		}
+		j.outcomes[r.S][r.K] = o
+	}
+	j.journal = jr
 
 	// The trace rides next to the journal but never gates it: a failed
 	// trace open degrades to no telemetry, not a failed job. The trace

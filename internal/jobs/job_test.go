@@ -192,16 +192,36 @@ func TestJobResumeAfterCompletion(t *testing.T) {
 }
 
 // TestJournalMismatchRefused: resuming over a journal written by a
-// different spec fails with the typed error rather than mixing results.
+// different spec fails with the typed error rather than mixing results,
+// and writes nothing: the identity check runs before the torn tail is
+// truncated, so the other job's journal stays byte-identical.
 func TestJournalMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	mustExecute(t, dir, baseSpec(t))
+	path := JournalPath(dir)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`deadbeef {"type":"grade","s":`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Different result-affecting option -> different job digest.
 	other := baseSpec(t)
 	other.Opts.StepLimit = 12345
 	if _, err := Open(dir, other); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("step-limit change: got %v, want ErrJournalMismatch", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("refused open rewrote the journal: %d bytes before, %d after (err %v)", len(before), len(after), err)
 	}
 
 	// Different key set.

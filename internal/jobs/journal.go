@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-
-	"pathmark/internal/iofault"
 )
 
 // The journal is the job's write-ahead log: one CRC32C-framed JSON object
@@ -65,79 +63,45 @@ type gradeRecord struct {
 // results, so Open refuses.
 var ErrJournalMismatch = errors.New("jobs: journal belongs to a different job")
 
-// decodeJournal parses journal bytes into the header and grade records,
-// tolerating a torn tail: parsing stops at the first torn or unverified
-// line and good reports the byte length of the valid prefix. Grade
-// records that verify their checksum but carry out-of-range coordinates
-// also stop the replay (they cannot belong to this job, so everything
-// after them is suspect). The error is non-nil in two cases: no usable
-// header exists (partial grade data is recoverable state, a missing
-// header is not), or the checksum walk proves mid-log corruption — a
-// failed line with a verified line after it — in which case err wraps
-// *iofault.CorruptError and the caller must not resume over the file.
-func decodeJournal(data []byte) (h journalHeader, recs []gradeRecord, good int64, err error) {
-	s := iofault.NewLogScanner(data, "journal.jsonl")
-	line, ok := s.Next()
-	if !ok {
-		if cerr := s.Err(); cerr != nil {
-			return h, nil, 0, fmt.Errorf("jobs: journal header: %w", cerr)
-		}
-		return h, nil, 0, errors.New("jobs: journal has no complete header line")
+// gradeReplay is the grade journal's side of OpenWAL: header checks the
+// first line's shape and, when want is set, that it names this job;
+// record keeps the grades that fall inside the header's matrix. A zero
+// want accepts any well-formed header (the fuzz target's view).
+type gradeReplay struct {
+	want journalHeader
+	h    journalHeader
+	recs []gradeRecord
+}
+
+func (g *gradeReplay) header(line []byte) error {
+	if err := json.Unmarshal(line, &g.h); err != nil {
+		return fmt.Errorf("jobs: journal header: %w", err)
 	}
-	if err := json.Unmarshal(line, &h); err != nil {
-		return h, nil, 0, fmt.Errorf("jobs: journal header: %w", err)
-	}
+	h := g.h
 	switch {
 	case h.Type != "header":
-		return h, nil, 0, errors.New("jobs: journal does not start with a header record")
+		return errors.New("jobs: journal does not start with a header record")
 	case h.V != journalVersion:
-		return h, nil, 0, fmt.Errorf("jobs: journal version %d, want %d", h.V, journalVersion)
+		return fmt.Errorf("jobs: journal version %d, want %d", h.V, journalVersion)
 	case h.Suspects <= 0 || h.Suspects > maxJournalDim || h.Keys <= 0 || h.Keys > maxJournalDim:
-		return h, nil, 0, fmt.Errorf("jobs: journal dimensions %dx%d out of range", h.Suspects, h.Keys)
+		return fmt.Errorf("jobs: journal dimensions %dx%d out of range", h.Suspects, h.Keys)
+	case g.want.Job != "" && h != g.want:
+		return fmt.Errorf("%w: journal job %s (%dx%d), spec job %s (%dx%d)",
+			ErrJournalMismatch, h.Job, h.Suspects, h.Keys, g.want.Job, g.want.Suspects, g.want.Keys)
 	}
-	good = s.Good()
-	for {
-		line, ok := s.Next()
-		if !ok {
-			if cerr := s.Err(); cerr != nil {
-				return h, recs, good, fmt.Errorf("jobs: journal records: %w", cerr)
-			}
-			return h, recs, good, nil // torn or absent tail — done
-		}
-		var r gradeRecord
-		if json.Unmarshal(line, &r) != nil || r.Type != "grade" ||
-			r.S < 0 || r.S >= h.Suspects || r.K < 0 || r.K >= h.Keys {
-			return h, recs, good, nil // framed but foreign — discard the rest
-		}
-		recs = append(recs, r)
-		good = s.Good()
-	}
+	return nil
 }
 
-// createJournal starts a fresh grade journal at path with the given
-// header.
-func createJournal(fs iofault.FS, path string, h journalHeader, syncEach bool) (*WAL, error) {
-	return CreateWAL(fs, path, h, syncEach)
-}
-
-// openJournal replays an existing grade journal and reopens it for
-// append, truncating any torn tail first. A corruption verdict from the
-// decode (see decodeJournal) is passed through untouched so callers can
-// classify it with iofault.IsCorrupt.
-func openJournal(fs iofault.FS, path string, syncEach bool) (*WAL, journalHeader, []gradeRecord, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, journalHeader{}, nil, fmt.Errorf("jobs: read journal: %w", err)
+// record stops the replay at a framed record that is not an in-range
+// grade: it cannot belong to this job, so everything after it is suspect.
+func (g *gradeReplay) record(line []byte) (bool, error) {
+	var r gradeRecord
+	if json.Unmarshal(line, &r) != nil || r.Type != "grade" ||
+		r.S < 0 || r.S >= g.h.Suspects || r.K < 0 || r.K >= g.h.Keys {
+		return false, nil
 	}
-	h, recs, good, err := decodeJournal(data)
-	if err != nil {
-		return nil, h, nil, err
-	}
-	w, err := OpenWAL(fs, path, good, int64(len(recs)), syncEach)
-	if err != nil {
-		return nil, h, nil, err
-	}
-	return w, h, recs, nil
+	g.recs = append(g.recs, r)
+	return true, nil
 }
 
 // JournalPath, ResultPath, TracePath and StreamPath name the files a job

@@ -28,9 +28,9 @@ func testRecords() []gradeRecord {
 func writeTestJournal(t *testing.T, syncEach bool) (path string) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := createJournal(iofault.OS, path, testHeader(), syncEach)
+	j, err := CreateWAL(iofault.OS, path, testHeader(), syncEach)
 	if err != nil {
-		t.Fatalf("createJournal: %v", err)
+		t.Fatalf("CreateWAL: %v", err)
 	}
 	for _, r := range testRecords() {
 		if err := j.Append(r); err != nil {
@@ -43,12 +43,20 @@ func writeTestJournal(t *testing.T, syncEach bool) (path string) {
 	return path
 }
 
+// openTestJournal replays the journal at path as the job testHeader
+// names and reopens it for append, the way Open does.
+func openTestJournal(path string, syncEach bool) (*WAL, journalHeader, []gradeRecord, error) {
+	g := &gradeReplay{want: testHeader()}
+	w, err := OpenWAL(iofault.OS, path, testHeader(), syncEach, g.header, g.record)
+	return w, g.h, g.recs, err
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	for _, syncEach := range []bool{false, true} {
 		path := writeTestJournal(t, syncEach)
-		j, h, recs, err := openJournal(iofault.OS, path, syncEach)
+		j, h, recs, err := openTestJournal(path, syncEach)
 		if err != nil {
-			t.Fatalf("openJournal: %v", err)
+			t.Fatalf("openTestJournal: %v", err)
 		}
 		defer j.Close()
 		if h != testHeader() {
@@ -73,7 +81,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("append after reopen: %v", err)
 		}
 		j.Close()
-		if _, _, recs2, err := openJournal(iofault.OS, path, syncEach); err != nil || len(recs2) != 4 {
+		if _, _, recs2, err := openTestJournal(path, syncEach); err != nil || len(recs2) != 4 {
 			t.Errorf("after reopen+append: %d records, err %v; want 4, nil", len(recs2), err)
 		}
 	}
@@ -105,9 +113,9 @@ func TestJournalTornTail(t *testing.T) {
 			if err := os.WriteFile(path, append(clean, tc.tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j, _, recs, err := openJournal(iofault.OS, path, false)
+			j, _, recs, err := openTestJournal(path, false)
 			if err != nil {
-				t.Fatalf("openJournal over torn tail: %v", err)
+				t.Fatalf("open over torn tail: %v", err)
 			}
 			if len(recs) != len(testRecords()) {
 				t.Errorf("got %d records, want %d (torn tail must be dropped, valid prefix kept)", len(recs), len(testRecords()))
@@ -118,7 +126,7 @@ func TestJournalTornTail(t *testing.T) {
 			j.Close()
 			// The torn bytes are gone from disk: replay sees the original
 			// records plus the new one, nothing else.
-			if _, _, recs2, err := openJournal(iofault.OS, path, false); err != nil || len(recs2) != len(testRecords())+1 {
+			if _, _, recs2, err := openTestJournal(path, false); err != nil || len(recs2) != len(testRecords())+1 {
 				t.Errorf("after recovery+append: %d records, err %v", len(recs2), err)
 			}
 		})
@@ -142,7 +150,7 @@ func TestJournalHeaderValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, _, err := decodeJournal([]byte(tc.data)); err == nil {
+			if _, _, _, err := decodeGradeJournal([]byte(tc.data)); err == nil {
 				t.Errorf("unusable header accepted: %q", tc.data)
 			}
 		})
@@ -163,7 +171,7 @@ func TestJournalCorruptHeader(t *testing.T) {
 	// verifies, but every grade record after it still does.
 	i := strings.IndexByte(string(data), '\n') - 2
 	data[i] ^= 0x01
-	_, _, _, derr := decodeJournal(data)
+	_, _, _, derr := decodeGradeJournal(data)
 	if !iofault.IsCorrupt(derr) {
 		t.Fatalf("corrupt header surfaced as %v, want *iofault.CorruptError", derr)
 	}
@@ -180,7 +188,7 @@ func TestDecodeJournalDetectsMidLogCorruption(t *testing.T) {
 	// damage but reports a typed corruption error.
 	lines := strings.SplitAfter(string(data), "\n")
 	lines[2] = "{torn}\n"
-	h, recs, good, derr := decodeJournal([]byte(strings.Join(lines, "")))
+	h, recs, good, derr := decodeGradeJournal([]byte(strings.Join(lines, "")))
 	if !iofault.IsCorrupt(derr) {
 		t.Fatalf("mid-log corruption surfaced as %v, want *iofault.CorruptError", derr)
 	}

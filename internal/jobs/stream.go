@@ -188,19 +188,11 @@ func OpenStream(dir string, spec StreamSpec) (*StreamJob, error) {
 	}
 	sj.resetRecognizers()
 
-	path := StreamPath(dir)
-	if _, statErr := fs.Stat(path); statErr == nil {
-		if err := sj.replay(fs, path); err != nil {
-			return nil, err
-		}
-	} else {
-		w, err := CreateWAL(fs, path, streamHeader{
-			V: streamJournalVersion, Type: "header", Job: sj.ID(), Keys: len(spec.Keys),
-		}, !spec.Opts.NoSync)
-		if err != nil {
-			return nil, err
-		}
-		sj.wal = w
+	sj.wal, err = OpenWAL(fs, StreamPath(dir), streamHeader{
+		V: streamJournalVersion, Type: "header", Job: sj.ID(), Keys: len(spec.Keys),
+	}, !spec.Opts.NoSync, sj.replayHeader, sj.replayRecord)
+	if err != nil {
+		return nil, err
 	}
 
 	sj.trace = spec.Opts.Trace
@@ -241,24 +233,10 @@ func (sj *StreamJob) resetRecognizers() {
 	}
 }
 
-// replay decodes the chunk journal, re-feeds every chunk, and reopens
-// the WAL for append with any torn tail truncated — the same recovery
-// discipline as the grade journal. A checksum failure proven mid-log
-// (not a torn tail) aborts the replay with a *iofault.CorruptError: the
-// daemon quarantines the job rather than resuming over rotten bits.
-func (sj *StreamJob) replay(fs iofault.FS, path string) error {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("jobs: read stream journal: %w", err)
-	}
-	s := iofault.NewLogScanner(data, "stream.jsonl")
-	line, ok := s.Next()
-	if !ok {
-		if cerr := s.Err(); cerr != nil {
-			return fmt.Errorf("jobs: stream journal header: %w", cerr)
-		}
-		return errors.New("jobs: stream journal has no complete header line")
-	}
+// replayHeader and replayRecord are the chunk journal's side of OpenWAL:
+// every journaled chunk is re-fed to the fresh recognizers, so a resumed
+// stream holds exactly the scan state of an uninterrupted one.
+func (sj *StreamJob) replayHeader(line []byte) error {
 	var h streamHeader
 	if err := json.Unmarshal(line, &h); err != nil {
 		return fmt.Errorf("jobs: stream journal header: %w", err)
@@ -272,48 +250,34 @@ func (sj *StreamJob) replay(fs iofault.FS, path string) error {
 		return fmt.Errorf("%w: journal job %s (%d keys), spec job %s (%d keys)",
 			ErrJournalMismatch, h.Job, h.Keys, sj.ID(), len(sj.spec.Keys))
 	}
-	good := s.Good()
-	records := int64(0)
-loop:
-	for {
-		line, ok := s.Next()
-		if !ok {
-			if cerr := s.Err(); cerr != nil {
-				return fmt.Errorf("jobs: stream journal records: %w", cerr)
-			}
-			break // torn or absent tail — done
-		}
-		var r streamRecord
-		if json.Unmarshal(line, &r) != nil {
-			break // framed but foreign — discard the rest
-		}
-		switch {
-		case r.Type == "chunk" && r.Off == sj.committed && len(r.Bits) <= maxStreamChunkBits:
-			bits, err := bitstring.FromString(r.Bits)
-			if err != nil {
-				return fmt.Errorf("jobs: stream journal chunk at %d: %w", r.Off, err)
-			}
-			if err := sj.feedRecognizers(bits); err != nil {
-				return err
-			}
-			sj.committed += int64(bits.Len())
-			sj.chunks++
-		case r.Type == "final" && r.Off == sj.committed:
-			sj.finished = true
-		default:
-			// A record that does not extend the committed prefix cannot
-			// belong to this stream's history; everything after is suspect.
-			break loop
-		}
-		good = s.Good()
-		records++
-	}
-	w, err := OpenWAL(fs, path, good, records, !sj.spec.Opts.NoSync)
-	if err != nil {
-		return err
-	}
-	sj.wal = w
 	return nil
+}
+
+// replayRecord stops the replay at a record that does not extend the
+// committed prefix: it cannot belong to this stream's history, so
+// everything after it is suspect.
+func (sj *StreamJob) replayRecord(line []byte) (bool, error) {
+	var r streamRecord
+	if json.Unmarshal(line, &r) != nil || r.Off != sj.committed {
+		return false, nil
+	}
+	switch {
+	case r.Type == "chunk" && len(r.Bits) <= maxStreamChunkBits:
+		bits, err := bitstring.FromString(r.Bits)
+		if err != nil {
+			return false, fmt.Errorf("jobs: stream journal chunk at %d: %w", r.Off, err)
+		}
+		if err := sj.feedRecognizers(bits); err != nil {
+			return false, err
+		}
+		sj.committed += int64(bits.Len())
+		sj.chunks++
+	case r.Type == "final":
+		sj.finished = true
+	default:
+		return false, nil
+	}
+	return true, nil
 }
 
 func (sj *StreamJob) feedRecognizers(bits *bitstring.Bits) error {

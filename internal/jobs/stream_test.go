@@ -193,23 +193,6 @@ func TestStreamJobCrashResume(t *testing.T) {
 	}
 }
 
-// TestStreamJobRejectsForeignJournal pins the identity check: a spec
-// with different keys refuses to resume over another stream's journal.
-func TestStreamJobRejectsForeignJournal(t *testing.T) {
-	bits, keys := streamFixture(t)
-	dir := t.TempDir()
-	sj, err := OpenStream(dir, StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true, NoTrace: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedAll(t, sj, bits[:512], 128)
-	sj.Close()
-	_, err = OpenStream(dir, StreamSpec{Keys: keys[:1], Opts: StreamOptions{NoSync: true, NoTrace: true}})
-	if !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("foreign journal open: err=%v, want ErrJournalMismatch", err)
-	}
-}
-
 // TestStreamJobFinishSealsStream pins the lifecycle: after Finish, Feed
 // refuses with ErrStreamFinished, Finish is idempotent, and a reopened
 // job sees the stream as finished.

@@ -1,10 +1,10 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"pathmark/internal/iofault"
@@ -13,16 +13,16 @@ import (
 // WAL is the reusable append side of a checksum-framed JSONL write-ahead
 // log: one CRC32C-framed JSON object per line (see iofault.AppendFrame),
 // a header line first, records fsync'd as they are appended. It is the
-// storage layer under the jobs grade journal, exported so other campaign
-// engines (the tournament's cell journal) inherit the same crash-safety
-// contract — header-first creation, torn-tail truncation before
+// storage layer under the grade and stream chunk journals, exported so
+// other campaign engines (the tournament's cell journal) inherit the same
+// crash-safety contract — header-first creation, torn-tail truncation before
 // reopening for append, record-granularity interleaving under concurrent
 // writers, and fail-stop sync semantics: after any write or sync
 // failure the handle is closed and marked broken, and the next Append
 // reopens the file, truncates it back to the last committed byte, and
-// verifies the size before writing again. Decoding stays with the caller
-// (record schemas differ per engine); iofault.LogScanner is the shared
-// line walker with the torn-vs-corrupt convention.
+// verifies the size before writing again. OpenWAL is the one replay
+// path: each log brings only its schema, as a header check and a record
+// callback.
 type WAL struct {
 	mu      sync.Mutex
 	fs      iofault.FS
@@ -55,15 +55,80 @@ func CreateWAL(fs iofault.FS, path string, header any, syncEach bool) (*WAL, err
 	return w, nil
 }
 
-// OpenWAL reopens an existing log for append after the caller has decoded
-// and replayed its contents: good is the byte length of the valid prefix
-// and records the number of records replayed from it. Any torn tail beyond
-// good is truncated away first, so new records never concatenate onto a
-// partial line.
-func OpenWAL(fs iofault.FS, path string, good, records int64, syncEach bool) (*WAL, error) {
+// OpenWAL is the one open-or-replay path of every framed log. An absent
+// file is created with header as its first line (see CreateWAL). An
+// existing file is read and walked by replayLog — checkHeader sees the
+// first line, record every verified line after it — and only when the
+// walk succeeds is the file reopened for append, its torn tail (or the
+// foreign record that ended the walk, and everything after it) truncated
+// away first. Header and identity checks therefore run before any byte
+// of an existing log is truncated or written: a refused open leaves the
+// file untouched.
+func OpenWAL(fs iofault.FS, path string, header any, syncEach bool,
+	checkHeader func(line []byte) error, record func(line []byte) (keep bool, err error)) (*WAL, error) {
 	if fs == nil {
 		fs = iofault.OS
 	}
+	if _, err := fs.Stat(path); err != nil {
+		return CreateWAL(fs, path, header, syncEach)
+	}
+	name := filepath.Base(path)
+	data, err := fs.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: read %s: %w", name, err)
+	}
+	good, records, err := replayLog(data, name, checkHeader, record)
+	if err != nil {
+		return nil, err
+	}
+	return openWAL(fs, path, good, records, syncEach)
+}
+
+// replayLog walks a framed log's bytes: the first verified line goes to
+// checkHeader, each later one to record, until record declines a line
+// (framed but foreign: it and everything after it are discarded), a torn
+// tail ends the walk, or the checksum walk proves mid-log corruption.
+// good is the byte length of the accepted prefix and records the number
+// of records in it. The error is non-nil when no usable header exists
+// (partial records are recoverable state, a missing header is not), when
+// either callback refuses, or on proven corruption — then it wraps
+// *iofault.CorruptError and the caller must not resume over the file.
+func replayLog(data []byte, name string,
+	checkHeader func(line []byte) error, record func(line []byte) (keep bool, err error)) (good, records int64, err error) {
+	s := iofault.NewLogScanner(data, name)
+	line, ok := s.Next()
+	if !ok {
+		if cerr := s.Err(); cerr != nil {
+			return 0, 0, fmt.Errorf("jobs: %s header: %w", name, cerr)
+		}
+		return 0, 0, fmt.Errorf("jobs: %s has no complete header line", name)
+	}
+	if err := checkHeader(line); err != nil {
+		return 0, 0, err
+	}
+	good = s.Good()
+	for {
+		line, ok := s.Next()
+		if !ok {
+			if cerr := s.Err(); cerr != nil {
+				return good, records, fmt.Errorf("jobs: %s records: %w", name, cerr)
+			}
+			return good, records, nil // torn or absent tail — done
+		}
+		keep, err := record(line)
+		if err != nil || !keep {
+			return good, records, err
+		}
+		good = s.Good()
+		records++
+	}
+}
+
+// openWAL reopens an existing log for append once its contents are
+// replayed: good is the byte length of the valid prefix and records the
+// number of records in it. Any bytes beyond good are truncated away
+// first, so new records never concatenate onto a partial line.
+func openWAL(fs iofault.FS, path string, good, records int64, syncEach bool) (*WAL, error) {
 	w := &WAL{fs: fs, path: path, sync: syncEach, bytes: good, records: records, broken: true}
 	if err := w.reopenLocked(); err != nil {
 		return nil, err
@@ -178,16 +243,4 @@ func (w *WAL) Close() error {
 	err := w.f.Close()
 	w.f = nil
 	return err
-}
-
-// CutLine splits data at the first newline; ok is false when no complete
-// (newline-terminated) line remains. Framed logs should be walked with
-// iofault.LogScanner instead; CutLine remains for raw ndjson streams
-// (HTTP-relayed traces) that carry no frame.
-func CutLine(data []byte) (line, rest []byte, ok bool) {
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
-		return nil, nil, false
-	}
-	return data[:i], data[i+1:], true
 }

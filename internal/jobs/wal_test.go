@@ -157,7 +157,7 @@ func TestWALDoubleFault(t *testing.T) {
 	}
 }
 
-// TestWALOpenTruncatesTornTail: OpenWAL trims the file back to the valid
+// TestWALOpenTruncatesTornTail: openWAL trims the file back to the valid
 // prefix the replayer reported before appending.
 func TestWALOpenTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -182,7 +182,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenWAL(nil, path, good, records, false)
+	w2, err := openWAL(iofault.OS, path, good, records, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestWALOpenRejectsShrunkenFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(nil, path, w.Bytes()+1000, 0, false); err == nil {
-		t.Fatal("OpenWAL accepted a file shorter than its committed prefix")
+	if _, err := openWAL(iofault.OS, path, w.Bytes()+1000, 0, false); err == nil {
+		t.Fatal("openWAL accepted a file shorter than its committed prefix")
 	}
 }
 

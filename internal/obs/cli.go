@@ -46,10 +46,8 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 
 // Begin starts CPU profiling when requested and returns the registry to
 // instrument with: non-nil only when -stats or -stats-json was given, so
-// the disabled path stays a nil registry (and therefore free). The
-// registry is also published under the expvar name for processes that
-// serve /debug/vars.
-func (c *CLI) Begin(expvarName string) (*Registry, error) {
+// the disabled path stays a nil registry (and therefore free).
+func (c *CLI) Begin() (*Registry, error) {
 	if c.CPUProfile != "" {
 		f, err := os.Create(c.CPUProfile)
 		if err != nil {
@@ -63,7 +61,6 @@ func (c *CLI) Begin(expvarName string) (*Registry, error) {
 	}
 	if c.Stats || c.StatsJSON != "" {
 		c.reg = NewRegistry()
-		c.reg.PublishExpvar(expvarName)
 	}
 	return c.reg, nil
 }

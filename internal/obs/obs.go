@@ -1,7 +1,7 @@
 // Package obs is the observability spine of the repository: lightweight
 // wall-clock spans with attached counters, monotonic counters, simple
 // power-of-two histograms, and pluggable sinks (human-readable summary,
-// JSONL event stream, expvar export). Every pipeline stage — tracing,
+// JSONL event stream, Prometheus text exposition). Every pipeline stage — tracing,
 // scanning, voting, embedding, the experiments sweeps — records into a
 // *Registry that callers thread through options structs.
 //

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"os"
 	"path/filepath"
@@ -67,7 +66,6 @@ func TestNilRegistry(t *testing.T) {
 	r.TimingHistogram("t").Observe(3)
 	r.Merge(NewRegistry())
 	NewRegistry().Merge(r)
-	r.PublishExpvar("nil-reg")
 	if err := r.WriteJSONL(&bytes.Buffer{}, JSONLOptions{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
@@ -230,24 +228,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Add(9)
-	r.PublishExpvar("obs-test")
-	r.PublishExpvar("obs-test") // duplicate publish must not panic
-	v := expvar.Get("obs-test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value does not parse: %v", err)
-	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 9 {
-		t.Errorf("expvar snapshot = %+v", snap)
-	}
-}
-
 // TestCLILifecycle drives the flag bundle end to end: parse flags, Begin,
 // record, Finish; the JSONL file must exist and parse, Finish must be
 // idempotent.
@@ -267,7 +247,7 @@ func TestCLILifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := c.Begin("obs-cli-test")
+	reg, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +290,7 @@ func TestCLIDisabled(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := c.Begin("obs-cli-disabled")
+	reg, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}

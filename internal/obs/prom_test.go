@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"flag"
 	"math"
 	"os"
@@ -38,19 +36,6 @@ func TestParsePrometheusCI(t *testing.T) {
 	if !found {
 		t.Fatalf("page has no pathmark_ samples (got %d samples)", len(samples))
 	}
-}
-
-func snapshotExpvar(t *testing.T, name string) Snapshot {
-	t.Helper()
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatalf("expvar %q not published", name)
-	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar %q does not parse: %v", name, err)
-	}
-	return s
 }
 
 // TestQuantilePinned pins the power-of-two interpolation against exact
@@ -214,26 +199,5 @@ func TestParsePrometheusRejects(t *testing.T) {
 	}
 	if samples["m"] != 12 || samples["h_count"] != 2 {
 		t.Errorf("samples = %v", samples)
-	}
-}
-
-// TestExpvarSwap: re-publishing a name must swap the visible registry —
-// the second run of a subcommand in one process replaces the first run's
-// metrics under /debug/vars instead of being silently dropped.
-func TestExpvarSwap(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("x").Add(1)
-	a.PublishExpvar("obs-swap-test")
-	b := NewRegistry()
-	b.Counter("x").Add(2)
-	b.PublishExpvar("obs-swap-test")
-	s := snapshotExpvar(t, "obs-swap-test")
-	if len(s.Counters) != 1 || s.Counters[0].Value != 2 {
-		t.Errorf("after swap, expvar shows %+v, want b's counter value 2", s)
-	}
-	// Live view: mutating the currently-published registry is visible.
-	b.Counter("x").Add(10)
-	if s := snapshotExpvar(t, "obs-swap-test"); s.Counters[0].Value != 12 {
-		t.Errorf("expvar not live after swap: %+v", s)
 	}
 }

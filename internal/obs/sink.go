@@ -2,12 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,7 +45,7 @@ type Snapshot struct {
 }
 
 // Snapshot copies the registry's current contents. Unfinished spans are
-// included with WallNS 0 so that a mid-run snapshot (e.g. via expvar)
+// included with WallNS 0 so that a mid-run snapshot (e.g. a live /metrics scrape)
 // still shows what is in flight.
 func (r *Registry) Snapshot() Snapshot {
 	var snap Snapshot
@@ -203,39 +200,4 @@ func fmtWall(ns int64) string {
 		return "-"
 	}
 	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-// expvarRegs holds one swappable registry pointer per published expvar
-// name. expvar.Publish panics on duplicate names and offers no
-// unpublish, so the expvar.Func registered for a name closes over the
-// pointer cell rather than a registry: re-publishing the same name
-// swaps the cell, and /debug/vars immediately reflects the new
-// registry. Without this indirection the second job/run in a process
-// kept exporting the first run's (by then frozen) registry forever.
-var (
-	expvarMu   sync.Mutex
-	expvarRegs = make(map[string]*atomic.Pointer[Registry])
-)
-
-// PublishExpvar exports the registry under the given expvar name as a
-// live-snapshotting expvar.Func, so a process that serves /debug/vars (or
-// any expvar dumper) sees current metrics. Publishing a name again swaps
-// the visible registry instead of panicking or silently keeping the old
-// one; names already claimed by foreign expvar values are left alone.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	cell := expvarRegs[name]
-	if cell == nil {
-		if expvar.Get(name) != nil {
-			return // claimed outside obs; Publish would panic
-		}
-		cell = new(atomic.Pointer[Registry])
-		expvarRegs[name] = cell
-		expvar.Publish(name, expvar.Func(func() any { return cell.Load().Snapshot() }))
-	}
-	cell.Store(r)
 }

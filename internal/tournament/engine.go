@@ -167,43 +167,14 @@ func Open(dir string, m *Manifest, opts Options) (*Campaign, error) {
 
 	c := &Campaign{manifest: m, digest: digest, dir: dir, opts: opts}
 	c.indexCells()
-	path := jobs.JournalPath(dir)
-	if _, err := fs.Stat(path); err == nil {
-		data, err := fs.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("tournament: read journal: %w", err)
-		}
-		h, recs, good, err := decodeCampaignJournal(data)
-		if err != nil {
-			return nil, err
-		}
-		if h.Campaign != digest || h.Cells != len(c.cells) {
-			return nil, fmt.Errorf("%w: journal campaign %.12s (%d cells), manifest %.12s (%d cells)",
-				ErrCampaignMismatch, h.Campaign, h.Cells, digest, len(c.cells))
-		}
-		w, err := jobs.OpenWAL(fs, path, good, int64(len(recs)), !opts.NoSync)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range recs {
-			if c.cells[r.Idx] == nil {
-				c.settled++
-			}
-			cell := r.Cell
-			c.cells[r.Idx] = &cell
-		}
-		c.reused = c.settled
-		c.journal = w
-	} else {
-		w, err := jobs.CreateWAL(fs, path, campaignHeader{
-			V: campaignJournalVersion, Type: "header",
-			Campaign: digest, Cells: len(c.cells),
-		}, !opts.NoSync)
-		if err != nil {
-			return nil, err
-		}
-		c.journal = w
+	c.journal, err = jobs.OpenWAL(fs, jobs.JournalPath(dir), campaignHeader{
+		V: campaignJournalVersion, Type: "header",
+		Campaign: digest, Cells: len(c.cells),
+	}, !opts.NoSync, c.replayHeader, c.replayRecord)
+	if err != nil {
+		return nil, err
 	}
+	c.reused = c.settled
 	opts.Obs.Counter("tournament.open").Add(1)
 	opts.Trace.Event("tournament.open", map[string]int64{
 		"cells": int64(len(c.cells)), "reused": int64(c.reused),
@@ -211,47 +182,37 @@ func Open(dir string, m *Manifest, opts Options) (*Campaign, error) {
 	return c, nil
 }
 
-// decodeCampaignJournal mirrors the jobs journal replay rules: torn tails
-// are tolerated (good = valid prefix length), checksum-framed but
-// out-of-range records end the replay, a missing header is fatal, and a
-// record that fails its checksum while a later line verifies surfaces as
-// a *iofault.CorruptError — mid-log corruption, not a torn tail.
-func decodeCampaignJournal(data []byte) (h campaignHeader, recs []cellRecord, good int64, err error) {
-	s := iofault.NewLogScanner(data, "journal.jsonl")
-	line, ok := s.Next()
-	if !ok {
-		if cerr := s.Err(); cerr != nil {
-			return h, nil, 0, fmt.Errorf("tournament: journal header: %w", cerr)
-		}
-		return h, nil, 0, errors.New("tournament: journal has no complete header line")
-	}
+// replayHeader and replayRecord are the cell journal's side of
+// jobs.OpenWAL: the header must name this campaign, and every in-range
+// cell record is restored as final — Run never re-executes it. A framed
+// record that is not an in-range cell ends the replay.
+func (c *Campaign) replayHeader(line []byte) error {
+	var h campaignHeader
 	if err := json.Unmarshal(line, &h); err != nil {
-		return h, nil, 0, fmt.Errorf("tournament: journal header: %w", err)
+		return fmt.Errorf("tournament: journal header: %w", err)
 	}
 	switch {
 	case h.Type != "header":
-		return h, nil, 0, errors.New("tournament: journal does not start with a header record")
+		return errors.New("tournament: journal does not start with a header record")
 	case h.V != campaignJournalVersion:
-		return h, nil, 0, fmt.Errorf("tournament: journal version %d, want %d", h.V, campaignJournalVersion)
-	case h.Cells <= 0 || h.Cells > 1<<20:
-		return h, nil, 0, fmt.Errorf("tournament: journal cell count %d out of range", h.Cells)
+		return fmt.Errorf("tournament: journal version %d, want %d", h.V, campaignJournalVersion)
+	case h.Campaign != c.digest || h.Cells != len(c.cells):
+		return fmt.Errorf("%w: journal campaign %.12s (%d cells), manifest %.12s (%d cells)",
+			ErrCampaignMismatch, h.Campaign, h.Cells, c.digest, len(c.cells))
 	}
-	good = s.Good()
-	for {
-		line, ok := s.Next()
-		if !ok {
-			if cerr := s.Err(); cerr != nil {
-				return h, recs, good, fmt.Errorf("tournament: journal records: %w", cerr)
-			}
-			return h, recs, good, nil
-		}
-		var r cellRecord
-		if json.Unmarshal(line, &r) != nil || r.Type != "cell" || r.Idx < 0 || r.Idx >= h.Cells {
-			return h, recs, good, nil
-		}
-		recs = append(recs, r)
-		good = s.Good()
+	return nil
+}
+
+func (c *Campaign) replayRecord(line []byte) (bool, error) {
+	var r cellRecord
+	if json.Unmarshal(line, &r) != nil || r.Type != "cell" || r.Idx < 0 || r.Idx >= len(c.cells) {
+		return false, nil
 	}
+	if c.cells[r.Idx] == nil {
+		c.settled++
+	}
+	c.cells[r.Idx] = &r.Cell
+	return true, nil
 }
 
 // indexCells enumerates the grid in canonical order (fleet-major, then

@@ -197,22 +197,6 @@ func TestCrashResume(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesForeignJournal: a journal written for one manifest
-// must not accept a resume under another.
-func TestResumeRefusesForeignJournal(t *testing.T) {
-	dir := t.TempDir()
-	m := testManifest()
-	if _, err := Execute(dir, m, Options{Workers: 2, NoSync: true}); err != nil {
-		t.Fatal(err)
-	}
-	other := testManifest()
-	other.Seed++
-	_, err := Open(dir, other, Options{NoSync: true})
-	if !errors.Is(err, ErrCampaignMismatch) {
-		t.Fatalf("want ErrCampaignMismatch, got %v", err)
-	}
-}
-
 // TestTornTailRecovery: a partial trailing record (torn mid-append by a
 // crash) is discarded and truncated; the cell it described re-runs.
 func TestTornTailRecovery(t *testing.T) {
