@@ -11,11 +11,10 @@ import (
 	"hash/fnv"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathmark/internal/obs"
+	"pathmark/internal/par"
 )
 
 // Config scales the experiment suite.
@@ -51,8 +50,9 @@ func (cfg Config) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(i) for every i in [0, n) on a bounded pool of cfg.Jobs
-// workers. fn must confine its writes to index-i slots of pre-sized
+// forEach runs fn(i) for every i in [0, n) on par.For, the module's one
+// worker pool, with cfg.jobs() workers, stopping early once cfg.Ctx is
+// cancelled. fn must confine its writes to index-i slots of pre-sized
 // result slices; callers then assemble rows in index order, keeping
 // output deterministic regardless of scheduling.
 //
@@ -61,49 +61,18 @@ func (cfg Config) jobs() int {
 // (Observe is atomic-free but mutex-cheap, negligible against a sweep
 // point's seconds of work) and the point count in exp.<table>.points.
 func (cfg Config) forEach(table string, n int, fn func(i int)) {
-	run := fn
+	run := func(_, i int) { fn(i) }
 	if cfg.Obs != nil {
 		hist := cfg.Obs.TimingHistogram("exp." + table + ".point_us")
 		points := cfg.Obs.Counter("exp." + table + ".points")
-		run = func(i int) {
+		run = func(_, i int) {
 			t0 := time.Now()
 			fn(i)
 			hist.Observe(time.Since(t0).Microseconds())
 			points.Add(1)
 		}
 	}
-	workers := cfg.jobs()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				return
-			}
-			run(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, cfg.jobs(), func() bool { return cfg.Ctx != nil && cfg.Ctx.Err() != nil }, run)
 }
 
 // pointSeed derives the deterministic RNG seed for sweep point `point` of

@@ -166,7 +166,7 @@ func NativeAttacksTable(cfg Config) ([]NativeAttackRow, *Table) {
 	// kernel index); kernels run on the job pool, each collecting its own
 	// verdicts, merged in kernel order afterward.
 	type kernelVerdicts struct {
-		broken, total                map[string]int
+		broken, total               map[string]int
 		rerouteFooled, rerouteSmart int
 	}
 	verdicts := make([]kernelVerdicts, len(kernels))

@@ -68,12 +68,12 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)          { return os.ReadFile(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)         { return os.Stat(name) }
-func (osFS) Truncate(name string, size int64) error        { return os.Truncate(name, size) }
-func (osFS) Rename(oldpath, newpath string) error          { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                      { return os.Remove(name) }
-func (osFS) MkdirAll(path string, perm os.FileMode) error  { return os.MkdirAll(path, perm) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
+func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

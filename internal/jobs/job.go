@@ -16,6 +16,7 @@ import (
 	"pathmark/internal/cache"
 	"pathmark/internal/iofault"
 	"pathmark/internal/obs"
+	"pathmark/internal/par"
 	"pathmark/internal/vm"
 	"pathmark/internal/wm"
 )
@@ -504,7 +505,9 @@ func (j *Job) traceKey(s, k int) wm.TraceKey {
 // grades are never re-executed, and the final Result is bit-identical to
 // an uninterrupted run's. The error is non-nil only when the run could
 // not finish — cancellation (wrapping ctx.Err()) or journal I/O failure;
-// per-grade failures land in the result matrices instead.
+// per-grade failures land in the result matrices instead. A journal I/O
+// failure halts the run: once a settle fails, no worker starts another
+// grade; only grades already running finish.
 func (j *Job) Run(ctx context.Context) (*Result, error) {
 	opts := j.spec.Opts
 	span := opts.Obs.Start("jobs.run")
@@ -531,11 +534,16 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	var ran, skipped int64
 
 	type cell struct{ s, k int }
+	// failed stops every worker after a journal failure, not only the
+	// one whose settle hit it.
 	var appendErr error
 	var appendOnce sync.Once
+	var failed atomic.Bool
 	fail := func(err error) {
 		appendOnce.Do(func() { appendErr = err })
+		failed.Store(true)
 	}
+	stop := func() bool { return failed.Load() || (ctx != nil && ctx.Err() != nil) }
 
 	for lo := 0; lo < M; lo += wave {
 		hi := lo + wave
@@ -572,9 +580,9 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		// than workers, fold the idle tier into each grade's scan fan-out.
 		// A single huge suspect then shards its own window ranges across
 		// the whole tier instead of scanning on one goroutine while the
-		// rest idle. The boost is computed before clamping workers to the
-		// pending count, and the scan's deterministic merge keeps results
-		// bit-identical at every effective fan-out.
+		// rest idle. The boost uses the worker count before par.For clamps
+		// it to the pending count, and the scan's deterministic merge keeps
+		// results bit-identical at every effective fan-out.
 		scanWorkers := opts.ScanWorkers
 		if scanWorkers <= 0 {
 			scanWorkers = 1
@@ -584,52 +592,18 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 				scanWorkers = boost
 			}
 		}
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		if workers <= 1 {
-			for _, c := range pending {
-				if ctx != nil && ctx.Err() != nil {
-					break
+		var ranWave atomic.Int64
+		par.For(len(pending), workers, stop, func(_, i int) {
+			c := pending[i]
+			if o := j.runGrade(ctx, c.s, c.k, scanWorkers); o != nil {
+				if err := j.settle(c.s, c.k, o); err != nil {
+					fail(err)
+					return
 				}
-				if o := j.runGrade(ctx, c.s, c.k, scanWorkers); o != nil {
-					if err := j.settle(c.s, c.k, o); err != nil {
-						fail(err)
-						break
-					}
-					ran++
-				}
+				ranWave.Add(1)
 			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			var ranShard atomic.Int64
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if ctx != nil && ctx.Err() != nil {
-							return
-						}
-						i := int(next.Add(1)) - 1
-						if i >= len(pending) {
-							return
-						}
-						c := pending[i]
-						if o := j.runGrade(ctx, c.s, c.k, scanWorkers); o != nil {
-							if err := j.settle(c.s, c.k, o); err != nil {
-								fail(err)
-								return
-							}
-							ranShard.Add(1)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			ran += ranShard.Load()
-		}
+		})
+		ran += ranWave.Load()
 		if appendErr != nil {
 			return nil, appendErr
 		}

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 
+	"pathmark/internal/iofault"
 	"pathmark/internal/obs"
 	"pathmark/internal/wm"
 )
@@ -188,6 +190,29 @@ func TestJobResumeAfterCompletion(t *testing.T) {
 	}
 	if res.Corpus.TraceStats.Lookups() != 0 {
 		t.Errorf("re-run touched the trace cache: %+v", res.Corpus.TraceStats)
+	}
+}
+
+// TestRunHaltsOnJournalFailure: a failed journal fsync stops every grade
+// worker, not only the one whose settle hit it. Syncs #0-#2 commit the
+// header and two grades; the third grade's sync fails, after which at
+// most the grades already running on the other workers may still settle.
+func TestRunHaltsOnJournalFailure(t *testing.T) {
+	const workers = 4
+	spec := baseSpec(t)
+	spec.Opts.NoSync = false
+	spec.Opts.Workers = workers
+	spec.Opts.FS = iofault.NewFaultFS(iofault.OS, []iofault.Fault{
+		{Op: iofault.OpSync, Kind: iofault.KindSyncFail, After: 3, Path: "journal"},
+	})
+	var settled atomic.Int64
+	spec.Opts.OnGrade = func(int) { settled.Add(1) }
+	if _, err := Execute(context.Background(), t.TempDir(), spec); err == nil {
+		t.Fatal("run survived a journal fsync failure")
+	}
+	if n := settled.Load(); n > 2+(workers-1) {
+		t.Fatalf("%d grades settled, want at most %d: workers kept grading after the journal failed",
+			n, 2+(workers-1))
 	}
 }
 

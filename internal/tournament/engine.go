@@ -16,6 +16,7 @@ import (
 	"pathmark/internal/iofault"
 	"pathmark/internal/jobs"
 	"pathmark/internal/obs"
+	"pathmark/internal/par"
 	"pathmark/internal/vm"
 	"pathmark/internal/wm"
 )
@@ -471,7 +472,8 @@ func (c *Campaign) Run() (*Matrix, error) {
 	}
 	maxAttempts := c.opts.Retry.Attempts()
 	var firstErr atomic.Value
-	runOne := func(idx int) {
+	runOne := func(_, i int) {
+		idx := pending[i]
 		var cell CellResult
 		var err error
 		for attempt := 1; ; attempt++ {
@@ -505,37 +507,7 @@ func (c *Campaign) Run() (*Matrix, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		for _, idx := range pending {
-			if ctxErr() != nil || firstErr.Load() != nil {
-				break
-			}
-			runOne(idx)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctxErr() != nil || firstErr.Load() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(pending) {
-						return
-					}
-					runOne(pending[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.For(len(pending), workers, func() bool { return ctxErr() != nil || firstErr.Load() != nil }, runOne)
 	if e := firstErr.Load(); e != nil {
 		return nil, e.(error)
 	}

@@ -242,12 +242,12 @@ func SaveManifest(path string, m *Manifest) error {
 // to the strip coalition and the hardened fleet surviving it.
 func DemoManifest() *Manifest {
 	return &Manifest{
-		Version: ManifestVersion,
-		Host:    "jesslike",
+		Version:  ManifestVersion,
+		Host:     "jesslike",
 		HostSeed: 8,
-		WBits:   24,
-		Seed:    42,
-		Pieces:  2, // r-1 spanning budget for the 3-prime 24-bit basis
+		WBits:    24,
+		Seed:     42,
+		Pieces:   2, // r-1 spanning budget for the 3-prime 24-bit basis
 		Fleets: []FleetSpec{
 			{Size: 4},
 			{Size: 4, Harden: true},

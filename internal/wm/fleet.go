@@ -7,12 +7,12 @@ import (
 	"math/big"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"pathmark/internal/bitstring"
 	"pathmark/internal/cache"
 	"pathmark/internal/feistel"
 	"pathmark/internal/obs"
+	"pathmark/internal/par"
 	"pathmark/internal/vm"
 )
 
@@ -91,13 +91,10 @@ func EmbedBatch(p *vm.Program, ws []*big.Int, key *Key, opts BatchOptions) ([]Fi
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ws) {
-		workers = len(ws)
-	}
 
 	copies := make([]Fingerprint, len(ws))
 	errs := make([]error, len(ws))
-	embedCopy := func(i int) {
+	embedCopy := func(_, i int) {
 		// Per-copy options: shifted seed (shared under Harden), no
 		// registry — concurrent copies would interleave their stage spans
 		// nondeterministically, so the batch records only batch-level
@@ -116,36 +113,9 @@ func EmbedBatch(p *vm.Program, ws []*big.Int, key *Key, opts BatchOptions) ([]Fi
 		}
 		copies[i] = Fingerprint{Index: i, Watermark: ws[i], Program: prog, Report: report}
 	}
-	if workers <= 1 {
-		for i := range ws {
-			if err := ctxErr(opts.Ctx); err != nil {
-				return nil, &StageError{Stage: "batch", Worker: -1, Cause: err}
-			}
-			embedCopy(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctxErr(opts.Ctx) != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(ws) {
-						return
-					}
-					embedCopy(i)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctxErr(opts.Ctx); err != nil {
-			return nil, &StageError{Stage: "batch", Worker: -1, Cause: err}
-		}
+	par.For(len(ws), workers, func() bool { return ctxErr(opts.Ctx) != nil }, embedCopy)
+	if err := ctxErr(opts.Ctx); err != nil {
+		return nil, &StageError{Stage: "batch", Worker: -1, Cause: err}
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -267,15 +237,12 @@ func (f *FleetCaches) DecryptStats() cache.Stats {
 func (f *FleetCaches) traceBits(p *vm.Program, k TraceKey, input []int64,
 	ctx context.Context, stepLimit, maxHeap int64) (*bitstring.Bits, error) {
 	compute := func() (*bitstring.Bits, error) {
-		tr, _, err := vm.CollectWith(p, vm.RunOptions{
-			Input: input, SnapshotLimit: 1,
-			Ctx: ctx, StepLimit: stepLimit, MaxHeap: maxHeap,
-		})
+		bits, _, err := collectBits(ctx, p, input, stepLimit, maxHeap)
 		if err != nil {
 			return nil, &StageError{Stage: "trace", Worker: -1,
 				Cause: fmt.Errorf("corpus trace failed: %w", err)}
 		}
-		return tr.DecodeBits(), nil
+		return bits, nil
 	}
 	if f == nil {
 		return compute()
@@ -430,49 +397,18 @@ func RecognizeCorpus(suspects []*vm.Program, keys []*Key, opts CorpusOpts) (*Cor
 			pairs = append(pairs, pair{s, k})
 		}
 	}
-	runPair := func(pr pair) {
-		rec, err := GradePair(suspects[pr.s], progDigests[pr.s], keys[pr.k], fc, opts)
-		res.Recognitions[pr.s][pr.k] = rec
-		res.Errors[pr.s][pr.k] = err
-	}
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		for _, pr := range pairs {
-			if err := ctxErr(opts.Ctx); err != nil {
-				return nil, &StageError{Stage: "corpus", Worker: -1, Cause: err}
-			}
-			runPair(pr)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctxErr(opts.Ctx) != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(pairs) {
-						return
-					}
-					runPair(pairs[i])
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctxErr(opts.Ctx); err != nil {
-			return nil, &StageError{Stage: "corpus", Worker: -1, Cause: err}
-		}
+	par.For(len(pairs), workers, func() bool { return ctxErr(opts.Ctx) != nil }, func(_, i int) {
+		pr := pairs[i]
+		rec, err := GradePair(suspects[pr.s], progDigests[pr.s], keys[pr.k], fc, opts)
+		res.Recognitions[pr.s][pr.k] = rec
+		res.Errors[pr.s][pr.k] = err
+	})
+	if err := ctxErr(opts.Ctx); err != nil {
+		return nil, &StageError{Stage: "corpus", Worker: -1, Cause: err}
 	}
 
 	res.TraceStats = fc.TraceStats().Sub(traceBefore)

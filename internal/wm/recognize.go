@@ -7,13 +7,13 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pathmark/internal/bitstring"
 	"pathmark/internal/cache"
 	"pathmark/internal/crt"
 	"pathmark/internal/feistel"
 	"pathmark/internal/obs"
+	"pathmark/internal/par"
 	"pathmark/internal/vm"
 )
 
@@ -180,21 +180,34 @@ func RecognizeWithOpts(p *vm.Program, key *Key, opts RecognizeOpts) (*Recognitio
 
 	// Stage 1: trace.
 	span := opts.Obs.Start("recognize.trace")
-	tr, _, err := vm.CollectWith(p, vm.RunOptions{
-		Input: key.Input, SnapshotLimit: 1,
-		Ctx: opts.Ctx, StepLimit: opts.StepLimit, MaxHeap: opts.MaxHeap,
-	})
+	bits, events, err := collectBits(opts.Ctx, p, key.Input, opts.StepLimit, opts.MaxHeap)
 	if err != nil {
 		span.Finish()
 		return nil, &StageError{Stage: "trace", Worker: -1,
 			Cause: fmt.Errorf("recognition trace failed: %w", err)}
 	}
-	bits := tr.DecodeBits()
-	span.Set("trace_events", int64(len(tr.Events))).
+	span.Set("trace_events", int64(events)).
 		Set("trace_bits", int64(bits.Len())).Finish()
 	opts.Obs.Histogram("recognize.trace_bits").Observe(int64(bits.Len()))
 
 	return RecognizeBits(bits, key, opts)
+}
+
+// collectBits is recognition's one trace-to-bits step, shared by
+// RecognizeWithOpts and the fleet trace cache: it runs p on input under
+// the step, heap and context bounds and decodes the trace into the
+// bit-string the scan reads. It also returns the trace's event count.
+// The error is the tracing run's, unwrapped; callers add their stage.
+func collectBits(ctx context.Context, p *vm.Program, input []int64,
+	stepLimit, maxHeap int64) (*bitstring.Bits, int, error) {
+	tr, _, err := vm.CollectWith(p, vm.RunOptions{
+		Input: input, SnapshotLimit: 1,
+		Ctx: ctx, StepLimit: stepLimit, MaxHeap: maxHeap,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return tr.DecodeBits(), len(tr.Events), nil
 }
 
 // RecognizeBits runs recognition stages 2–3 (scan, vote/graph) over an
@@ -444,61 +457,47 @@ func (a *scanAccum) runChunk(c scanChunk, worker, chunk int,
 
 // runScan is the scan stage's one worker pool, shared by the batch scan
 // and the stream recognizer. Workers (1 = inline, no goroutines) pull
-// chunks off a shared atomic cursor, each with a pooled env and a private
-// accumulator; the accumulators are summed at the join. The returned
-// slice holds recovered per-chunk failures (capped at maxStageErrors;
-// scanAccum.panics has the true count); the error is non-nil only for
-// cancellation, checked before every chunk, in which case the scan is
-// abandoned.
+// chunks off par.For's shared cursor, each with a pooled env and a
+// private accumulator; the accumulators are summed at the join. The
+// returned slice holds recovered per-chunk failures (capped at
+// maxStageErrors; scanAccum.panics has the true count); the error is
+// non-nil only for cancellation, checked before every chunk, in which
+// case the scan is abandoned.
 func runScan(ctx context.Context, chunks []scanChunk, workers int, key *Key,
 	cfg scanConfig) (*scanAccum, []*StageError, error) {
-	workers = max(1, min(workers, len(chunks)))
-	accs := make([]*scanAccum, workers)
-	errLists := make([][]*StageError, workers)
-	var next atomic.Int64
-	work := func(wi int) {
-		env := getScanEnv(key, cfg)
-		defer putScanEnv(env)
-		acc := newScanAccum()
-		accs[wi] = acc
-		for {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(chunks) {
-				return
-			}
-			if serr := acc.runChunk(chunks[i], wi, i, env, cfg); serr != nil &&
-				len(errLists[wi]) < maxStageErrors {
-				errLists[wi] = append(errLists[wi], serr)
-			}
-		}
+	type worker struct {
+		env  *scanEnv
+		acc  *scanAccum
+		errs []*StageError
 	}
-	if workers == 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(wi)
-			}()
+	ws := make([]worker, max(1, min(workers, len(chunks))))
+	for w := range ws {
+		ws[w] = worker{env: getScanEnv(key, cfg), acc: newScanAccum()}
+	}
+	var stop func() bool
+	if ctx != nil {
+		stop = func() bool { return ctx.Err() != nil }
+	}
+	par.For(len(chunks), len(ws), stop, func(w, i int) {
+		if serr := ws[w].acc.runChunk(chunks[i], w, i, ws[w].env, cfg); serr != nil &&
+			len(ws[w].errs) < maxStageErrors {
+			ws[w].errs = append(ws[w].errs, serr)
 		}
-		wg.Wait()
+	})
+	for _, wk := range ws {
+		putScanEnv(wk.env)
 	}
 	if ctx != nil && ctx.Err() != nil {
 		return nil, nil, ctx.Err()
 	}
 
-	merged := accs[0]
-	for _, acc := range accs[1:] {
-		merged.add(acc)
+	merged := ws[0].acc
+	for _, wk := range ws[1:] {
+		merged.add(wk.acc)
 	}
 	var errs []*StageError
-	for _, list := range errLists {
-		for _, serr := range list {
+	for _, wk := range ws {
+		for _, serr := range wk.errs {
 			if len(errs) < maxStageErrors {
 				errs = append(errs, serr)
 			}
