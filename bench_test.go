@@ -294,8 +294,9 @@ func BenchmarkRecognize(b *testing.B) {
 }
 
 // BenchmarkRecognizeScan measures the full recognition pipeline (trace →
-// scan → vote) serial vs. parallel on a large marked host, reporting scan
-// throughput in windows/s. The scan stage fans out over workers; at
+// scan → vote) serial vs. parallel on a large marked host, reporting
+// windows per second of the whole pipeline (pipeline-Mwindows/s), not of
+// the scan kernel alone. The scan stage fans out over workers; at
 // workers=1 the pipeline takes the allocation-lean serial path, which must
 // not regress against the pre-pipeline recognizer.
 func BenchmarkRecognizeScan(b *testing.B) {
@@ -326,7 +327,7 @@ func BenchmarkRecognizeScan(b *testing.B) {
 				}
 				windows = rec.Windows
 			}
-			b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwindows/s")
+			b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "pipeline-Mwindows/s")
 		})
 	}
 }
@@ -407,6 +408,7 @@ func BenchmarkStrideWindows64(b *testing.B) {
 func BenchmarkVMInterpreter(b *testing.B) {
 	prog := workloads.CaffeineMark()
 	var steps int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := vm.Run(prog, vm.RunOptions{})

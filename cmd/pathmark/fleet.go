@@ -528,11 +528,10 @@ func cmdFleetBench(args []string) int {
 	if err != nil {
 		fatal(err)
 	}
-	suspectTrace, _, err := vm.Collect(scanSuspect, key.Input, 1)
+	suspectBits, _, err := vm.CollectBits(scanSuspect, vm.RunOptions{Input: key.Input})
 	if err != nil {
 		fatal(err)
 	}
-	suspectBits := suspectTrace.DecodeBits()
 	var scanWindows int
 	baselineNS := best(func() error {
 		st := wm.ScanBaselinePR5(suspectBits, key)

@@ -90,7 +90,7 @@ func NewHost(prog *vm.Program, input []int64, wBits int, seed int64) (*Host, err
 	if err != nil || !rec.Matches(w) {
 		return nil, fmt.Errorf("faults: host baseline does not recognize (err=%v)", err)
 	}
-	tr, _, err := vm.Collect(marked, key.Input, 1)
+	bits, _, err := vm.CollectBits(marked, vm.RunOptions{Input: key.Input})
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func NewHost(prog *vm.Program, input []int64, wBits int, seed int64) (*Host, err
 	}
 	return &Host{
 		Prog: marked, Key: key, KeyJSON: buf.Bytes(),
-		Watermark: w, Bits: tr.DecodeBits(),
+		Watermark: w, Bits: bits,
 	}, nil
 }
 

@@ -61,20 +61,13 @@ func BuildCFG(m *Method) *CFG {
 			continue
 		}
 		last := m.Code[b.End-1]
-		switch {
-		case last.Op == OpRet:
-			// no successors
-		case last.Op == OpGoto:
+		// An out-of-range target (unverified code) has no successor
+		// block; executing it faults.
+		if last.Op.IsBranch() && last.Target >= 0 && last.Target < n {
 			cfg.Succs[bi] = append(cfg.Succs[bi], cfg.blockOf[last.Target])
-		case last.Op.IsCondBranch():
-			cfg.Succs[bi] = append(cfg.Succs[bi], cfg.blockOf[last.Target])
-			if b.End < n {
-				cfg.Succs[bi] = append(cfg.Succs[bi], cfg.BlockOf(b.End))
-			}
-		default:
-			if b.End < n {
-				cfg.Succs[bi] = append(cfg.Succs[bi], cfg.BlockOf(b.End))
-			}
+		}
+		if last.Op != OpRet && last.Op != OpGoto && b.End < n {
+			cfg.Succs[bi] = append(cfg.Succs[bi], cfg.BlockOf(b.End))
 		}
 	}
 	return cfg

@@ -1,0 +1,277 @@
+package vm_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pathmark/internal/attacks"
+	"pathmark/internal/feistel"
+	"pathmark/internal/vm"
+	"pathmark/internal/wm"
+	"pathmark/internal/workloads"
+)
+
+// diffCollect runs p through both run modes, CollectWith + DecodeBits and
+// CollectBits, and describes the first difference in bits, Result or
+// error ("" when they agree), and the reference run's error.
+func diffCollect(p *vm.Program, opts vm.RunOptions) (diff string, refErr error) {
+	tr, want, wantErr := vm.CollectWith(p, opts)
+	bits, got, gotErr := vm.CollectBits(p, opts)
+	if d := diffErr(wantErr, gotErr); d != "" {
+		return d, wantErr
+	}
+	if wantErr != nil {
+		if bits != nil || got != nil {
+			return "CollectBits returned output alongside its error", wantErr
+		}
+		return "", wantErr
+	}
+	if w, g := tr.DecodeBits().String(), bits.String(); w != g {
+		return fmt.Sprintf("bits differ: %d decoded, %d sunk\n decoded %.80s\n sunk    %.80s", len(w), len(g), w, g), nil
+	}
+	if want.Return != got.Return || want.Steps != got.Steps || !vm.SameBehavior(want, got) {
+		return fmt.Sprintf("results differ: want %+v, got %+v", want, got), nil
+	}
+	return "", nil
+}
+
+// diffErr describes how two run errors differ: presence, message, type,
+// and the RuntimeError/ResourceError fields callers read.
+func diffErr(want, got error) string {
+	switch {
+	case want == nil && got == nil:
+		return ""
+	case want == nil || got == nil:
+		return fmt.Sprintf("errors differ: want %v, got %v", want, got)
+	case want.Error() != got.Error():
+		return fmt.Sprintf("error messages differ:\n want %v\n got  %v", want, got)
+	}
+	var wr, gr *vm.RuntimeError
+	if errors.As(want, &wr) != errors.As(got, &gr) {
+		return fmt.Sprintf("error types differ: want %T, got %T", errors.Unwrap(want), errors.Unwrap(got))
+	}
+	if wr != nil && *wr != *gr {
+		return fmt.Sprintf("runtime errors differ: want %+v, got %+v", *wr, *gr)
+	}
+	var wres, gres *vm.ResourceError
+	if errors.As(want, &wres) != errors.As(got, &gres) {
+		return fmt.Sprintf("error types differ: want %T, got %T", errors.Unwrap(want), errors.Unwrap(got))
+	}
+	if wres != nil && (wres.Resource != gres.Resource || wres.Limit != gres.Limit ||
+		wres.Used != gres.Used || wres.Method != gres.Method || wres.PC != gres.PC ||
+		!errors.Is(gres, wres.Cause)) {
+		return fmt.Sprintf("resource errors differ: want %+v, got %+v", *wres, *gres)
+	}
+	return ""
+}
+
+type traceCase struct {
+	name string
+	prog *vm.Program
+}
+
+var equivInput = []int64{12, 18, 7}
+
+// traceCorpus is every workload family, each unmarked and marked under
+// one key, plus the attack catalog applied to a few marked hosts.
+func traceCorpus(t *testing.T) []traceCase {
+	t.Helper()
+	key, err := wm.NewKey(equivInput, feistel.KeyFromUint64(0x5eed, 0xfeed), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := []traceCase{
+		{"caffeinemark", workloads.CaffeineMark()},
+		{"gcd", workloads.GCD()},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		hosts = append(hosts, traceCase{fmt.Sprintf("jesslike-%d", seed),
+			workloads.JessLike(workloads.JessLikeOptions{Seed: seed, Methods: 30, BlockSize: 80})})
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		hosts = append(hosts, traceCase{fmt.Sprintf("random-%d", seed),
+			workloads.RandomProgram(workloads.RandProgOptions{Seed: seed})})
+	}
+	var out []traceCase
+	for i, h := range hosts {
+		marked, _, err := wm.Embed(h.prog, wm.RandomWatermark(64, uint64(i)+1), key,
+			wm.EmbedOptions{Seed: int64(i)})
+		if err != nil {
+			t.Fatalf("%s: embed: %v", h.name, err)
+		}
+		out = append(out, h, traceCase{h.name + "/marked", marked})
+	}
+	// Attacked copies of the first marked hosts: CaffeineMark, GCD and
+	// the first Jess-like and random programs.
+	for _, h := range []traceCase{out[1], out[3], out[5], out[11]} {
+		for _, a := range attacks.Catalog() {
+			attacked, err := attacks.Run(a, h.prog, rand.New(rand.NewSource(int64(len(out)))))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", h.name, a.Name, err)
+			}
+			out = append(out, traceCase{h.name + "/" + a.Name, attacked})
+		}
+	}
+	return out
+}
+
+// TestCollectBitsMatchesDecode is the run-mode equivalence property:
+// over every workload family, marked and unmarked, and over attacked
+// copies, CollectBits yields exactly the bits DecodeBits decodes from
+// CollectWith's trace and exactly its Result.
+func TestCollectBitsMatchesDecode(t *testing.T) {
+	corpus := traceCorpus(t)
+	for _, c := range corpus {
+		d, err := diffCollect(c.prog, vm.RunOptions{Input: equivInput, SnapshotLimit: 1})
+		if d != "" {
+			t.Errorf("%s: %s", c.name, d)
+		} else if err != nil {
+			t.Errorf("%s: run failed: %v", c.name, err)
+		}
+	}
+	if len(corpus) < 200 {
+		t.Fatalf("corpus has %d programs; the property needs every family", len(corpus))
+	}
+}
+
+// TestCollectBitsErrorsMatch cuts runs off with step, heap and context
+// limits and runs faulting programs: both run modes must fail with the
+// same error, field for field.
+func TestCollectBitsErrorsMatch(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	limits := []struct {
+		name string
+		opts vm.RunOptions
+	}{
+		{"steps=1", vm.RunOptions{StepLimit: 1}},
+		{"steps=997", vm.RunOptions{StepLimit: 997}},
+		{"steps=123457", vm.RunOptions{StepLimit: 123457}},
+		{"heap=1", vm.RunOptions{MaxHeap: 1}},
+		{"heap=40", vm.RunOptions{MaxHeap: 40}},
+		{"context", vm.RunOptions{Ctx: cancelled}},
+		{"depth=2", vm.RunOptions{MaxDepth: 2}},
+	}
+	seen := map[string]int{}
+	for _, c := range traceCorpus(t) {
+		for _, l := range limits {
+			opts := l.opts
+			opts.Input = equivInput
+			d, err := diffCollect(c.prog, opts)
+			if d != "" {
+				t.Errorf("%s %s: %s", c.name, l.name, d)
+			}
+			var re *vm.ResourceError
+			var rt *vm.RuntimeError
+			switch {
+			case errors.As(err, &re):
+				seen[re.Resource]++
+			case errors.As(err, &rt):
+				seen["fault"]++
+			}
+		}
+	}
+	// The premise: every kind of cut-off and a fault actually happened.
+	for _, kind := range []string{"steps", "heap", "context", "fault"} {
+		if seen[kind] == 0 {
+			t.Errorf("no run ended with a %s error: %v", kind, seen)
+		}
+	}
+}
+
+// BenchmarkTraceBits compares recognition's two ways from a program to
+// its §3.1 bits on CaffeineMark: recording the trace and decoding it,
+// and sinking the bits as branches execute.
+func BenchmarkTraceBits(b *testing.B) {
+	prog := workloads.CaffeineMark()
+	opts := vm.RunOptions{SnapshotLimit: 1}
+	b.Run("CollectWith+DecodeBits", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr, _, err := vm.CollectWith(prog, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tr.DecodeBits().Len() == 0 {
+				b.Fatal("no bits")
+			}
+		}
+	})
+	b.Run("CollectBits", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bits, _, err := vm.CollectBits(prog, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bits.Len() == 0 {
+				b.Fatal("no bits")
+			}
+		}
+	})
+}
+
+// fuzzProgram decodes fuzz bytes into an unverified program: one to three
+// methods of raw instructions with operands and branch targets drawn
+// around the valid ranges, invalid opcodes included. Method headers stay
+// well-formed (NArgs <= NLocals); everything inside may fault, loop or
+// recurse.
+func fuzzProgram(data []byte) *vm.Program {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	nOps := int(vm.OpPrint) + 2 // one past the last opcode is invalid
+	p := &vm.Program{NStatics: 2}
+	nMethods := 1 + next()%3
+	for mi := 0; mi < nMethods; mi++ {
+		m := &vm.Method{Name: fmt.Sprintf("m%d", mi), NLocals: 3}
+		if mi > 0 {
+			m.NArgs = next() % 3
+		}
+		n := 1 + next()%24
+		for pc := 0; pc < n; pc++ {
+			in := vm.Instr{Op: vm.Op(next() % nOps), A: int64(next()%8) - 2, Target: next()%(n+2) - 1}
+			if in.Op == vm.OpCall {
+				in.A = int64(next() % (nMethods + 1))
+			}
+			m.Code = append(m.Code, in)
+		}
+		p.Methods = append(p.Methods, m)
+	}
+	return p
+}
+
+// FuzzCollectBits requires the bit-sink run mode to agree with
+// CollectWith + DecodeBits on every generated program, trapping ones
+// included, and the untraced Run to fail or succeed the same way.
+func FuzzCollectBits(f *testing.F) {
+	f.Add([]byte{0, 1, byte(vm.OpConst), 2, 1, byte(vm.OpIfNe), 2, 1}) // main: const 0; ifne 0
+	f.Add([]byte("\x01\x10\x01\x05\x00\x15\x02\x03\x1c\x00\x01\x20\x01\x04\x22\x00\x00"))
+	f.Add([]byte("a counted loop? no: just bytes, decoded as code"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := fuzzProgram(data)
+		opts := vm.RunOptions{Input: []int64{3, -1}, StepLimit: 5_000, MaxHeap: 1 << 10, MaxDepth: 32}
+		d, err := diffCollect(p, opts)
+		if d != "" {
+			t.Fatal(d)
+		}
+		res, runErr := vm.Run(p, opts)
+		if d := diffErr(errors.Unwrap(err), runErr); d != "" {
+			t.Fatalf("Run and the tracing runs disagree: %s", d)
+		}
+		if runErr == nil {
+			_, want, _ := vm.CollectBits(p, opts)
+			if res.Steps != want.Steps || !vm.SameBehavior(res, want) {
+				t.Fatalf("Run result %+v, CollectBits %+v", res, want)
+			}
+		}
+	})
+}

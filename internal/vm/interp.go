@@ -97,20 +97,46 @@ type Result struct {
 	Steps  int64   // instructions executed — the deterministic time metric
 }
 
-// frame is one activation record.
+// frame is one activation record. The interpreter keeps one frame per
+// call depth and reuses it for every call made at that depth: a call
+// clears the locals and empties the operand stack but keeps both
+// buffers, so steady-state calls allocate nothing.
 type frame struct {
 	method *Method
 	mi     int
-	cfg    *CFG
+	cfg    *CFG // nil unless the run traces or profiles blocks
 	locals []int64
 	stack  []int64
 	pc     int
 }
 
+// stackHint is the operand-stack capacity a frame starts with.
+const stackHint = 16
+
+// opPops is the operand-stack pop count of every opcode but OpCall, whose
+// count is the callee's NArgs.
+var opPops = func() (t [opCount]int8) {
+	for o := Op(0); o < opCount; o++ {
+		if o != OpCall {
+			pops, _ := stackEffect(o)
+			t[o] = int8(pops)
+		}
+	}
+	return t
+}()
+
 // Run executes the program's entry method with zero-valued arguments and
 // returns its result. When opts.Trace is set, trace events are appended to
 // it as execution proceeds.
 func Run(p *Program, opts RunOptions) (*Result, error) {
+	return run(p, opts, nil)
+}
+
+// run is the interpreter behind Run, CollectWith and CollectBits. A
+// non-nil sink receives every conditional branch together with the pc
+// it lands on. Block tracking (CFGs, block entries) runs only when
+// opts.Trace or opts.Profile asks for it.
+func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	stepLimit := opts.StepLimit
 	if stepLimit == 0 {
 		stepLimit = 100_000_000
@@ -131,9 +157,16 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 	if prof != nil && prof.BlockCount == nil {
 		prof.BlockCount = make(map[BlockKey]int64)
 	}
+	tracking := opts.Trace != nil || prof != nil
 
-	cfgs := make([]*CFG, len(p.Methods))
+	var cfgs []*CFG
+	if tracking {
+		cfgs = make([]*CFG, len(p.Methods))
+	}
 	cfgOf := func(mi int) *CFG {
+		if !tracking {
+			return nil
+		}
 		if cfgs[mi] == nil {
 			cfgs[mi] = BuildCFG(p.Methods[mi])
 		}
@@ -151,33 +184,94 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 		ctxDone = opts.Ctx.Done()
 	}
 
-	entry := p.Methods[p.Entry]
-	frames := []*frame{{
-		method: entry, mi: p.Entry, cfg: cfgOf(p.Entry),
-		locals: make([]int64, entry.NLocals),
-	}}
+	// carve hands out zeroed buffers cut from a shared slab, so a deeper
+	// call stack costs one allocation per slab, not two per frame.
+	var slab []int64
+	carve := func(n int) []int64 {
+		if n > len(slab) {
+			slab = make([]int64, max(n, 1024))
+		}
+		b := slab[:n:n]
+		slab = slab[n:]
+		return b
+	}
+	// enter points fr at the start of method mi with zeroed locals and an
+	// empty operand stack, reusing fr's buffers when they fit.
+	enter := func(fr *frame, mi int) {
+		m := p.Methods[mi]
+		fr.method, fr.mi, fr.cfg, fr.pc = m, mi, cfgOf(mi), 0
+		if cap(fr.locals) >= m.NLocals {
+			fr.locals = fr.locals[:m.NLocals]
+			clear(fr.locals)
+		} else {
+			fr.locals = carve(m.NLocals)
+		}
+		if fr.stack == nil {
+			fr.stack = carve(stackHint)
+		}
+		fr.stack = fr.stack[:0]
+	}
 
-	fault := func(f *frame, msg string) error {
+	// frames[:depth] is the live call stack; frames past depth keep their
+	// buffers for the next call at that depth.
+	frames := make([]frame, 1, 16)
+	enter(&frames[0], p.Entry)
+	depth := 1
+	var f *frame // the executing frame
+
+	fault := func(msg string) error {
 		return &RuntimeError{Method: f.method.Name, PC: f.pc, Msg: msg}
 	}
 
-	enterBlock := func(f *frame, bi int) {
+	enterBlock := func(fr *frame, bi int) {
 		if prof != nil {
-			prof.enterBlock(f.mi, bi)
+			prof.enterBlock(fr.mi, bi)
 		}
-		if opts.Trace == nil {
-			return
+		if opts.Trace != nil {
+			opts.Trace.addBlockEnter(fr.mi, bi, fr.locals, statics, snapLimit)
 		}
-		opts.Trace.addBlockEnter(f.mi, bi, f.locals, statics, snapLimit)
+	}
+	// enterAt records a block entry when fr's pc starts a block.
+	enterAt := func(fr *frame) {
+		if tracking && fr.pc < len(fr.method.Code) {
+			if bi := fr.cfg.BlockOf(fr.pc); fr.cfg.Blocks[bi].Start == fr.pc {
+				enterBlock(fr, bi)
+			}
+		}
+	}
+
+	pop := func() int64 {
+		v := f.stack[len(f.stack)-1]
+		f.stack = f.stack[:len(f.stack)-1]
+		return v
+	}
+	pushv := func(v int64) { f.stack = append(f.stack, v) }
+	// next moves to the fall-through instruction, emitting a block entry
+	// when it crosses into a leader (e.g. falling through into a branch
+	// target).
+	next := func() {
+		f.pc++
+		enterAt(f)
+	}
+	// advance transfers control to pc to within the method. A branch or
+	// goto whose target lies outside the method faults: only verified
+	// programs are guaranteed to stay inside.
+	advance := func(to int) error {
+		if to < 0 || to >= len(f.method.Code) {
+			return fault(fmt.Sprintf("branch to pc %d outside method [0,%d)", to, len(f.method.Code)))
+		}
+		f.pc = to
+		enterAt(f)
+		return nil
 	}
 
 	// Enter the entry block of the entry method.
-	enterBlock(frames[0], 0)
+	enterBlock(&frames[0], 0)
 
 	for {
-		f := frames[len(frames)-1]
+		f = &frames[depth-1]
 		if f.pc >= len(f.method.Code) {
-			return nil, fault(f, "fell off end of method")
+			return nil, fault("fell off end of method")
 		}
 		if res.Steps >= stepLimit {
 			return nil, &ResourceError{
@@ -204,41 +298,23 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 			}
 		}
 
-		pop := func() int64 {
-			v := f.stack[len(f.stack)-1]
-			f.stack = f.stack[:len(f.stack)-1]
-			return v
-		}
-		pushv := func(v int64) { f.stack = append(f.stack, v) }
-
-		// The verifier guarantees stack discipline for verified programs;
-		// guard anyway so unverified/attacked programs fault cleanly.
-		pops := 0
-		if in.Op == OpCall {
+		// The verifier guarantees operand ranges and stack discipline for
+		// verified programs; guard anyway so unverified/attacked programs
+		// fault cleanly.
+		var pops int
+		switch {
+		case in.Op == OpCall:
+			if in.A < 0 || in.A >= int64(len(p.Methods)) {
+				return nil, fault("callee index out of range")
+			}
 			pops = p.Methods[in.A].NArgs
-		} else {
-			pops, _ = stackEffect(in.Op)
+		case in.Op < opCount:
+			pops = int(opPops[in.Op])
+		default:
+			return nil, fault(fmt.Sprintf("invalid opcode %d", in.Op))
 		}
 		if len(f.stack) < pops {
-			return nil, fault(f, fmt.Sprintf("stack underflow executing %v", in.Op))
-		}
-
-		advance := func(target int) {
-			f.pc = target
-			if bi := f.cfg.BlockOf(target); f.cfg.Blocks[bi].Start == target {
-				enterBlock(f, bi)
-			}
-		}
-		// next moves to the fall-through instruction, emitting a block
-		// entry when it crosses into a leader (e.g. falling through into
-		// a branch target).
-		next := func() {
-			f.pc++
-			if (opts.Trace != nil || prof != nil) && f.pc < len(f.method.Code) {
-				if bi := f.cfg.BlockOf(f.pc); f.cfg.Blocks[bi].Start == f.pc {
-					enterBlock(f, bi)
-				}
-			}
+			return nil, fault(fmt.Sprintf("stack underflow executing %v", in.Op))
 		}
 
 		switch in.Op {
@@ -249,25 +325,25 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 			next()
 		case OpLoad:
 			if in.A < 0 || in.A >= int64(len(f.locals)) {
-				return nil, fault(f, "local index out of range")
+				return nil, fault("local index out of range")
 			}
 			pushv(f.locals[in.A])
 			next()
 		case OpStore:
 			if in.A < 0 || in.A >= int64(len(f.locals)) {
-				return nil, fault(f, "local index out of range")
+				return nil, fault("local index out of range")
 			}
 			f.locals[in.A] = pop()
 			next()
 		case OpGetStatic:
 			if in.A < 0 || in.A >= int64(len(statics)) {
-				return nil, fault(f, "static index out of range")
+				return nil, fault("static index out of range")
 			}
 			pushv(statics[in.A])
 			next()
 		case OpPutStatic:
 			if in.A < 0 || in.A >= int64(len(statics)) {
-				return nil, fault(f, "static index out of range")
+				return nil, fault("static index out of range")
 			}
 			statics[in.A] = pop()
 			next()
@@ -296,12 +372,12 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 				v = a * b
 			case OpDiv:
 				if b == 0 {
-					return nil, fault(f, "division by zero")
+					return nil, fault("division by zero")
 				}
 				v = a / b
 			case OpRem:
 				if b == 0 {
-					return nil, fault(f, "division by zero")
+					return nil, fault("division by zero")
 				}
 				v = a % b
 			case OpAnd:
@@ -320,35 +396,18 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 		case OpNeg:
 			pushv(-pop())
 			next()
-		case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe:
-			v := pop()
-			taken := false
-			switch in.Op {
-			case OpIfEq:
-				taken = v == 0
-			case OpIfNe:
-				taken = v != 0
-			case OpIfLt:
-				taken = v < 0
-			case OpIfGe:
-				taken = v >= 0
-			case OpIfGt:
-				taken = v > 0
-			case OpIfLe:
-				taken = v <= 0
-			}
-			if opts.Trace != nil {
-				opts.Trace.addBranchExec(f.mi, f.pc, taken)
-			}
-			if taken {
-				advance(in.Target)
+		case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe,
+			OpIfCmpEq, OpIfCmpNe, OpIfCmpLt, OpIfCmpGe, OpIfCmpGt, OpIfCmpLe:
+			// ifXX v is ifcmpXX v, 0.
+			var a, b int64
+			cmp := in.Op
+			if cmp < OpIfCmpEq {
+				a, cmp = pop(), cmp-OpIfEq+OpIfCmpEq
 			} else {
-				advance(f.pc + 1)
+				b, a = pop(), pop()
 			}
-		case OpIfCmpEq, OpIfCmpNe, OpIfCmpLt, OpIfCmpGe, OpIfCmpGt, OpIfCmpLe:
-			b, a := pop(), pop()
-			taken := false
-			switch in.Op {
+			var taken bool
+			switch cmp {
 			case OpIfCmpEq:
 				taken = a == b
 			case OpIfCmpNe:
@@ -362,60 +421,67 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 			case OpIfCmpLe:
 				taken = a <= b
 			}
+			to := f.pc + 1
+			if taken {
+				to = in.Target
+			}
 			if opts.Trace != nil {
 				opts.Trace.addBranchExec(f.mi, f.pc, taken)
 			}
-			if taken {
-				advance(in.Target)
-			} else {
-				advance(f.pc + 1)
+			if sink != nil {
+				sink.branch(f.mi, f.pc, to)
+			}
+			if err := advance(to); err != nil {
+				return nil, err
 			}
 		case OpGoto:
-			advance(in.Target)
-		case OpCall:
-			if in.A < 0 || in.A >= int64(len(p.Methods)) {
-				return nil, fault(f, "callee index out of range")
+			if err := advance(in.Target); err != nil {
+				return nil, err
 			}
-			if len(frames) >= maxDepth {
-				return nil, fault(f, "call depth exceeded")
+		case OpCall:
+			if depth >= maxDepth {
+				return nil, fault("call depth exceeded")
 			}
 			callee := p.Methods[in.A]
-			nf := &frame{
-				method: callee, mi: int(in.A), cfg: cfgOf(int(in.A)),
-				locals: make([]int64, callee.NLocals),
+			if callee.NArgs < 0 || callee.NArgs > callee.NLocals {
+				return nil, fault(fmt.Sprintf("callee %s takes %d args in %d locals",
+					callee.Name, callee.NArgs, callee.NLocals))
 			}
+			if depth == len(frames) {
+				frames = append(frames, frame{})
+				f = &frames[depth-1] // the append may have moved the caller
+			}
+			nf := &frames[depth]
+			enter(nf, int(in.A))
 			for i := callee.NArgs - 1; i >= 0; i-- {
 				nf.locals[i] = pop()
 			}
-			frames = append(frames, nf)
+			depth++
 			if prof != nil {
 				prof.Calls++
-				if len(frames) > prof.MaxObservedDepth {
-					prof.MaxObservedDepth = len(frames)
+				if depth > prof.MaxObservedDepth {
+					prof.MaxObservedDepth = depth
 				}
 			}
 			enterBlock(nf, 0)
 		case OpRet:
 			v := pop()
-			frames = frames[:len(frames)-1]
-			if len(frames) == 0 {
+			depth--
+			if depth == 0 {
 				res.Return = v
 				return res, nil
 			}
-			caller := frames[len(frames)-1]
+			caller := &frames[depth-1]
 			caller.stack = append(caller.stack, v)
-			// Resume after the call; entering a new block here is a
-			// block *continuation*, not an entry, unless the next pc
-			// happens to start a block (call was block-final is
-			// impossible: calls never end blocks).
+			// Resume after the call. Calls never end blocks, so this is a
+			// block continuation, not an entry, unless the next pc
+			// happens to be a branch target.
 			caller.pc++
-			if bi := caller.cfg.BlockOf(caller.pc); caller.cfg.Blocks[bi].Start == caller.pc {
-				enterBlock(caller, bi)
-			}
+			enterAt(caller)
 		case OpNewArr:
 			nv := pop()
 			if nv < 0 || nv > 1<<24 {
-				return nil, fault(f, fmt.Sprintf("bad array size %d", nv))
+				return nil, fault(fmt.Sprintf("bad array size %d", nv))
 			}
 			if heapCells+nv > maxHeap {
 				return nil, &ResourceError{
@@ -431,10 +497,10 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 			i, ref := pop(), pop()
 			arr, err := heapArr(heap, ref)
 			if err != nil {
-				return nil, fault(f, err.Error())
+				return nil, fault(err.Error())
 			}
 			if i < 0 || i >= int64(len(arr)) {
-				return nil, fault(f, fmt.Sprintf("array index %d out of range [0,%d)", i, len(arr)))
+				return nil, fault(fmt.Sprintf("array index %d out of range [0,%d)", i, len(arr)))
 			}
 			pushv(arr[i])
 			next()
@@ -442,10 +508,10 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 			v, i, ref := pop(), pop(), pop()
 			arr, err := heapArr(heap, ref)
 			if err != nil {
-				return nil, fault(f, err.Error())
+				return nil, fault(err.Error())
 			}
 			if i < 0 || i >= int64(len(arr)) {
-				return nil, fault(f, fmt.Sprintf("array index %d out of range [0,%d)", i, len(arr)))
+				return nil, fault(fmt.Sprintf("array index %d out of range [0,%d)", i, len(arr)))
 			}
 			arr[i] = v
 			next()
@@ -453,7 +519,7 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 			ref := pop()
 			arr, err := heapArr(heap, ref)
 			if err != nil {
-				return nil, fault(f, err.Error())
+				return nil, fault(err.Error())
 			}
 			pushv(int64(len(arr)))
 			next()
@@ -468,8 +534,6 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 		case OpPrint:
 			res.Output = append(res.Output, pop())
 			next()
-		default:
-			return nil, fault(f, fmt.Sprintf("invalid opcode %d", in.Op))
 		}
 	}
 }

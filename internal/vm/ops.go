@@ -10,7 +10,8 @@
 //   - basic-block CFGs,
 //   - an interpreter with step accounting and an execution tracer that
 //     records block entries, conditional-branch executions, and variable
-//     snapshots (the information SandMark's tracing phase collects).
+//     snapshots (the information SandMark's tracing phase collects), and
+//     a bit-sink mode that yields only the §3.1 bit-string.
 package vm
 
 import "fmt"

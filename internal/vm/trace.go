@@ -117,6 +117,57 @@ func CollectWith(p *Program, opts RunOptions) (*Trace, *Result, error) {
 	return tr, res, nil
 }
 
+// CollectBits runs p like CollectWith and returns the bit-string
+// DecodeBits would decode from its trace, without recording the trace: a
+// bit sink decodes each conditional branch where it executes, since the
+// pc it lands on already names its successor block. It is recognition's
+// run mode; Collect and CollectWith stay for the embedder, which needs
+// block counts and snapshots, and for event-level tools. opts.Trace is
+// ignored. Results, steps and errors are exactly CollectWith's.
+func CollectBits(p *Program, opts RunOptions) (*bitstring.Bits, *Result, error) {
+	opts.Trace = nil
+	sink := newBitSink(p)
+	res, err := run(p, opts, sink)
+	if err != nil {
+		return nil, nil, fmt.Errorf("vm: tracing run failed: %w", err)
+	}
+	return sink.bits, res, nil
+}
+
+// bitSink applies §3.1's rule at branch execution. Its one table, first,
+// holds for every instruction of the program (method mi's pc at
+// base[mi]+pc) the landing pc + 1 of that branch's first execution, or 0
+// before it. Every branch target and every pc after a conditional branch
+// starts a block, so within a method equal landing pcs are equal
+// successor blocks.
+type bitSink struct {
+	base  []int32
+	first []int32
+	bits  *bitstring.Bits
+}
+
+func newBitSink(p *Program) *bitSink {
+	s := &bitSink{base: make([]int32, len(p.Methods)), bits: bitstring.New(0)}
+	n := 0
+	for mi, m := range p.Methods {
+		s.base[mi] = int32(n)
+		n += len(m.Code)
+	}
+	s.first = make([]int32, n)
+	return s
+}
+
+// branch records one execution of the conditional branch at (mi, pc)
+// landing on pc to.
+func (s *bitSink) branch(mi, pc, to int) {
+	slot := &s.first[s.base[mi]+int32(pc)]
+	land := int32(to) + 1
+	if *slot == 0 {
+		*slot = land
+	}
+	s.bits.Append(*slot != land)
+}
+
 // DecodeBits converts a trace into its bit-string per §3.1's rule:
 //
 //	For each conditional branch instruction i that occurs in the trace,

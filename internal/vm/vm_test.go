@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -284,6 +285,59 @@ func TestRuntimeFaults(t *testing.T) {
 		}
 		if _, err := Run(p, RunOptions{}); err == nil {
 			t.Errorf("%s: expected runtime error", c.name)
+		}
+	}
+}
+
+// TestUnverifiedControlFaults runs hand-built programs (Assemble would
+// reject them) whose control leaves the method or whose instruction is
+// malformed. Every run mode must return the same *RuntimeError, located
+// at the offending instruction, instead of panicking.
+func TestUnverifiedControlFaults(t *testing.T) {
+	method := func(name string, nargs, nlocals int, code ...Instr) *Method {
+		return &Method{Name: name, NArgs: nargs, NLocals: nlocals, Code: code}
+	}
+	ret7 := method("seven", 0, 0, Instr{Op: OpConst, A: 7}, Instr{Op: OpRet})
+	cases := []struct {
+		name   string
+		prog   *Program
+		wantPC int
+		msg    string
+	}{
+		{"branch falls through past end", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpConst}, Instr{Op: OpIfNe})}}, 1, "branch to pc 2"},
+		{"branch taken past end", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpConst, A: 1}, Instr{Op: OpIfNe, Target: 9}, Instr{Op: OpRet})}}, 1, "branch to pc 9"},
+		{"branch taken to negative pc", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpConst}, Instr{Op: OpConst}, Instr{Op: OpIfCmpEq, Target: -1}, Instr{Op: OpRet})}}, 2, "branch to pc -1"},
+		{"goto past end", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpGoto, Target: 5}, Instr{Op: OpRet})}}, 0, "branch to pc 5"},
+		{"return into end of caller", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpCall, A: 1}), ret7}}, 1, "fell off end"},
+		{"callee out of range", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpCall, A: 4}, Instr{Op: OpRet})}}, 0, "callee index"},
+		{"callee args exceed locals", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpConst}, Instr{Op: OpCall, A: 1}, Instr{Op: OpRet}), method("f", 1, 0, Instr{Op: OpRet})}}, 1, "takes 1 args"},
+		{"invalid opcode", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: opCount + 3}, Instr{Op: OpRet})}}, 0, "invalid opcode"},
+	}
+	for _, c := range cases {
+		_, err := Run(c.prog, RunOptions{})
+		var re *RuntimeError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: Run returned %v, want a *RuntimeError", c.name, err)
+			continue
+		}
+		if re.Method != "main" || re.PC != c.wantPC || !strings.Contains(re.Msg, c.msg) {
+			t.Errorf("%s: fault %+v, want main at pc %d with %q", c.name, *re, c.wantPC, c.msg)
+		}
+		_, _, errTrace := CollectWith(c.prog, RunOptions{})
+		_, _, errBits := CollectBits(c.prog, RunOptions{})
+		for mode, e := range map[string]error{"CollectWith": errTrace, "CollectBits": errBits} {
+			var got *RuntimeError
+			if !errors.As(e, &got) || *got != *re {
+				t.Errorf("%s: %s returned %v, want Run's %v", c.name, mode, e, re)
+			}
 		}
 	}
 }

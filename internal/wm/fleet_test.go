@@ -318,11 +318,22 @@ func TestRecognizeCorpusCappedCaches(t *testing.T) {
 				}
 			}
 		}
-		// The fixture has 6 distinct (suspect, input) traces churning
-		// through a single-entry cache: evictions must show up, and the
-		// resident count must respect the bound.
-		if ts := fc.TraceStats(); ts.Evictions == 0 {
-			t.Errorf("workers=%d: single-entry trace cache recorded no evictions: %+v", workers, ts)
+		// The fixture's 9 grades look up 6 distinct (suspect, input)
+		// traces in a single-entry cache. How many evict depends on the
+		// schedule at workers > 1: a lookup that finds the one entry
+		// still computing bypasses the cache instead of evicting it. The
+		// accounting does not: every lookup is a hit, miss or bypass,
+		// every distinct trace is computed, and with one resident entry
+		// every miss but the first evicts. Serially no entry is ever
+		// mid-compute, so nothing bypasses and evictions must show up.
+		ts := fc.TraceStats()
+		if lookups := int64(len(suspects) * len(keys)); ts.Lookups() != lookups ||
+			ts.Misses+ts.Bypassed < 6 || ts.Evictions != ts.Misses-1 {
+			t.Errorf("workers=%d: single-entry trace cache accounting %+v; want %d lookups, >= 6 computed, evictions = misses-1",
+				workers, ts, lookups)
+		}
+		if workers == 1 && (ts.Bypassed != 0 || ts.Evictions == 0) {
+			t.Errorf("workers=1: serial single-entry trace cache bypassed or recorded no evictions: %+v", ts)
 		}
 		if n := fc.traces.Len(); n > 1 {
 			t.Errorf("workers=%d: capped trace cache holds %d entries", workers, n)

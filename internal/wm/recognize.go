@@ -180,13 +180,13 @@ func RecognizeWithOpts(p *vm.Program, key *Key, opts RecognizeOpts) (*Recognitio
 
 	// Stage 1: trace.
 	span := opts.Obs.Start("recognize.trace")
-	bits, events, err := collectBits(opts.Ctx, p, key.Input, opts.StepLimit, opts.MaxHeap)
+	bits, steps, err := collectBits(opts.Ctx, p, key.Input, opts.StepLimit, opts.MaxHeap)
 	if err != nil {
 		span.Finish()
 		return nil, &StageError{Stage: "trace", Worker: -1,
 			Cause: fmt.Errorf("recognition trace failed: %w", err)}
 	}
-	span.Set("trace_events", int64(events)).
+	span.Set("steps", steps).
 		Set("trace_bits", int64(bits.Len())).Finish()
 	opts.Obs.Histogram("recognize.trace_bits").Observe(int64(bits.Len()))
 
@@ -195,19 +195,18 @@ func RecognizeWithOpts(p *vm.Program, key *Key, opts RecognizeOpts) (*Recognitio
 
 // collectBits is recognition's one trace-to-bits step, shared by
 // RecognizeWithOpts and the fleet trace cache: it runs p on input under
-// the step, heap and context bounds and decodes the trace into the
-// bit-string the scan reads. It also returns the trace's event count.
-// The error is the tracing run's, unwrapped; callers add their stage.
+// the step, heap and context bounds in vm.CollectBits's bit-sink mode and
+// returns the bit-string the scan reads and the run's step count. The
+// error is the tracing run's, unwrapped; callers add their stage.
 func collectBits(ctx context.Context, p *vm.Program, input []int64,
-	stepLimit, maxHeap int64) (*bitstring.Bits, int, error) {
-	tr, _, err := vm.CollectWith(p, vm.RunOptions{
-		Input: input, SnapshotLimit: 1,
-		Ctx: ctx, StepLimit: stepLimit, MaxHeap: maxHeap,
+	stepLimit, maxHeap int64) (*bitstring.Bits, int64, error) {
+	bits, res, err := vm.CollectBits(p, vm.RunOptions{
+		Input: input, Ctx: ctx, StepLimit: stepLimit, MaxHeap: maxHeap,
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return tr.DecodeBits(), len(tr.Events), nil
+	return bits, res.Steps, nil
 }
 
 // RecognizeBits runs recognition stages 2–3 (scan, vote/graph) over an
