@@ -173,12 +173,16 @@ func cmdFleetEmbed(args []string) int {
 		fatal(err)
 	}
 	man := fleetManifest{Version: fleetManifestVersion, Base: c.in}
+	var text []byte
 	for _, cp := range copies {
 		name := fmt.Sprintf("copy-%03d.pasm", cp.Index)
-		if err := os.WriteFile(filepath.Join(*outdir, name), []byte(vm.Dump(cp.Program)), 0o644); err != nil {
+		// One render per copy: the file holds the canonical text, and its
+		// digest is wm.ProgramDigest(cp.Program) taken from the same bytes.
+		text = vm.AppendDump(text[:0], cp.Program)
+		if err := os.WriteFile(filepath.Join(*outdir, name), text, 0o644); err != nil {
 			fatal(err)
 		}
-		digest := wm.ProgramDigest(cp.Program)
+		digest := cache.DigestBytes(text)
 		man.Copies = append(man.Copies, name)
 		man.Watermarks = append(man.Watermarks, cp.Watermark.String())
 		man.Customers = append(man.Customers, ids[cp.Index])

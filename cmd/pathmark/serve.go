@@ -554,7 +554,7 @@ func (s *server) finishStream(j *serveJob) error {
 // re-POSTing the same corpus returns the existing job (finished or not)
 // instead of re-grading it.
 func (s *server) submit(rawRequest []byte, spec jobs.Spec) (*serveJob, int, error) {
-	id, err := jobs.SpecID(spec)
+	id, err := spec.ID() // keeps the suspect digests for the runner's Open
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -729,7 +729,7 @@ func (s *server) resumePending() error {
 			fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: stale request: %v\n", id, err)
 			continue
 		}
-		if got, err := jobs.SpecID(spec); err != nil || got != id {
+		if got, err := spec.ID(); err != nil || got != id {
 			fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: request does not digest to its directory name; skipping\n", id)
 			continue
 		}

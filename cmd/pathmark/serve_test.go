@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math/big"
@@ -36,6 +37,38 @@ func embedTestFleet(t *testing.T, dir string) (manifest, keyfile string) {
 		t.Fatalf("fleet embed: exit %d", code)
 	}
 	return filepath.Join(outdir, "fleet.json"), keyfile
+}
+
+// TestFleetEmbedDigestsMatchCopies: each copy file fleet embed writes is
+// the canonical text of its program, and its manifest digest is
+// wm.ProgramDigest of that program.
+func TestFleetEmbedDigestsMatchCopies(t *testing.T) {
+	dir := t.TempDir()
+	manifest, _ := embedTestFleet(t, dir)
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man fleetManifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range man.Copies {
+		text, err := os.ReadFile(filepath.Join(filepath.Dir(manifest), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := vm.Assemble(string(text))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if vm.Dump(p) != string(text) {
+			t.Errorf("%s is not the canonical text of its program", name)
+		}
+		if d := wm.ProgramDigest(p); hex.EncodeToString(d[:]) != man.Digests[i] {
+			t.Errorf("%s: manifest digest %s, ProgramDigest %x", name, man.Digests[i], d)
+		}
+	}
 }
 
 // TestManifestValidation pins the typed-error contract of loadManifest:

@@ -116,11 +116,31 @@ type Spec struct {
 	Suspects []*vm.Program
 	Keys     []*wm.Key
 	Opts     Options
+
+	// progDigests is wm.ProgramDigest of each suspect, kept by the first
+	// digest pass so that Open of a spec whose ID was taken reuses it.
+	progDigests []cache.Digest
 }
+
+// ID returns the job ID (hex content digest) Open would give the spec,
+// without touching disk. It keeps the suspects' digests on the spec, so
+// Open or Execute of this value (or a copy of it) does not digest them
+// again; Suspects must not change afterwards.
+func (sp *Spec) ID() (string, error) {
+	d, err := sp.digest()
+	if err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(d[:]), nil
+}
+
+// SpecID is spec.ID() on a copy: callers that name job directories
+// after the ID need it before Open.
+func SpecID(spec Spec) (string, error) { return spec.ID() }
 
 // digest content-addresses the spec; the journal header pins it so a
 // resume over a journal from a different job is refused.
-func (sp *Spec) digest(progDigests []cache.Digest) (cache.Digest, error) {
+func (sp *Spec) digest() (cache.Digest, error) {
 	// v2: the prefilter band ints were replaced by the six ints of the
 	// filter stack (popcount, transitions, phase bands). The stack is
 	// always wm.DefaultFilters now, but its ints stay in the digest so
@@ -129,7 +149,13 @@ func (sp *Spec) digest(progDigests []cache.Digest) (cache.Digest, error) {
 	num := func(v int64) { parts = append(parts, strconv.AppendInt(nil, v, 10)) }
 	num(int64(len(sp.Suspects)))
 	num(int64(len(sp.Keys)))
-	for _, d := range progDigests {
+	if len(sp.progDigests) != len(sp.Suspects) {
+		sp.progDigests = make([]cache.Digest, len(sp.Suspects))
+		for i, p := range sp.Suspects {
+			sp.progDigests[i] = wm.ProgramDigest(p)
+		}
+	}
+	for _, d := range sp.progDigests {
 		parts = append(parts, append([]byte(nil), d[:]...))
 	}
 	for i, k := range sp.Keys {
@@ -151,21 +177,6 @@ func (sp *Spec) digest(progDigests []cache.Digest) (cache.Digest, error) {
 	num(int64(sp.Opts.Breaker.threshold()))
 	num(int64(sp.Opts.Breaker.wave()))
 	return cache.DigestBytes(parts...), nil
-}
-
-// SpecID returns the job ID (hex content digest) a Spec would get from
-// Open, without touching disk — callers that name job directories after
-// the ID need it first.
-func SpecID(spec Spec) (string, error) {
-	progDigests := make([]cache.Digest, len(spec.Suspects))
-	for i, p := range spec.Suspects {
-		progDigests[i] = wm.ProgramDigest(p)
-	}
-	d, err := spec.digest(progDigests)
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(d[:]), nil
 }
 
 // GradeEvent is the telemetry payload delivered to Options.OnEvent when
@@ -192,14 +203,13 @@ type outcome struct {
 // (possibly across several processes — each Run picks up where the
 // journal ends), then write the result manifest.
 type Job struct {
-	dir         string
-	spec        Spec
-	digest      cache.Digest
-	progDigests []cache.Digest
-	journal     *WAL
-	caches      *wm.FleetCaches
-	trace       *obs.Trace
-	ownTrace    bool // trace opened by Open (vs caller-supplied): Close closes it
+	dir      string
+	spec     Spec
+	digest   cache.Digest
+	journal  *WAL
+	caches   *wm.FleetCaches
+	trace    *obs.Trace
+	ownTrace bool // trace opened by Open (vs caller-supplied): Close closes it
 
 	mu        sync.Mutex
 	outcomes  [][]*outcome
@@ -218,11 +228,7 @@ func Open(dir string, spec Spec) (*Job, error) {
 	if len(spec.Keys) == 0 {
 		return nil, errors.New("jobs: a job needs at least one candidate key")
 	}
-	progDigests := make([]cache.Digest, len(spec.Suspects))
-	for i, p := range spec.Suspects {
-		progDigests[i] = wm.ProgramDigest(p)
-	}
-	digest, err := spec.digest(progDigests)
+	digest, err := spec.digest()
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +238,7 @@ func Open(dir string, spec Spec) (*Job, error) {
 	}
 
 	j := &Job{
-		dir: dir, spec: spec, digest: digest, progDigests: progDigests,
+		dir: dir, spec: spec, digest: digest,
 		caches: spec.Opts.Caches,
 	}
 	if j.caches == nil {
@@ -484,7 +490,7 @@ func (j *Job) runGrade(ctx context.Context, s, k, scanWorkers int) *outcome {
 
 func (j *Job) gradeOnce(ctx context.Context, s, k, scanWorkers int) (*wm.Recognition, error) {
 	opts := j.spec.Opts
-	return wm.GradePair(j.spec.Suspects[s], j.progDigests[s], j.spec.Keys[k], j.caches, wm.CorpusOpts{
+	return wm.GradePair(j.spec.Suspects[s], j.spec.progDigests[s], j.spec.Keys[k], j.caches, wm.CorpusOpts{
 		ScanWorkers: scanWorkers,
 		StepLimit:   opts.StepLimit,
 		MaxHeap:     opts.MaxHeap,
@@ -494,7 +500,7 @@ func (j *Job) gradeOnce(ctx context.Context, s, k, scanWorkers int) (*wm.Recogni
 
 func (j *Job) traceKey(s, k int) wm.TraceKey {
 	return wm.TraceKey{
-		Program: j.progDigests[s],
+		Program: j.spec.progDigests[s],
 		Input:   cache.DigestInt64s(j.spec.Keys[k].Input),
 	}
 }

@@ -378,6 +378,34 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
+// TestOpenReusesSpecDigests: once a spec's ID has been taken, Open of
+// that spec (as the daemon's runner gets it, by value) reuses the kept
+// per-suspect digests instead of digesting the suspects again, and
+// yields the ID SpecID computes anew.
+func TestOpenReusesSpecDigests(t *testing.T) {
+	spec := baseSpec(t)
+	spec.Opts.NoTrace = true
+	want, err := SpecID(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := spec.ID()
+	if err != nil || id != want {
+		t.Fatalf("ID = %s, %v; want SpecID's %s", id, err, want)
+	}
+	j, err := Open(t.TempDir(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.ID() != want {
+		t.Errorf("Open ID = %s, want %s", j.ID(), want)
+	}
+	if len(j.spec.progDigests) != len(spec.Suspects) || &j.spec.progDigests[0] != &spec.progDigests[0] {
+		t.Error("Open digested the suspects again instead of reusing the spec's digests")
+	}
+}
+
 // TestSpecIDsPinned pins job identity: the corpus and stream job IDs of
 // fixed specs must never drift, or every persisted job directory,
 // journal header and daemon resume would be orphaned. The filter stack

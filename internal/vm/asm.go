@@ -2,8 +2,10 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Assemble parses the textual assembly format into a Program. The format:
@@ -33,15 +35,9 @@ func Assemble(src string) (*Program, error) {
 		label  string
 		line   int
 	}
-	type callFixup struct {
-		method *Method
-		pc     int
-		callee string
-		line   int
-	}
-	var fixups []fixup
-	var callFixups []callFixup
-	labels := make(map[string]int) // labels of the current method
+	var fixups, callFixups []fixup
+	labels := make(map[string]int)  // labels of the current method
+	methods := make(map[string]int) // first method of each name
 	entryName := ""
 
 	finishMethod := func() error {
@@ -56,33 +52,33 @@ func Assemble(src string) (*Program, error) {
 			fx.method.Code[fx.pc].Target = t
 		}
 		fixups = fixups[:0]
-		labels = make(map[string]int)
+		clear(labels)
 		return nil
 	}
 
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
+	for lineNo, rest, more := 0, src, true; more; lineNo++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		fields, n := splitFields(line)
+		if n == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
 		case "statics":
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, fmt.Errorf("line %d: statics wants one operand", lineNo+1)
 			}
-			n, err := parseInt(fields[1])
-			if err != nil || n < 0 {
+			v, err := parseInt(fields[1])
+			if err != nil || v < 0 {
 				return nil, fmt.Errorf("line %d: bad statics count %q", lineNo+1, fields[1])
 			}
-			p.NStatics = int(n)
+			p.NStatics = int(v)
 			continue
 		case "entry":
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, fmt.Errorf("line %d: entry wants a method name", lineNo+1)
 			}
 			entryName = fields[1]
@@ -91,7 +87,7 @@ func Assemble(src string) (*Program, error) {
 			if err := finishMethod(); err != nil {
 				return nil, err
 			}
-			if len(fields) != 4 {
+			if n != 4 {
 				return nil, fmt.Errorf("line %d: method wants name nargs nlocals", lineNo+1)
 			}
 			nargs, err1 := parseInt(fields[2])
@@ -100,10 +96,13 @@ func Assemble(src string) (*Program, error) {
 				return nil, fmt.Errorf("line %d: bad method header", lineNo+1)
 			}
 			cur = &Method{Name: fields[1], NArgs: int(nargs), NLocals: int(nlocals)}
+			if _, dup := methods[cur.Name]; !dup {
+				methods[cur.Name] = len(p.Methods)
+			}
 			p.Methods = append(p.Methods, cur)
 			continue
 		}
-		if strings.HasSuffix(fields[0], ":") && len(fields) == 1 {
+		if n == 1 && strings.HasSuffix(fields[0], ":") {
 			if cur == nil {
 				return nil, fmt.Errorf("line %d: label outside method", lineNo+1)
 			}
@@ -117,24 +116,24 @@ func Assemble(src string) (*Program, error) {
 		if cur == nil {
 			return nil, fmt.Errorf("line %d: instruction outside method", lineNo+1)
 		}
-		op, ok := opByName(fields[0])
+		op, ok := nameToOp[fields[0]]
 		if !ok {
 			return nil, fmt.Errorf("line %d: unknown mnemonic %q", lineNo+1, fields[0])
 		}
 		in := Instr{Op: op}
 		switch {
 		case op.IsBranch():
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, fmt.Errorf("line %d: %s wants a label", lineNo+1, op)
 			}
 			fixups = append(fixups, fixup{cur, len(cur.Code), fields[1], lineNo + 1})
 		case op == OpCall:
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, fmt.Errorf("line %d: call wants a method name", lineNo+1)
 			}
-			callFixups = append(callFixups, callFixup{cur, len(cur.Code), fields[1], lineNo + 1})
-		case op == OpConst || op == OpLoad || op == OpStore || op == OpGetStatic || op == OpPutStatic:
-			if len(fields) != 2 {
+			callFixups = append(callFixups, fixup{cur, len(cur.Code), fields[1], lineNo + 1})
+		case hasImmediate(op):
+			if n != 2 {
 				return nil, fmt.Errorf("line %d: %s wants an operand", lineNo+1, op)
 			}
 			v, err := parseInt(fields[1])
@@ -143,7 +142,7 @@ func Assemble(src string) (*Program, error) {
 			}
 			in.A = v
 		default:
-			if len(fields) != 1 {
+			if n != 1 {
 				return nil, fmt.Errorf("line %d: %s takes no operand", lineNo+1, op)
 			}
 		}
@@ -153,23 +152,55 @@ func Assemble(src string) (*Program, error) {
 		return nil, err
 	}
 	for _, cf := range callFixups {
-		mi := p.MethodIndex(cf.callee)
-		if mi < 0 {
-			return nil, fmt.Errorf("line %d: call to undefined method %q", cf.line, cf.callee)
+		mi, ok := methods[cf.label]
+		if !ok {
+			return nil, fmt.Errorf("line %d: call to undefined method %q", cf.line, cf.label)
 		}
 		cf.method.Code[cf.pc].A = int64(mi)
 	}
 	if entryName == "" {
 		entryName = "main"
 	}
-	p.Entry = p.MethodIndex(entryName)
-	if p.Entry < 0 {
+	mi, ok := methods[entryName]
+	if !ok {
 		return nil, fmt.Errorf("entry method %q not defined", entryName)
 	}
+	p.Entry = mi
 	if err := Verify(p); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// splitFields splits line around runs of white space as strings.Fields
+// does (unicode.IsSpace), without allocating: it keeps the first len(f)
+// fields, which is all any assembler line may have, and counts them all.
+func splitFields(line string) (f [4]string, n int) {
+	start := -1
+	for i, r := range line {
+		switch space := unicode.IsSpace(r); {
+		case !space && start < 0:
+			start = i
+		case space && start >= 0:
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n++
+			start = -1
+		}
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return f, n
+}
+
+// hasImmediate reports whether the opcode's operand is the integer A.
+func hasImmediate(o Op) bool {
+	return o == OpConst || o == OpLoad || o == OpStore || o == OpGetStatic || o == OpPutStatic
 }
 
 // MustAssemble is Assemble for tests and built-in workloads; it panics on
@@ -194,43 +225,62 @@ var nameToOp = func() map[string]Op {
 	return m
 }()
 
-func opByName(name string) (Op, bool) {
-	o, ok := nameToOp[name]
-	return o, ok
+// Dump renders the program in re-assemblable form, synthesizing labels for
+// branch targets. It is AppendDump as a string.
+func Dump(p *Program) string {
+	return string(AppendDump(nil, p))
 }
 
-// Dump renders the program in re-assemblable form, synthesizing labels for
-// branch targets.
-func Dump(p *Program) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "statics %d\n", p.NStatics)
-	fmt.Fprintf(&sb, "entry %s\n", p.Methods[p.Entry].Name)
+// AppendDump appends Dump's text to dst and returns the extended slice. It
+// is the one canonical renderer: program digests, job IDs and fleet
+// manifests are made from these bytes, so they must not change. A branch
+// target pc gets the label "L<pc>".
+func AppendDump(dst []byte, p *Program) []byte {
+	// About 12 bytes an instruction (the workloads render 9-12), so the
+	// text usually fits the first allocation.
+	dst = slices.Grow(dst, 12*p.CodeSize()+32*len(p.Methods))
+	dst = append(dst, "statics "...)
+	dst = strconv.AppendInt(dst, int64(p.NStatics), 10)
+	dst = append(dst, "\nentry "...)
+	dst = append(dst, p.Methods[p.Entry].Name...)
+	dst = append(dst, '\n')
+	var isTarget []bool // per pc of the current method
 	for _, m := range p.Methods {
-		fmt.Fprintf(&sb, "method %s %d %d\n", m.Name, m.NArgs, m.NLocals)
-		targets := make(map[int]string)
+		dst = append(dst, "method "...)
+		dst = append(dst, m.Name...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(m.NArgs), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(m.NLocals), 10)
+		dst = append(dst, '\n')
+		isTarget = slices.Grow(isTarget[:0], len(m.Code))[:len(m.Code)]
+		clear(isTarget)
 		for _, in := range m.Code {
-			if in.Op.IsBranch() {
-				if _, ok := targets[in.Target]; !ok {
-					targets[in.Target] = fmt.Sprintf("L%d", in.Target)
-				}
+			if in.Op.IsBranch() && in.Target >= 0 && in.Target < len(m.Code) {
+				isTarget[in.Target] = true
 			}
 		}
 		for pc, in := range m.Code {
-			if lbl, ok := targets[pc]; ok {
-				fmt.Fprintf(&sb, "%s:\n", lbl)
+			if isTarget[pc] {
+				dst = append(dst, 'L')
+				dst = strconv.AppendInt(dst, int64(pc), 10)
+				dst = append(dst, ":\n"...)
 			}
+			dst = append(dst, "  "...)
+			dst = append(dst, in.Op.String()...)
 			switch {
 			case in.Op.IsBranch():
-				fmt.Fprintf(&sb, "  %s %s\n", in.Op, targets[in.Target])
+				dst = append(dst, " L"...)
+				dst = strconv.AppendInt(dst, int64(in.Target), 10)
 			case in.Op == OpCall:
-				fmt.Fprintf(&sb, "  call %s\n", p.Methods[in.A].Name)
-			case in.Op == OpConst || in.Op == OpLoad || in.Op == OpStore ||
-				in.Op == OpGetStatic || in.Op == OpPutStatic:
-				fmt.Fprintf(&sb, "  %s %d\n", in.Op, in.A)
-			default:
-				fmt.Fprintf(&sb, "  %s\n", in.Op)
+				dst = append(dst, ' ')
+				dst = append(dst, p.Methods[in.A].Name...)
+			case hasImmediate(in.Op):
+				dst = append(dst, ' ')
+				dst = strconv.AppendInt(dst, in.A, 10)
 			}
+			dst = append(dst, '\n')
 		}
 	}
-	return sb.String()
+	return dst
 }

@@ -37,6 +37,31 @@ func FuzzAssemble(f *testing.F) {
 	})
 }
 
+// FuzzSplitFields checks the assembler's field splitter against strings.Fields,
+// the tokenizer it replaced: the same field count, and the same first
+// fields, for every input, Unicode white space and invalid UTF-8 included.
+func FuzzSplitFields(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "const 1", "  method main 0 0  ", "a\tb\vc\fd\re",
+		"method\u00a0main\u20030\u30000", "\u0085const\u2028 1\u2029", "const\u200b1",
+		"\xff \xc2\xa0 \xc2", "a b c d e f g", "ifeq\u1680L\u205fM",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		got, n := splitFields(line)
+		want := strings.Fields(line)
+		if n != len(want) {
+			t.Fatalf("splitFields(%q) counts %d, strings.Fields %d: %q", line, n, len(want), want)
+		}
+		for i := 0; i < min(n, len(got)); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("splitFields(%q)[%d] = %q, strings.Fields %q", line, i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // FuzzInterpreterRobustness runs structurally valid but adversarial
 // programs: the interpreter must always terminate with a result or a
 // RuntimeError, never panic.

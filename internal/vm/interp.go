@@ -125,6 +125,23 @@ var opPops = func() (t [opCount]int8) {
 	return t
 }()
 
+// checkHeader faults a program whose entry method or static area cannot
+// be set up, before the run sizes anything from them: only verified
+// programs are guaranteed sound. A missing entry method is named "?".
+func checkHeader(p *Program) error {
+	if p.Entry < 0 || p.Entry >= len(p.Methods) {
+		return &RuntimeError{Method: "?", Msg: fmt.Sprintf("entry method %d out of range (%d methods)", p.Entry, len(p.Methods))}
+	}
+	m := p.Methods[p.Entry]
+	switch {
+	case m.NLocals < 0:
+		return &RuntimeError{Method: m.Name, Msg: fmt.Sprintf("negative local count %d", m.NLocals)}
+	case p.NStatics < 0:
+		return &RuntimeError{Method: m.Name, Msg: fmt.Sprintf("negative static count %d", p.NStatics)}
+	}
+	return nil
+}
+
 // Run executes the program's entry method with zero-valued arguments and
 // returns its result. When opts.Trace is set, trace events are appended to
 // it as execution proceeds.
@@ -137,6 +154,9 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 // it lands on. Block tracking (CFGs, block entries) runs only when
 // opts.Trace or opts.Profile asks for it.
 func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
+	if err := checkHeader(p); err != nil {
+		return nil, err
+	}
 	stepLimit := opts.StepLimit
 	if stepLimit == 0 {
 		stepLimit = 100_000_000

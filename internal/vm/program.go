@@ -83,16 +83,6 @@ func (p *Program) MethodByName(name string) *Method {
 	return nil
 }
 
-// MethodIndex returns the index of the named method, or -1.
-func (p *Program) MethodIndex(name string) int {
-	for i, m := range p.Methods {
-		if m.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // CodeSize returns the total instruction count across all methods — the
 // program-size metric used by the Figure 8(b) experiment. One instruction
 // is the unit; DESIGN.md documents the bytes-per-instruction convention.

@@ -303,23 +303,30 @@ func TestUnverifiedControlFaults(t *testing.T) {
 		prog   *Program
 		wantPC int
 		msg    string
+		method string
 	}{
 		{"branch falls through past end", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpConst}, Instr{Op: OpIfNe})}}, 1, "branch to pc 2"},
+			Instr{Op: OpConst}, Instr{Op: OpIfNe})}}, 1, "branch to pc 2", "main"},
 		{"branch taken past end", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpConst, A: 1}, Instr{Op: OpIfNe, Target: 9}, Instr{Op: OpRet})}}, 1, "branch to pc 9"},
+			Instr{Op: OpConst, A: 1}, Instr{Op: OpIfNe, Target: 9}, Instr{Op: OpRet})}}, 1, "branch to pc 9", "main"},
 		{"branch taken to negative pc", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpConst}, Instr{Op: OpConst}, Instr{Op: OpIfCmpEq, Target: -1}, Instr{Op: OpRet})}}, 2, "branch to pc -1"},
+			Instr{Op: OpConst}, Instr{Op: OpConst}, Instr{Op: OpIfCmpEq, Target: -1}, Instr{Op: OpRet})}}, 2, "branch to pc -1", "main"},
 		{"goto past end", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpGoto, Target: 5}, Instr{Op: OpRet})}}, 0, "branch to pc 5"},
+			Instr{Op: OpGoto, Target: 5}, Instr{Op: OpRet})}}, 0, "branch to pc 5", "main"},
 		{"return into end of caller", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpCall, A: 1}), ret7}}, 1, "fell off end"},
+			Instr{Op: OpCall, A: 1}), ret7}}, 1, "fell off end", "main"},
 		{"callee out of range", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpCall, A: 4}, Instr{Op: OpRet})}}, 0, "callee index"},
+			Instr{Op: OpCall, A: 4}, Instr{Op: OpRet})}}, 0, "callee index", "main"},
 		{"callee args exceed locals", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: OpConst}, Instr{Op: OpCall, A: 1}, Instr{Op: OpRet}), method("f", 1, 0, Instr{Op: OpRet})}}, 1, "takes 1 args"},
+			Instr{Op: OpConst}, Instr{Op: OpCall, A: 1}, Instr{Op: OpRet}), method("f", 1, 0, Instr{Op: OpRet})}}, 1, "takes 1 args", "main"},
 		{"invalid opcode", &Program{Methods: []*Method{method("main", 0, 0,
-			Instr{Op: opCount + 3}, Instr{Op: OpRet})}}, 0, "invalid opcode"},
+			Instr{Op: opCount + 3}, Instr{Op: OpRet})}}, 0, "invalid opcode", "main"},
+		{"entry out of range", &Program{Methods: []*Method{ret7}, Entry: 3}, 0, "entry method 3 out of range", "?"},
+		{"negative entry", &Program{Methods: []*Method{ret7}, Entry: -1}, 0, "entry method -1 out of range", "?"},
+		{"entry with negative locals", &Program{Methods: []*Method{method("main", 0, -1,
+			Instr{Op: OpConst}, Instr{Op: OpRet})}}, 0, "negative local count -1", "main"},
+		{"negative statics", &Program{Methods: []*Method{method("main", 0, 0,
+			Instr{Op: OpConst}, Instr{Op: OpRet})}, NStatics: -2}, 0, "negative static count -2", "main"},
 	}
 	for _, c := range cases {
 		_, err := Run(c.prog, RunOptions{})
@@ -328,8 +335,8 @@ func TestUnverifiedControlFaults(t *testing.T) {
 			t.Errorf("%s: Run returned %v, want a *RuntimeError", c.name, err)
 			continue
 		}
-		if re.Method != "main" || re.PC != c.wantPC || !strings.Contains(re.Msg, c.msg) {
-			t.Errorf("%s: fault %+v, want main at pc %d with %q", c.name, *re, c.wantPC, c.msg)
+		if re.Method != c.method || re.PC != c.wantPC || !strings.Contains(re.Msg, c.msg) {
+			t.Errorf("%s: fault %+v, want %s at pc %d with %q", c.name, *re, c.method, c.wantPC, c.msg)
 		}
 		_, _, errTrace := CollectWith(c.prog, RunOptions{})
 		_, _, errBits := CollectBits(c.prog, RunOptions{})
@@ -398,19 +405,63 @@ join:
 	}
 }
 
+// TestAssembleErrors pins the assembler's verdict on malformed and
+// unusual sources: the exact error text, line number included, or ""
+// where the source assembles. Unicode white space separates fields as it
+// does for strings.Fields; a zero-width space does not.
 func TestAssembleErrors(t *testing.T) {
-	bad := []string{
-		"method main 0 0\n  bogus\n  ret\n",
-		"method main 0 0\n  goto nowhere\n  const 0\n  ret\n",
-		"method main 0 0\n  call nothing\n  ret\n",
-		"entry missing\nmethod main 0 0\n  const 0\n  ret\n",
-		"method main 0 0\nL:\nL:\n  const 0\n  ret\n",
-		"  const 1\n",
-		"method main 0 0\n  const\n  ret\n",
+	cases := []struct{ src, err string }{
+		{"method main 0 0\n  bogus\n  ret\n", "line 2: unknown mnemonic \"bogus\""},
+		{"method main 0 0\n  goto nowhere\n  const 0\n  ret\n", "line 2: undefined label \"nowhere\" in method main"},
+		{"method main 0 0\n  call nothing\n  ret\n", "line 2: call to undefined method \"nothing\""},
+		{"entry missing\nmethod main 0 0\n  const 0\n  ret\n", "entry method \"missing\" not defined"},
+		{"method main 0 0\nL:\nL:\n  const 0\n  ret\n", "line 3: duplicate label \"L\""},
+		{"  const 1\n", "line 1: instruction outside method"},
+		{"method main 0 0\n  const\n  ret\n", "line 2: const wants an operand"},
+		{"", "entry method \"main\" not defined"},
+		{"\n\n; only a comment\n", "entry method \"main\" not defined"},
+		{"L:\n", "line 1: label outside method"},
+		{"statics\n", "line 1: statics wants one operand"},
+		{"statics -1\n", "line 1: bad statics count \"-1\""},
+		{"statics 1 2\n", "line 1: statics wants one operand"},
+		{"statics x\nmethod main 0 0\n  const 0\n  ret\n", "line 1: bad statics count \"x\""},
+		{"entry\n", "line 1: entry wants a method name"},
+		{"entry a b\n", "line 1: entry wants a method name"},
+		{"method main 0\n", "line 1: method wants name nargs nlocals"},
+		{"method main 0 0 0\n", "line 1: method wants name nargs nlocals"},
+		{"method main x 0\n", "line 1: bad method header"},
+		{"method main 0 0\n  const 1 2\n  ret\n", "line 2: const wants an operand"},
+		{"method main 0 0\n  const 0x\n  ret\n", "line 2: bad operand \"0x\""},
+		{"method main 0 0\n  const 99999999999999999999\n  ret\n", "line 2: bad operand \"99999999999999999999\""},
+		{"method main 0 0\n  goto\n  ret\n", "line 2: goto wants a label"},
+		{"method main 0 0\n  goto a b\n  ret\n", "line 2: goto wants a label"},
+		{"method main 0 0\n  call\n  ret\n", "line 2: call wants a method name"},
+		{"method main 0 0\n  call a b\n  ret\n", "line 2: call wants a method name"},
+		{"method main 0 0\n  ret 1\n", "line 2: ret takes no operand"},
+		{"method main 0 0\n  ret\n", "vm: method main: pc 0: stack underflow (ret needs 1, has 0)"},
+		{"method main 0 0\n  const 0\n  ret\nmethod main 0 0\n  const 0\n  ret\n", "vm: duplicate method name \"main\""},
+		{"method main 0 0\n  call f\n  ret\nmethod f 0 0\n  const 0\n  ret\nmethod f 0 0\n  const 1\n  ret\n", "vm: duplicate method name \"f\""},
+		{"method main 0 0\nL: extra\n  const 0\n  ret\n", "line 2: unknown mnemonic \"L:\""},
+		{"method main 0 0\n:\n  goto \n  const 0\n  ret\n", "line 3: goto wants a label"},
+		{"method main 0 0\r\n  const 1\r\n  ret\r\n", ""},
+		{"method\u00a0main\u20030\u30000\n\u0085const\v1\f\n  ret\n", ""},
+		{"method main 0 0\n  const 1 ; trailing ; comment\n  ret;x\n", ""},
+		{"method main 0 0\n  const\u200b1\n  ret\n", "line 2: unknown mnemonic \"const\\u200b1\""},
+		{"method main 0 0\n  const \xff\n  ret\n", "line 2: bad operand \"\\xff\""},
+		{"method m\u00a0 0 0\n  const 1\n  ret\nentry m\n", ""},
+		{"entry f\nmethod f -1 0\n  const 1\n  ret\n", "vm: method f: NLocals 0 < NArgs -1"},
+		{"method main 0 1\n  const 0x10\n  store 0\n  load 0\n  ifeq done\n  const -7\n  pop\ndone:\n  const 0\n  ret\n", ""},
+		{"method main 0 0\n  const 1\n  goto L\nL:\n  ret\nmethod main2 0 0\nL:\n  goto L\n", ""},
+		{"method main 0 0\n  goto L\n  const 0\n  ret\nmethod g 0 0\nL:\n  const 0\n  ret\n", "line 2: undefined label \"L\" in method main"},
 	}
-	for i, src := range bad {
-		if _, err := Assemble(src); err == nil {
-			t.Errorf("case %d: Assemble accepted bad source", i)
+	for _, c := range cases {
+		_, err := Assemble(c.src)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.err {
+			t.Errorf("Assemble(%q) error %q, want %q", c.src, got, c.err)
 		}
 	}
 }

@@ -128,11 +128,11 @@ func EmbedBatch(p *vm.Program, ws []*big.Int, key *Key, opts BatchOptions) ([]Fi
 }
 
 // ProgramDigest content-addresses a program: the SHA-256 of its canonical
-// disassembly. Two programs digest equal iff they disassemble identically,
-// which is exactly the granularity at which traces (and hence recognition
-// inputs) can be shared.
+// disassembly (vm.AppendDump). Two programs digest equal iff they
+// disassemble identically, which is exactly the granularity at which
+// traces (and hence recognition inputs) can be shared.
 func ProgramDigest(p *vm.Program) cache.Digest {
-	return cache.DigestBytes([]byte(vm.Dump(p)))
+	return cache.DigestBytes(vm.AppendDump(nil, p))
 }
 
 // TraceKey is the content address of a decoded trace bit-string: the
