@@ -21,7 +21,7 @@ import (
 )
 
 // demoCipher is the default -key cipher ("pathmark":"PLDI2004" as hex),
-// used by the in-memory demo and bench modes that take no -key flag.
+// used by the in-memory demo, which takes no -key flag.
 func demoCipher() feistel.Key {
 	return feistel.KeyFromUint64(0x6b72616d68746170, 0x504c444932303034)
 }
@@ -85,7 +85,7 @@ func (m *fleetManifest) customerName(i int) string {
 // cmdFleet dispatches the fleet modes and returns the process exit code.
 func cmdFleet(args []string) int {
 	if len(args) < 1 {
-		fmt.Fprintln(os.Stderr, "usage: pathmark fleet {embed|identify|grade|demo|bench} [flags]")
+		fmt.Fprintln(os.Stderr, "usage: pathmark fleet {embed|identify|grade|demo} [flags]")
 		return exitUsage
 	}
 	switch args[0] {
@@ -97,10 +97,8 @@ func cmdFleet(args []string) int {
 		return cmdFleetGrade(args[1:])
 	case "demo":
 		return cmdFleetDemo(args[1:])
-	case "bench":
-		return cmdFleetBench(args[1:])
 	default:
-		fmt.Fprintln(os.Stderr, "usage: pathmark fleet {embed|identify|grade|demo|bench} [flags]")
+		fmt.Fprintln(os.Stderr, "usage: pathmark fleet {embed|identify|grade|demo} [flags]")
 		return exitUsage
 	}
 }
@@ -340,13 +338,13 @@ func cmdFleetIdentify(args []string) int {
 func cmdFleetDemo(args []string) int {
 	fs := flag.NewFlagSet("fleet demo", flag.ExitOnError)
 	n := fs.Int("n", 6, "fleet size")
-	leak := fs.Int("leak", 0, "customer index whose copy 'leaks' (default: last)")
+	leak := fs.Int("leak", -1, "customer index whose copy 'leaks' (-1: the last)")
 	seed := fs.Int64("seed", 1, "randomness seed")
 	fs.Parse(args)
 	if *n < 2 {
 		fatal(fmt.Errorf("-n must be at least 2"))
 	}
-	if *leak == 0 {
+	if *leak == -1 {
 		*leak = *n - 1
 	}
 	if *leak < 0 || *leak >= *n {
@@ -407,229 +405,4 @@ func cmdFleetDemo(args []string) int {
 		res.TraceStats.Misses, res.TraceStats.Hits,
 		res.DecryptStats.Misses, res.DecryptStats.Hits)
 	return exitOK
-}
-
-// benchRecord is one line of BENCH_fleet.json: a benchstat-style
-// old-vs-new comparison (uncached vs cached, or per-copy single vs
-// batch), appended as JSONL so CI runs accumulate.
-type benchRecord struct {
-	Name    string  `json:"name"`
-	OldNS   int64   `json:"old_ns"`
-	NewNS   int64   `json:"new_ns"`
-	Delta   string  `json:"delta"` // benchstat-style percent change
-	Speedup float64 `json:"speedup"`
-	Note    string  `json:"note,omitempty"`
-	// Scan-kernel throughput, set only on the scan-kernel record: windows
-	// graded per second by the new (batched) and old (scalar popcount-only)
-	// kernels. Absolute figures are machine-specific; the regression gate
-	// compares the speedup ratio, which is not.
-	WindowsPerSec    float64 `json:"windows_per_sec,omitempty"`
-	WindowsPerSecOld float64 `json:"windows_per_sec_old,omitempty"`
-}
-
-func compareNS(name string, oldNS, newNS int64, note string) benchRecord {
-	r := benchRecord{Name: name, OldNS: oldNS, NewNS: newNS, Note: note}
-	if oldNS > 0 {
-		r.Speedup = float64(oldNS) / float64(newNS)
-		r.Delta = fmt.Sprintf("%+.1f%%", (float64(newNS)-float64(oldNS))/float64(oldNS)*100)
-	}
-	return r
-}
-
-// cmdFleetBench measures the fleet layer's two amortizations on the
-// MiniCalc workload — batch embedding vs N standalone embeds, and
-// cached vs uncached recognition of one suspect against the fleet key —
-// and appends the comparisons to a JSONL file (default BENCH_fleet.json).
-func cmdFleetBench(args []string) int {
-	fs := flag.NewFlagSet("fleet bench", flag.ExitOnError)
-	out := fs.String("json", "BENCH_fleet.json", "append benchmark comparison records to this JSONL file")
-	n := fs.Int("n", 16, "fleet size for the embed comparison")
-	rounds := fs.Int("rounds", 3, "measurement rounds (best is kept)")
-	seed := fs.Int64("seed", 1, "randomness seed")
-	gate := fs.Bool("gate", false, "fail if the scan-kernel speedup regressed >10% vs the last recorded run")
-	fs.Parse(args)
-
-	// The Jess-like host is large enough that tracing and site analysis —
-	// the work EmbedBatch shares across copies — dominate a single embed;
-	// on a toy host codegen dominates and the amortization is invisible.
-	host := workloads.JessLike(workloads.JessLikeOptions{Seed: 8, Methods: 60, BlockSize: 150})
-	key, err := wm.NewKey(nil, demoCipher(), 128)
-	if err != nil {
-		fatal(err)
-	}
-	ws := make([]*big.Int, *n)
-	for i := range ws {
-		ws[i] = wm.RandomWatermark(128, 2000+uint64(i))
-	}
-	// Minimum prime-cover pieces — the lean fingerprinting config, where
-	// per-copy codegen is small and the shared trace/analysis dominates.
-	embedOpts := wm.EmbedOptions{Seed: *seed, Pieces: len(key.Params.Primes()) - 1}
-
-	best := func(f func() error) int64 {
-		bestNS := int64(0)
-		for r := 0; r < *rounds; r++ {
-			t0 := time.Now()
-			if err := f(); err != nil {
-				fatal(err)
-			}
-			if ns := time.Since(t0).Nanoseconds(); bestNS == 0 || ns < bestNS {
-				bestNS = ns
-			}
-		}
-		return bestNS
-	}
-
-	// Embed: N standalone calls (re-tracing every time) vs one batch.
-	singleNS := best(func() error {
-		for i := range ws {
-			if _, _, err := wm.Embed(host, ws[i], key, wm.EmbedOptions{Seed: embedOpts.Seed + int64(i), Pieces: embedOpts.Pieces}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	var copies []wm.Fingerprint
-	batchNS := best(func() error {
-		var err error
-		copies, err = wm.EmbedBatch(host, ws, key, wm.BatchOptions{
-			EmbedOptions: embedOpts,
-		})
-		return err
-	})
-	singleOneNS := best(func() error {
-		_, _, err := wm.Embed(host, ws[0], key, embedOpts)
-		return err
-	})
-
-	// Recognize: uncached vs warm per-key decrypt cache on one suspect.
-	suspect := copies[len(copies)-1].Program
-	uncachedNS := best(func() error {
-		_, err := wm.RecognizeWithOpts(suspect, key, wm.RecognizeOpts{Workers: 1})
-		return err
-	})
-	warm := cache.NewCache64(0)
-	if _, err := wm.RecognizeWithOpts(suspect, key, wm.RecognizeOpts{Workers: 1, DecryptCache: warm}); err != nil {
-		fatal(err)
-	}
-	cachedNS := best(func() error {
-		_, err := wm.RecognizeWithOpts(suspect, key, wm.RecognizeOpts{Workers: 1, DecryptCache: warm})
-		return err
-	})
-
-	// Scan kernel: the pre-rebuild kernel (wm.ScanBaselinePR5 — the frozen
-	// replica of the closure-driven loop with its popcount-only prefilter,
-	// per-window bound-method decrypt, and full statement decode on every
-	// decrypted window) against the rebuilt scan stage (stacked prefilters,
-	// word screen, batched block decryption, batched framing check). The
-	// trace is decoded once outside the timed region and both legs run only
-	// the scan stage — no vote/CRT tail — so the comparison is the kernel
-	// and nothing else; serial, uncached. The suspect for this leg carries
-	// a full redundant embedding (128 pieces, the recognition benchmarks'
-	// configuration) rather than the fleet's lean fingerprints: kernel
-	// throughput is measured on the densely marked traces the scan is
-	// sized for, not on the shortest trace the embedder can produce.
-	scanSuspect, _, err := wm.Embed(host, ws[0], key, wm.EmbedOptions{Seed: *seed, Pieces: 128})
-	if err != nil {
-		fatal(err)
-	}
-	suspectBits, _, err := vm.CollectBits(scanSuspect, vm.RunOptions{Input: key.Input})
-	if err != nil {
-		fatal(err)
-	}
-	var scanWindows int
-	baselineNS := best(func() error {
-		st := wm.ScanBaselinePR5(suspectBits, key)
-		scanWindows = st.Windows
-		return nil
-	})
-	batchedNS := best(func() error {
-		st, err := wm.ScanOnly(suspectBits, key, wm.RecognizeOpts{Workers: 1})
-		if err == nil && st.Windows != scanWindows {
-			return fmt.Errorf("scan-kernel legs disagree on window count: %d vs %d",
-				st.Windows, scanWindows)
-		}
-		return err
-	})
-	scanRec := compareNS("fleet/recognize/scan-kernel", baselineNS, batchedNS,
-		"pre-rebuild kernel replica vs batched stacked-prefilter kernel, scan stage only, serial, uncached")
-	scanRec.WindowsPerSec = float64(scanWindows) / (float64(batchedNS) / 1e9)
-	scanRec.WindowsPerSecOld = float64(scanWindows) / (float64(baselineNS) / 1e9)
-
-	records := []benchRecord{
-		scanRec,
-		compareNS(fmt.Sprintf("fleet/embed-%d/standalone-vs-batch", *n), singleNS, batchNS,
-			fmt.Sprintf("one shared trace+analysis for %d copies", *n)),
-		compareNS(fmt.Sprintf("fleet/embed-%d/batch-vs-4x-single", *n), 4*singleOneNS, batchNS,
-			"acceptance bound: batch of 16 must beat 4x one embed"),
-		compareNS("fleet/recognize/uncached-vs-cached", uncachedNS, cachedNS,
-			"warm per-key decrypt cache, serial scan"),
-	}
-	// The regression baseline is the last scan-kernel record already in
-	// the file, read before this run's records are appended.
-	baseline, haveBaseline := lastScanRecord(*out)
-
-	f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-40s old=%-12v new=%-12v %-8s (%.2fx)\n",
-			r.Name, time.Duration(r.OldNS).Round(time.Microsecond),
-			time.Duration(r.NewNS).Round(time.Microsecond), r.Delta, r.Speedup)
-	}
-	fmt.Printf("scan kernel: %.0f windows/s batched vs %.0f windows/s pre-rebuild (%d windows)\n",
-		scanRec.WindowsPerSec, scanRec.WindowsPerSecOld, scanWindows)
-	fmt.Printf("appended %d records to %s\n", len(records), *out)
-	if batchNS >= 4*singleOneNS {
-		fmt.Fprintf(os.Stderr, "pathmark: WARNING: batch of %d took %.1fx a single embed (acceptance bound is 4x)\n",
-			*n, float64(batchNS)/float64(singleOneNS))
-	}
-	if *gate && haveBaseline {
-		// Gate on the speedup ratio, not absolute windows/sec: the ratio
-		// cancels out machine speed, so a recorded run on fast hardware
-		// does not fail every CI box. A >10% ratio drop means the batched
-		// kernel itself regressed relative to the frozen PR 5 replica.
-		if scanRec.Speedup < 0.9*baseline.Speedup {
-			fmt.Fprintf(os.Stderr,
-				"pathmark: FAIL: scan-kernel speedup %.2fx regressed >10%% vs recorded %.2fx\n",
-				scanRec.Speedup, baseline.Speedup)
-			return exitError
-		}
-		fmt.Printf("gate: scan-kernel speedup %.2fx vs recorded %.2fx — ok\n",
-			scanRec.Speedup, baseline.Speedup)
-	} else if *gate {
-		fmt.Printf("gate: no recorded scan-kernel baseline in %s, gate passes vacuously\n", *out)
-	}
-	return exitOK
-}
-
-// lastScanRecord scans a BENCH_fleet.json JSONL file for the most
-// recent scan-kernel comparison, used as the -gate regression baseline.
-// Unparseable lines are skipped: the file accumulates across versions
-// and old shapes must not wedge the gate.
-func lastScanRecord(path string) (benchRecord, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return benchRecord{}, false
-	}
-	var last benchRecord
-	found := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var r benchRecord
-		if json.Unmarshal([]byte(line), &r) != nil {
-			continue
-		}
-		if r.Name == "fleet/recognize/scan-kernel" && r.Speedup > 0 {
-			last, found = r, true
-		}
-	}
-	return last, found
 }

@@ -8,8 +8,7 @@
 //	pathmark fleet embed    -in prog.pasm -outdir DIR -n N [-savekey DIR/fleet.key]
 //	pathmark fleet identify -in suspect.pasm -manifest DIR/fleet.json -keyfile DIR/fleet.key
 //	pathmark fleet grade    -manifest DIR/fleet.json -keyfile DIR/fleet.key -job JOBDIR [-suspects a.pasm,b.pasm]
-//	pathmark fleet demo     [-n N]          # in-memory end-to-end fingerprinting demo
-//	pathmark fleet bench    [-json FILE]    # cached-vs-uncached comparisons, appended as JSONL
+//	pathmark fleet demo     [-n N] [-leak I]  # in-memory end-to-end fingerprinting demo
 //	pathmark serve   -dir JOBROOT [-addr HOST:PORT]   # crash-safe recognition daemon (HTTP)
 //	pathmark top     {-job JOBDIR | -url URL} [-interval 1s]  # live view of a job's trace stream
 //	pathmark watch   [-in STREAM] [-format bits|events] [-follow]  # streaming recognition over a live trace

@@ -191,23 +191,33 @@ func TestFleetCLIRoundTrip(t *testing.T) {
 }
 
 // TestFleetDemoSmoke runs the in-memory demo end to end — the same
-// invocation CI uses — and checks it tells the full story.
+// invocation CI uses — and checks it tells the full story. By default
+// the last copy leaks; -leak 0 must leak the first, not fall back to it.
 func TestFleetDemoSmoke(t *testing.T) {
-	var code int
-	out := captureStdout(t, func() {
-		code = cmdFleetDemo([]string{"-n", "4"})
-	})
-	if code != exitOK {
-		t.Fatalf("fleet demo: exit %d\n%s", code, out)
-	}
-	for _, want := range []string{
-		"embedded 4 fingerprinted",
-		"leaked copy identified as customer 3",
-		"unmarked host matches no customer",
-		"caches",
+	for _, tc := range []struct {
+		args   []string
+		leaked string
+	}{
+		{[]string{"-n", "4"}, "customer 3"},
+		{[]string{"-n", "4", "-leak", "0"}, "customer 0"},
+		{[]string{"-n", "4", "-leak", "2"}, "customer 2"},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("demo output missing %q:\n%s", want, out)
+		var code int
+		out := captureStdout(t, func() {
+			code = cmdFleetDemo(tc.args)
+		})
+		if code != exitOK {
+			t.Fatalf("fleet demo %v: exit %d\n%s", tc.args, code, out)
+		}
+		for _, want := range []string{
+			"embedded 4 fingerprinted",
+			"leaked copy identified as " + tc.leaked + " ",
+			"unmarked host matches no customer",
+			"caches",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("demo %v output missing %q:\n%s", tc.args, want, out)
+			}
 		}
 	}
 }

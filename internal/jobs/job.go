@@ -540,16 +540,18 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	var ran, skipped int64
 
 	type cell struct{ s, k int }
-	// failed stops every worker after a journal failure, not only the
-	// one whose settle hit it.
+	// A journal failure stops every worker, not only the one whose settle
+	// hit it. The WAL counts the failure before it releases its lock, so
+	// a worker whose settle follows it (the WAL reopens itself) stops
+	// before taking another cell, even if the failing worker has not yet
+	// recorded appendErr.
 	var appendErr error
 	var appendOnce sync.Once
-	var failed atomic.Bool
-	fail := func(err error) {
-		appendOnce.Do(func() { appendErr = err })
-		failed.Store(true)
+	fail := func(err error) { appendOnce.Do(func() { appendErr = err }) }
+	failuresBefore := j.journal.Failures()
+	stop := func() bool {
+		return j.journal.Failures() != failuresBefore || (ctx != nil && ctx.Err() != nil)
 	}
-	stop := func() bool { return failed.Load() || (ctx != nil && ctx.Err() != nil) }
 
 	for lo := 0; lo < M; lo += wave {
 		hi := lo + wave

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"pathmark/internal/iofault"
 )
@@ -32,6 +33,10 @@ type WAL struct {
 	bytes   int64 // committed bytes: advanced only after write+sync succeed
 	records int64
 	broken  bool
+	// failures counts failed Appends. It is bumped before the failing
+	// Append releases mu, so a writer that appends after a failure (the
+	// WAL reopens itself) already sees it.
+	failures atomic.Int64
 }
 
 // CreateWAL starts a fresh log at path (which must not exist) whose first
@@ -185,9 +190,14 @@ func (w *WAL) failLocked() {
 // kill -9. On error the WAL fail-stops: the handle is closed, nothing is
 // counted as committed, and the next Append transparently reopens the
 // file truncated back to the committed prefix.
-func (w *WAL) Append(v any) error {
+func (w *WAL) Append(v any) (err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer func() {
+		if err != nil {
+			w.failures.Add(1)
+		}
+	}()
 	if w.broken || w.f == nil {
 		if w.f == nil && !w.broken {
 			return fmt.Errorf("jobs: append to closed journal %s", w.path)
@@ -198,6 +208,10 @@ func (w *WAL) Append(v any) error {
 	}
 	return w.appendLocked(v, w.sync)
 }
+
+// Failures reports how many Appends have returned an error. It takes no
+// lock, so a caller may poll it while another goroutine is mid-fsync.
+func (w *WAL) Failures() int64 { return w.failures.Load() }
 
 func (w *WAL) appendLocked(v any, syncNow bool) error {
 	b, err := json.Marshal(v)

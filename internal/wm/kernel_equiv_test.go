@@ -118,10 +118,10 @@ func (a *scanAccum) scanRange(b *bitstring.Bits, stride, phase, lo, hi int, env 
 	}
 }
 
-// referenceRecognize is RecognizeBits with the scalar reference kernel:
-// a serial scan of the raw string and both stride-2 phases, then the
-// production vote tail. filters nil means DefaultFilters.
-func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.Cache64) *Recognition {
+// referenceScan is scanBits with the scalar reference kernel: a serial
+// scan of the raw string and both stride-2 phases. filters nil means
+// DefaultFilters.
+func referenceScan(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.Cache64) *scanAccum {
 	f := DefaultFilters
 	if filters != nil {
 		f = *filters
@@ -135,6 +135,13 @@ func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack, c *ca
 			acc.scanRange(b, 2, phase, 0, b.StrideNumWindows64(2, phase), env)
 		}
 	}
+	return acc
+}
+
+// referenceRecognize is RecognizeBits with the scalar reference kernel:
+// referenceScan, then the production vote tail.
+func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.Cache64) *Recognition {
+	acc := referenceScan(b, key, filters, c)
 	rec := acc.recognition(b.Len())
 	for st, n := range acc.counts {
 		acc.counts[st] = min(n, countCap)
@@ -300,8 +307,8 @@ func TestEmbeddedPiecesSurviveFilters(t *testing.T) {
 
 // BenchmarkRecognizeKernels measures RecognizeBits (scan + vote) over a
 // densely marked trace with the production kernel and default stack,
-// serial. The pre-rebuild comparison lives in the fleet bench's
-// ScanBaselinePR5 leg.
+// serial. TestScanStageSpeed times the scan stage alone against the
+// reference kernel.
 func BenchmarkRecognizeKernels(b *testing.B) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 128)
 	if err != nil {

@@ -531,6 +531,38 @@ func scanBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*scanAccum, []*S
 	return runScan(opts.Ctx, chunks, workers, key, cfg)
 }
 
+// ScanStats summarizes one scan-stage run for benchmarking and
+// reporting: window positions visited, windows submitted to the
+// decrypt layer, windows decoding to an in-range statement, and the
+// windows each filter layer rejected.
+type ScanStats struct {
+	Windows   int
+	Decrypted int
+	Valid     int
+	Rejected  LayerRejects
+}
+
+// ScanOnly runs just the scan stage of RecognizeBits — the window
+// filter/decrypt/decode pipeline over the bit-string and its stride-2
+// phases — without the vote and CRT stages, so benchmarks can measure
+// kernel throughput in isolation. Worker count, filters, scan hook, and
+// cache come from opts exactly as in RecognizeBits.
+func ScanOnly(b *bitstring.Bits, key *Key, opts RecognizeOpts) (ScanStats, error) {
+	if err := b.Validate(); err != nil {
+		return ScanStats{}, err
+	}
+	acc, _, err := scanBits(b, key, opts)
+	if err != nil {
+		return ScanStats{}, err
+	}
+	return ScanStats{
+		Windows:   acc.windows,
+		Decrypted: acc.decrypted,
+		Valid:     acc.valid,
+		Rejected:  acc.rej,
+	}, nil
+}
+
 // resolveStatements runs the serial tail of the pipeline on the merged
 // statement counts: the W mod p_i vote, the consistency graphs, and the
 // Generalized-CRT reconstruction, filling the remaining Recognition

@@ -57,8 +57,8 @@ func BenchmarkScanStage(b *testing.B) {
 // BenchmarkScanCache measures the decrypt cache's effect on the scan
 // stage: off (every window decrypted), cold (fresh cache per scan — the
 // single-suspect case), and warm (cache reused across scans — the corpus
-// case, where repeats are answered from the table). The CI fleet-bench
-// step records the off-vs-warm ratio in BENCH_fleet.json.
+// case, where repeats are answered from the table). EXPERIMENTS.md's
+// fleet amortization table quotes the off-vs-warm ratio.
 func BenchmarkScanCache(b *testing.B) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 128)
 	if err != nil {
