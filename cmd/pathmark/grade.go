@@ -109,37 +109,29 @@ func cmdFleetGrade(args []string) int {
 			DeterministicTrace: *traceDet,
 		},
 	}
-	if *crashAfter > 0 {
-		n := *crashAfter
-		spec.Opts.OnGrade = func(completed int) {
-			if completed >= n {
-				// Deliberately abrupt — no flushes, no deferred cleanup —
-				// so the CI smoke test exercises the same recovery path a
-				// kill -9 would. The journal record for grade N is already
-				// fsynced when OnGrade fires.
-				fmt.Fprintf(os.Stderr, "pathmark: -crash-after %d: simulating crash\n", n)
-				os.Exit(exitError)
-			}
+	// OnEvent is called from worker goroutines; the mutex serializes the
+	// progress throttle state and keeps stderr lines whole. The crash
+	// check runs first, so -crash-after still fires with -progress on.
+	gradeTotal := len(progs) // one key per grade job
+	var progMu sync.Mutex
+	var last time.Time
+	spec.Opts.OnEvent = func(ev jobs.GradeEvent) {
+		if n := *crashAfter; n > 0 && ev.Completed >= n {
+			// Deliberately abrupt — no flushes, no deferred cleanup — so
+			// the CI smoke test exercises the same recovery path a kill -9
+			// would. The journal record for grade N is already fsynced
+			// when OnEvent fires.
+			fmt.Fprintf(os.Stderr, "pathmark: -crash-after %d: simulating crash\n", n)
+			os.Exit(exitError)
 		}
-	}
-	if *progress {
-		// Chain after any -crash-after hook so the crash still fires first.
-		// OnGrade is called from worker goroutines; the mutex serializes the
-		// throttle state and keeps stderr lines whole.
-		total := len(progs) * 1 // one key per grade job
-		prev := spec.Opts.OnGrade
-		var progMu sync.Mutex
-		var last time.Time
-		spec.Opts.OnGrade = func(completed int) {
-			if prev != nil {
-				prev(completed)
-			}
-			progMu.Lock()
-			defer progMu.Unlock()
-			if now := time.Now(); completed == total || now.Sub(last) >= 200*time.Millisecond {
-				last = now
-				fmt.Fprintf(os.Stderr, "pathmark: graded %d/%d\n", completed, total)
-			}
+		if !*progress {
+			return
+		}
+		progMu.Lock()
+		defer progMu.Unlock()
+		if now := time.Now(); ev.Completed == gradeTotal || now.Sub(last) >= 200*time.Millisecond {
+			last = now
+			fmt.Fprintf(os.Stderr, "pathmark: graded %d/%d\n", ev.Completed, gradeTotal)
 		}
 	}
 

@@ -170,9 +170,10 @@ func (j *serveJob) setStatus(status, errMsg string) {
 	j.mu.Unlock()
 }
 
-// observe folds one settled grade into the live aggregates. Called from
-// job worker goroutines.
+// observe folds one settled grade into the live aggregates, publishing
+// the journaled-grade count last. Called from job worker goroutines.
 func (j *serveJob) observe(ev jobs.GradeEvent) {
+	defer j.completed.Store(int64(ev.Completed))
 	if ev.Attempts > 1 {
 		j.retries.Add(int64(ev.Attempts - 1))
 	}
@@ -593,7 +594,6 @@ func (s *server) startLocked(id, dir string, spec jobs.Spec) *serveJob {
 		done:   make(chan struct{}),
 		status: "queued",
 	}
-	spec.Opts.OnGrade = func(completed int) { j.completed.Store(int64(completed)) }
 	spec.Opts.OnEvent = j.observe
 	s.jobs[id] = j
 	s.wg.Add(1)

@@ -199,11 +199,12 @@ type CollusionOptions struct {
 	// verification) on any probe is rolled back — the attacker wants a
 	// working program. nil uses DefaultProbes.
 	Probes [][]int64
-	// StepLimit bounds each reference probe run (0 = 10M steps); mutated
-	// programs get 4× the reference run's step count, so a mutation that
-	// introduces an unbounded loop is detected and rolled back.
-	StepLimit int64
 }
+
+// probeStepLimit bounds each reference probe run of the victim; mutated
+// programs get 4× the reference run's step count, so a mutation that
+// introduces an unbounded loop is detected and rolled back.
+const probeStepLimit = 10_000_000
 
 // DefaultProbes is the default behavior-check input set: the empty input
 // plus two short token vectors (hosts in this codebase treat inputs
@@ -255,14 +256,10 @@ func Collude(copies []*vm.Program, rng *rand.Rand, opts CollusionOptions) (*vm.P
 	if probes == nil {
 		probes = DefaultProbes()
 	}
-	refLimit := opts.StepLimit
-	if refLimit <= 0 {
-		refLimit = 10_000_000
-	}
 	refs := make([]*vm.Result, len(probes))
 	limits := make([]int64, len(probes))
 	for i, in := range probes {
-		ref, err := vm.Run(victim, vm.RunOptions{Input: in, StepLimit: refLimit})
+		ref, err := vm.Run(victim, vm.RunOptions{Input: in, StepLimit: probeStepLimit})
 		if err != nil {
 			return nil, nil, fmt.Errorf("attacks: victim fails probe %d: %w", i, err)
 		}

@@ -197,8 +197,8 @@ func AssessStorage(h *Host, sf StorageFault, opts Options) (rep StorageReport) {
 			c, cancel := context.WithCancel(ctx)
 			defer cancel()
 			ctx = c
-			spec.Opts.OnGrade = func(done int) {
-				if done >= 1 {
+			spec.Opts.OnEvent = func(ev jobs.GradeEvent) {
+				if ev.Completed >= 1 {
 					cancel()
 				}
 			}

@@ -156,13 +156,6 @@ func (f *FaultFS) Disarm() {
 	f.mu.Unlock()
 }
 
-// Arm re-enables injection after a Disarm.
-func (f *FaultFS) Arm() {
-	f.mu.Lock()
-	f.armed = true
-	f.mu.Unlock()
-}
-
 // Fired returns the faults that actually triggered, in firing order.
 func (f *FaultFS) Fired() []Fault {
 	f.mu.Lock()

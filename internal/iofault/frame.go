@@ -153,9 +153,6 @@ func (s *LogScanner) Next() ([]byte, bool) {
 // offset replay truncates a torn log back to.
 func (s *LogScanner) Good() int64 { return s.pos }
 
-// Lines is the number of verified lines returned so far.
-func (s *LogScanner) Lines() int64 { return s.line }
-
 // Err returns the corruption verdict: nil after a clean walk or a torn
 // tail, a *CorruptError when mid-log corruption was proven.
 func (s *LogScanner) Err() error {

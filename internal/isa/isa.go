@@ -263,14 +263,3 @@ func (u *Unit) TextSize() uint32 {
 	}
 	return n
 }
-
-// CondBranchCount counts conditional jumps.
-func (u *Unit) CondBranchCount() int {
-	n := 0
-	for _, in := range u.Instrs {
-		if in.Op.IsJcc() {
-			n++
-		}
-	}
-	return n
-}

@@ -28,16 +28,15 @@ type Options struct {
 	// 0 picks runtime.GOMAXPROCS(0), 1 forces the serial path. Results
 	// are bit-identical at any worker count.
 	Workers int
-	// ScanWorkers, StepLimit and MaxHeap are passed through to every
-	// grade (see wm.CorpusOpts); every grade scans with wm.DefaultFilters. ScanWorkers is a
-	// floor, not a fixed value: when a wave has fewer pending grades
-	// than Workers, the idle worker tier is folded into each grade's
+	// StepLimit and MaxHeap are passed through to every grade (see
+	// wm.CorpusOpts); every grade scans with wm.DefaultFilters. Each
+	// grade's scan runs serially unless a wave has fewer pending grades
+	// than Workers: then the idle worker tier is folded into each grade's
 	// scan fan-out (intra-suspect sharding), so a single huge suspect
 	// still uses the whole tier. Scan results are bit-identical at any
 	// scan worker count, so the adaptive fan-out never changes results.
-	ScanWorkers int
-	StepLimit   int64
-	MaxHeap     int64
+	StepLimit int64
+	MaxHeap   int64
 	// GradeTimeout, when > 0, deadlines each grade attempt. A timed-out
 	// attempt surfaces as a retryable resource/stage error.
 	GradeTimeout time.Duration
@@ -56,28 +55,16 @@ type Options struct {
 	// jobs: without the sync, a crash can lose the last grades (never
 	// corrupt the journal — replay still recovers the synced prefix).
 	NoSync bool
-	// OnGrade, when non-nil, runs after each grade record has been
-	// journaled, with the cumulative number of journaled grades
-	// (restored + new). It exists for progress reporting and for
-	// checkpoint fault injection — a hook that calls os.Exit simulates
-	// kill -9 at an exact checkpoint, which is how the crash-resume
-	// tests and the fleet grade -crash-after flag work.
-	OnGrade func(completed int)
 	// OnEvent, when non-nil, runs after each grade settles (journal
 	// record durable, in-memory outcome recorded), with the grade's
-	// telemetry payload. Unlike OnGrade it carries the recognition
-	// itself, which is how the serve daemon aggregates per-layer reject
-	// counts into live job status without re-reading the journal. Called
-	// from worker goroutines; implementations synchronize themselves.
+	// telemetry payload and the cumulative number of journaled grades.
+	// It serves progress reporting, the serve daemon's live job status
+	// (per-layer reject counts without re-reading the journal), and
+	// checkpoint fault injection — a hook that calls os.Exit simulates
+	// kill -9 at an exact checkpoint, which is how the crash-resume tests
+	// and the fleet grade -crash-after flag work. Called from worker
+	// goroutines; implementations synchronize themselves.
 	OnEvent func(GradeEvent)
-	// Trace, when non-nil, receives the job's lifecycle and per-grade
-	// stage events. When nil (and NoTrace is unset), Open appends to
-	// trace.jsonl in the job directory under the job ID as trace ID —
-	// content-addressed, so every process lifetime of the same job
-	// continues one stream under one ID.
-	Trace *obs.Trace
-	// NoTrace suppresses the automatic trace.jsonl.
-	NoTrace bool
 	// FS, when non-nil, is the filesystem every durable artifact of the
 	// job flows through — journal, trace, result manifest. nil means the
 	// real filesystem (iofault.OS); tests and the storage chaos harness
@@ -86,10 +73,8 @@ type Options struct {
 	FS iofault.FS
 	// DeterministicTrace omits the schedule-dependent stampings
 	// (sequence numbers, timestamps) and the cache-occupancy event from
-	// the automatic trace, leaving only input-derived event content:
-	// sorted trace.jsonl lines are then byte-identical at any worker
-	// count. Ignored when Trace is supplied (the caller's trace keeps
-	// its own mode).
+	// the job's trace.jsonl, leaving only input-derived event content:
+	// sorted trace lines are then byte-identical at any worker count.
 	DeterministicTrace bool
 
 	// gradeHook, when non-nil, runs before every grade attempt and may
@@ -182,12 +167,15 @@ func (sp *Spec) digest() (cache.Digest, error) {
 // GradeEvent is the telemetry payload delivered to Options.OnEvent when
 // a grade settles. Rec is nil for hard failures and breaker skips; Err
 // carries the final attempt's error message ("" on clean success).
+// Completed counts the job's journaled grades at this point, restored
+// from the journal plus settled by this process, this grade included.
 type GradeEvent struct {
-	S, K     int
-	Attempts int
-	Skipped  bool
-	Err      string
-	Rec      *wm.Recognition
+	S, K      int
+	Attempts  int
+	Skipped   bool
+	Err       string
+	Rec       *wm.Recognition
+	Completed int
 }
 
 // outcome is one settled grade.
@@ -203,13 +191,12 @@ type outcome struct {
 // (possibly across several processes — each Run picks up where the
 // journal ends), then write the result manifest.
 type Job struct {
-	dir      string
-	spec     Spec
-	digest   cache.Digest
-	journal  *WAL
-	caches   *wm.FleetCaches
-	trace    *obs.Trace
-	ownTrace bool // trace opened by Open (vs caller-supplied): Close closes it
+	dir     string
+	spec    Spec
+	digest  cache.Digest
+	journal *WAL
+	caches  *wm.FleetCaches
+	trace   *obs.Trace // nil when trace.jsonl could not be opened
 
 	mu        sync.Mutex
 	outcomes  [][]*outcome
@@ -282,11 +269,8 @@ func Open(dir string, spec Spec) (*Job, error) {
 	// trace open degrades to no telemetry, not a failed job. The trace
 	// ID is the job ID, so a resumed job's second lifetime appends to
 	// the same stream under the same ID.
-	j.trace = spec.Opts.Trace
-	if j.trace == nil && !spec.Opts.NoTrace {
-		if tr, terr := obs.OpenTraceFileFS(fs, TracePath(dir), j.ID(), spec.Opts.DeterministicTrace); terr == nil {
-			j.trace, j.ownTrace = tr, true
-		}
+	if tr, terr := obs.OpenTraceFileFS(fs, TracePath(dir), j.ID(), spec.Opts.DeterministicTrace); terr == nil {
+		j.trace = tr
 	}
 	j.trace.Event("job.open", map[string]int64{
 		"suspects": int64(len(spec.Suspects)),
@@ -295,9 +279,6 @@ func Open(dir string, spec Spec) (*Job, error) {
 	}, nil)
 	return j, nil
 }
-
-// Trace returns the job's event stream (nil when tracing is off).
-func (j *Job) Trace() *obs.Trace { return j.trace }
 
 // ID is the job's content address in hex — stable across processes for
 // the same spec.
@@ -321,12 +302,10 @@ func (j *Job) Progress() (completed, total int) {
 	return j.completed, len(j.spec.Suspects) * len(j.spec.Keys)
 }
 
-// Close releases the journal and the job-owned trace. The job directory
-// and its contents stay.
+// Close releases the journal and the trace. The job directory and its
+// contents stay.
 func (j *Job) Close() error {
-	if j.ownTrace {
-		_ = j.trace.Close() // trace is telemetry; it never gates the job
-	}
+	_ = j.trace.Close() // trace is telemetry; it never gates the job
 	return j.journal.Close()
 }
 
@@ -349,25 +328,18 @@ func (j *Job) settle(s, k int, o *outcome) error {
 	j.outcomes[s][k] = o
 	n := j.completed
 	j.mu.Unlock()
-	j.emitGrade(s, k, o)
-	if j.spec.Opts.OnGrade != nil {
-		j.spec.Opts.OnGrade(n)
-	}
-	return nil
-}
-
-// emitGrade publishes one settled grade to every telemetry surface: the
-// trace stream and registry (via the shared emitter) and the OnEvent
-// callback. Grades restored from the journal at Open never pass through
-// here: their events were emitted by the lifetime that ran them.
-func (j *Job) emitGrade(s, k int, o *outcome) {
+	// Publish to every telemetry surface: the trace stream and registry
+	// (via the shared emitter), then the OnEvent callback. Grades restored
+	// from the journal at Open never pass through here: their events were
+	// emitted by the lifetime that ran them.
 	emitGradeEvents(j.trace, j.spec.Opts.Obs, s, k, o)
 	if j.spec.Opts.OnEvent != nil {
 		j.spec.Opts.OnEvent(GradeEvent{
 			S: s, K: k, Attempts: o.attempts, Skipped: o.skipped,
-			Err: o.errStr, Rec: o.rec,
+			Err: o.errStr, Rec: o.rec, Completed: n,
 		})
 	}
+	return nil
 }
 
 // emitGradeEvents publishes one settled (suspect, key) outcome to the
@@ -431,45 +403,32 @@ func emitGradeEvents(trace *obs.Trace, reg *obs.Registry, s, k int, o *outcome) 
 	}
 }
 
-// runGrade executes one grade with the retry policy: bounded attempts,
-// exponential backoff with deterministic jitter, cached-failure
-// invalidation before each retry (otherwise a retry would replay the
-// memoized trace error instead of retracing). Returns nil when the job
-// context was cancelled mid-grade — the grade is left unsettled and
-// re-runs on resume.
+// runGrade executes one grade under the retry policy (RetryPolicy.Do),
+// invalidating a cached trace failure before each retry (otherwise a
+// retry would replay the memoized trace error instead of retracing).
+// Returns nil when the job context was cancelled mid-grade — the grade
+// is left unsettled and re-runs on resume.
 func (j *Job) runGrade(ctx context.Context, s, k, scanWorkers int) *outcome {
 	opts := j.spec.Opts
-	maxAttempts := opts.Retry.attempts()
 	var rec *wm.Recognition
-	var err error
-	attempt := 0
-	for attempt = 1; ; attempt++ {
+	attempt := func(n int) error {
 		gctx := ctx
-		cancel := context.CancelFunc(nil)
 		if opts.GradeTimeout > 0 {
+			var cancel context.CancelFunc
 			gctx, cancel = context.WithTimeout(ctx, opts.GradeTimeout)
+			defer cancel()
 		}
 		if opts.gradeHook != nil {
-			if herr := opts.gradeHook(s, k, attempt); herr != nil {
-				rec, err = nil, herr
-			} else {
-				rec, err = j.gradeOnce(gctx, s, k, scanWorkers)
+			if err := opts.gradeHook(s, k, n); err != nil {
+				rec = nil
+				return err
 			}
-		} else {
-			rec, err = j.gradeOnce(gctx, s, k, scanWorkers)
 		}
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			break
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return nil // interruption, not failure
-		}
-		if attempt >= maxAttempts || !Retryable(err) {
-			break
-		}
+		var err error
+		rec, err = j.gradeOnce(gctx, s, k, scanWorkers)
+		return err
+	}
+	onRetry := func(n int, err error) {
 		if rec == nil {
 			// The failure happened at (or before) the trace: drop the
 			// memoized failure so the retry actually retraces.
@@ -477,11 +436,14 @@ func (j *Job) runGrade(ctx context.Context, s, k, scanWorkers int) *outcome {
 		}
 		opts.Obs.Counter("jobs.retries").Add(1)
 		j.trace.Event("grade.retry", map[string]int64{
-			"s": int64(s), "k": int64(k), "attempt": int64(attempt),
+			"s": int64(s), "k": int64(k), "attempt": int64(n),
 		}, map[string]string{"err": err.Error()})
-		sleepCtx(ctx, opts.Retry.backoff(j.digest, s, k, attempt))
 	}
-	o := &outcome{rec: rec, err: err, attempts: attempt}
+	n, interrupted, err := opts.Retry.Do(ctx, j.digest, s, k, attempt, onRetry)
+	if interrupted {
+		return nil // interruption, not failure
+	}
+	o := &outcome{rec: rec, err: err, attempts: n}
 	if err != nil {
 		o.errStr = err.Error()
 	}
@@ -591,14 +553,9 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		// rest idle. The boost uses the worker count before par.For clamps
 		// it to the pending count, and the scan's deterministic merge keeps
 		// results bit-identical at every effective fan-out.
-		scanWorkers := opts.ScanWorkers
-		if scanWorkers <= 0 {
-			scanWorkers = 1
-		}
+		scanWorkers := 1
 		if n := len(pending); n > 0 && n < workers {
-			if boost := workers / n; boost > scanWorkers {
-				scanWorkers = boost
-			}
+			scanWorkers = workers / n
 		}
 		var ranWave atomic.Int64
 		par.For(len(pending), workers, stop, func(_, i int) {

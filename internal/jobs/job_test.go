@@ -76,8 +76,8 @@ func abortAt(t *testing.T, dir string, spec Spec, n int) int {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	spec.Opts.OnGrade = func(done int) {
-		if done >= n {
+	spec.Opts.OnEvent = func(ev GradeEvent) {
+		if ev.Completed >= n {
 			cancel()
 		}
 	}
@@ -93,6 +93,34 @@ func abortAt(t *testing.T, dir string, spec Spec, n int) int {
 	}
 	done, _ := j.Progress()
 	return done
+}
+
+// TestGradeEventCompletedOnResume: GradeEvent.Completed counts journaled
+// grades, restored plus new, so the first event of a resumed job carries
+// restored+1 and every later one counts up to the whole matrix.
+func TestGradeEventCompletedOnResume(t *testing.T) {
+	dir := t.TempDir()
+	spec := baseSpec(t)
+	spec.Opts.Workers = 1
+	restored := abortAt(t, dir, spec, 3)
+
+	var got []int
+	spec = baseSpec(t)
+	spec.Opts.Workers = 1
+	spec.Opts.OnEvent = func(ev GradeEvent) { got = append(got, ev.Completed) }
+	res := mustExecute(t, dir, spec)
+	if res.Reused != restored {
+		t.Fatalf("resume restored %d grades, the aborted run journaled %d", res.Reused, restored)
+	}
+	total := res.Suspects * res.Keys
+	if len(got) != total-restored {
+		t.Fatalf("%d events on resume, want %d", len(got), total-restored)
+	}
+	for i, c := range got {
+		if c != restored+1+i {
+			t.Fatalf("event %d: Completed = %d, want %d (restored %d + %d new)", i, c, restored+1+i, restored, i+1)
+		}
+	}
 }
 
 // TestJobCrashResumeBitIdentical is the acceptance property: interrupt a
@@ -206,7 +234,7 @@ func TestRunHaltsOnJournalFailure(t *testing.T) {
 		{Op: iofault.OpSync, Kind: iofault.KindSyncFail, After: 3, Path: "journal"},
 	})
 	var settled atomic.Int64
-	spec.Opts.OnGrade = func(int) { settled.Add(1) }
+	spec.Opts.OnEvent = func(GradeEvent) { settled.Add(1) }
 	if _, err := Execute(context.Background(), t.TempDir(), spec); err == nil {
 		t.Fatal("run survived a journal fsync failure")
 	}
@@ -384,7 +412,6 @@ func TestOpenValidation(t *testing.T) {
 // yields the ID SpecID computes anew.
 func TestOpenReusesSpecDigests(t *testing.T) {
 	spec := baseSpec(t)
-	spec.Opts.NoTrace = true
 	want, err := SpecID(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +448,7 @@ func TestSpecIDsPinned(t *testing.T) {
 		{Spec{Suspects: suspects, Keys: keys},
 			"05cf9e816cadfc06be7606e2178a9d5ddabedb47f3769df49d027dc0b6fac59f"},
 		{Spec{Suspects: suspects[:2], Keys: keys[:1], Opts: Options{
-			StepLimit: 5_000_000, MaxHeap: 1 << 20, Workers: 3, ScanWorkers: 2}},
+			StepLimit: 5_000_000, MaxHeap: 1 << 20, Workers: 3}},
 			"d4af670a35d34cb5a3efdb23730b6ad64ed15ae72001a287861ad27a0cafd5a9"},
 	} {
 		if got, err := SpecID(c.spec); err != nil || got != c.want {

@@ -26,11 +26,11 @@ type replayLog struct {
 
 func replayLogs(t *testing.T) []replayLog {
 	suspects, keys, _ := jobs.Fixture(t)
-	grade := jobs.Spec{Suspects: suspects, Keys: keys, Opts: jobs.Options{Workers: 1, NoSync: true, NoTrace: true}}
+	grade := jobs.Spec{Suspects: suspects, Keys: keys, Opts: jobs.Options{Workers: 1, NoSync: true}}
 	otherGrade := grade
 	otherGrade.Opts.StepLimit = 12345
 
-	stream := jobs.StreamSpec{Keys: keys, Opts: jobs.StreamOptions{NoSync: true, NoTrace: true}}
+	stream := jobs.StreamSpec{Keys: keys, Opts: jobs.StreamOptions{NoSync: true}}
 	otherStream := jobs.StreamSpec{Keys: keys[:1], Opts: stream.Opts}
 	bits := strings.Repeat("0110100110010110", 128)
 	openStream := func(dir string, spec jobs.StreamSpec) error {

@@ -28,16 +28,17 @@ type RetryPolicy struct {
 	// <= 0 means DefaultMaxAttempts.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; attempt n
-	// waits BaseDelay·2^(n-2), jittered ±25%. 0 disables sleeping (the
-	// retries still happen, back to back).
+	// waits BaseDelay·2^(n-2), capped at 32×BaseDelay and jittered ±25%.
+	// 0 disables sleeping (the retries still happen, back to back).
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth; 0 means 32×BaseDelay.
-	MaxDelay time.Duration
 }
 
 // DefaultMaxAttempts is the per-grade attempt bound when the policy does
 // not set one.
 const DefaultMaxAttempts = 3
+
+// maxBackoffFactor caps the exponential backoff at this many BaseDelays.
+const maxBackoffFactor = 32
 
 func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts <= 0 {
@@ -47,46 +48,57 @@ func (p RetryPolicy) attempts() int {
 }
 
 // backoff returns the pause before attempt+1, with deterministic jitter:
-// the ±25% spread is drawn from a hash of (job digest, cell, attempt),
-// so two runs of the same job jitter identically — retry timing, like
-// everything else here, replays.
-func (p RetryPolicy) backoff(job cache.Digest, s, k, attempt int) time.Duration {
+// the ±25% spread is drawn from a hash of (id, a, b, attempt), so two
+// runs of the same job or campaign jitter identically — retry timing,
+// like everything else here, replays.
+func (p RetryPolicy) backoff(id cache.Digest, a, b, attempt int) time.Duration {
 	if p.BaseDelay <= 0 {
 		return 0
 	}
 	d := p.BaseDelay << uint(attempt-1)
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 32 * p.BaseDelay
-	}
+	max := maxBackoffFactor * p.BaseDelay
 	if d > max || d <= 0 { // d <= 0 guards shift overflow
 		d = max
 	}
 	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(s))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(k))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(a))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(b))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(attempt))
-	h := cache.DigestBytes(job[:], buf[:])
+	h := cache.DigestBytes(id[:], buf[:])
 	r := binary.LittleEndian.Uint64(h[:8])
 	// jitter in [-25%, +25%): d/2 wide, centered on d.
 	return d - d/4 + time.Duration(r%uint64(d/2+1))
 }
 
-// Backoff is the exported form of backoff for other campaign engines
-// (the tournament's cell retries): id identifies the campaign, (a, b) the
-// cell. The jitter is drawn from a hash of all four values, so retry
-// timing replays exactly like the grades themselves.
-func (p RetryPolicy) Backoff(id cache.Digest, a, b, attempt int) time.Duration {
-	return p.backoff(id, a, b, attempt)
+// Do is the one retry loop of every engine layered on the jobs tier
+// (corpus grades, tournament cells). It calls attempt with attempt
+// numbers 1, 2, … until one returns nil, one fails terminally (not
+// Retryable), or the policy's attempt bound is spent. Before each retry
+// it calls onRetry with the failed attempt's number and error, then
+// sleeps the backoff drawn for (id, a, b, attempt). It returns the number
+// of attempts made and the last attempt's error. interrupted reports
+// that ctx ended with the work unfinished: the caller leaves the work
+// unsettled, to re-run on resume, instead of recording the failure.
+func (p RetryPolicy) Do(ctx context.Context, id cache.Digest, a, b int,
+	attempt func(n int) error, onRetry func(n int, err error)) (n int, interrupted bool, err error) {
+	done := func() bool { return ctx != nil && ctx.Err() != nil }
+	for n = 1; ; n++ {
+		if err = attempt(n); err == nil {
+			return n, false, nil
+		}
+		if done() {
+			return n, true, err
+		}
+		if n >= p.attempts() || !Retryable(err) {
+			return n, false, err
+		}
+		onRetry(n, err)
+		sleepCtx(ctx, p.backoff(id, a, b, n))
+		if done() {
+			return n, true, err
+		}
+	}
 }
-
-// Attempts is the effective per-cell attempt bound (MaxAttempts, or
-// DefaultMaxAttempts when unset).
-func (p RetryPolicy) Attempts() int { return p.attempts() }
-
-// SleepCtx pauses for d unless ctx finishes first — exported alongside
-// Backoff so retry loops outside this package pause identically.
-func SleepCtx(ctx context.Context, d time.Duration) { sleepCtx(ctx, d) }
 
 // Retryable classifies an error from one grade attempt: true for the
 // transient-capable typed failures (stage and resource errors), false

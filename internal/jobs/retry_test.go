@@ -176,9 +176,10 @@ func TestRetryableClassification(t *testing.T) {
 
 // TestBackoffDeterministic: the jittered backoff is a pure function of
 // (policy, job, cell, attempt), grows exponentially, and respects the
-// cap and the ±25% jitter band.
+// 32×BaseDelay cap and the ±25% jitter band.
 func TestBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond}
+	const maxDelay = 32 * 100 * time.Millisecond
 	job := cache.DigestBytes([]byte("job"))
 
 	var prevLo time.Duration
@@ -189,8 +190,8 @@ func TestBackoffDeterministic(t *testing.T) {
 			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
 		}
 		base := p.BaseDelay << uint(attempt-1)
-		if base > p.MaxDelay {
-			base = p.MaxDelay
+		if base > maxDelay {
+			base = maxDelay
 		}
 		lo, hi := base-base/4, base+base/4
 		if d1 < lo || d1 > hi {
@@ -201,11 +202,30 @@ func TestBackoffDeterministic(t *testing.T) {
 		}
 		prevLo = lo
 	}
+	if d := p.backoff(job, 2, 3, 60); d < maxDelay-maxDelay/4 || d > maxDelay+maxDelay/4 {
+		t.Errorf("attempt 60: backoff %v escaped the 32×BaseDelay cap", d)
+	}
 	if d := p.backoff(job, 0, 0, 1); d == p.backoff(job, 0, 1, 1) && d == p.backoff(job, 1, 0, 1) {
 		t.Error("jitter identical across cells — hash is ignoring coordinates")
 	}
 	if (RetryPolicy{}).backoff(job, 0, 0, 1) != 0 {
 		t.Error("zero BaseDelay must not sleep")
+	}
+}
+
+// TestRetryDoInterrupted: a context that ends during the backoff sleep
+// ends the loop at once, reported as an interruption (the caller leaves
+// the work unsettled), not as a failure after a further attempt.
+func TestRetryDoInterrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Hour}
+	calls := 0
+	n, interrupted, err := p.Do(ctx, cache.Digest{}, 0, 0,
+		func(int) error { calls++; return transientErr() },
+		func(int, error) { cancel() })
+	if !interrupted || err == nil || n != 1 || calls != 1 {
+		t.Fatalf("Do = (%d, %v, %v) after %d calls; want (1, true, non-nil) after 1", n, interrupted, err, calls)
 	}
 }
 

@@ -48,21 +48,3 @@ func TestShardingTailWave(t *testing.T) {
 		t.Error("tail-wave sharded manifest diverged from serial run")
 	}
 }
-
-// TestShardingExplicitScanWorkers verifies ScanWorkers acts as a floor:
-// setting it above the boost the wave would compute changes nothing in
-// the result, only in how the scan is split.
-func TestShardingExplicitScanWorkers(t *testing.T) {
-	suspects, keys, _ := fixture(t)
-	spec := Spec{
-		Suspects: suspects[:1],
-		Keys:     keys[:1],
-		Opts:     Options{NoSync: true, Workers: 1},
-	}
-	want := mustEncode(t, mustExecute(t, t.TempDir(), spec))
-	spec.Opts.ScanWorkers = 6
-	got := mustEncode(t, mustExecute(t, t.TempDir(), spec))
-	if !bytes.Equal(got, want) {
-		t.Error("explicit ScanWorkers manifest diverged from serial run")
-	}
-}

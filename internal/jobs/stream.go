@@ -48,17 +48,10 @@ type StreamOptions struct {
 	CheckEvery    int
 	SettleChecks  int
 	MinConfidence float64
-	// DecryptCacheWindows, when > 0, gives each key's recognizer a
-	// decrypt memo table of that capacity (bit-identical on or off).
-	DecryptCacheWindows int
-	// NoSync, Trace, NoTrace, DeterministicTrace, FS and Obs mirror the
-	// corpus job Options of the same names.
-	NoSync             bool
-	Trace              *obs.Trace
-	NoTrace            bool
-	DeterministicTrace bool
-	FS                 iofault.FS
-	Obs                *obs.Registry
+	// NoSync, FS and Obs mirror the corpus job Options of the same names.
+	NoSync bool
+	FS     iofault.FS
+	Obs    *obs.Registry
 }
 
 // fs resolves the effective filesystem: StreamOptions.FS or the real one.
@@ -77,9 +70,9 @@ type StreamSpec struct {
 }
 
 // digest content-addresses the stream spec. Scheduling knobs (Workers,
-// cache capacity, sync mode) are excluded — they must not change
-// results; the probe cadence and settle rule are included because they
-// determine when and whether an early verdict latches.
+// sync mode) are excluded — they must not change results; the probe
+// cadence and settle rule are included because they determine when and
+// whether an early verdict latches.
 func (sp *StreamSpec) digest() (cache.Digest, error) {
 	parts := [][]byte{[]byte("pathmark.stream.v1")}
 	num := func(v int64) { parts = append(parts, strconv.AppendInt(nil, v, 10)) }
@@ -148,12 +141,11 @@ var ErrStreamFinished = errors.New("jobs: stream already finished")
 // Open it (replaying any existing chunk journal), Feed it chunks as they
 // arrive, then Finish it for the batch-identical final verdicts.
 type StreamJob struct {
-	dir      string
-	spec     StreamSpec
-	digest   cache.Digest
-	wal      *WAL
-	trace    *obs.Trace
-	ownTrace bool
+	dir    string
+	spec   StreamSpec
+	digest cache.Digest
+	wal    *WAL
+	trace  *obs.Trace // nil when trace.jsonl could not be opened
 
 	mu        sync.Mutex
 	recs      []*wm.StreamRecognizer
@@ -195,11 +187,9 @@ func OpenStream(dir string, spec StreamSpec) (*StreamJob, error) {
 		return nil, err
 	}
 
-	sj.trace = spec.Opts.Trace
-	if sj.trace == nil && !spec.Opts.NoTrace {
-		if tr, terr := obs.OpenTraceFileFS(fs, TracePath(dir), sj.ID(), spec.Opts.DeterministicTrace); terr == nil {
-			sj.trace, sj.ownTrace = tr, true
-		}
+	// As for corpus jobs, a failed trace open degrades to no telemetry.
+	if tr, terr := obs.OpenTraceFileFS(fs, TracePath(dir), sj.ID(), false); terr == nil {
+		sj.trace = tr
 	}
 	sj.trace.Event("stream.open", map[string]int64{
 		"keys":      int64(len(spec.Keys)),
@@ -220,16 +210,12 @@ func boolInt64(b bool) int64 {
 func (sj *StreamJob) resetRecognizers() {
 	opts := sj.spec.Opts
 	for i, key := range sj.spec.Keys {
-		so := wm.StreamOpts{
+		sj.recs[i] = wm.NewStreamRecognizer(key, wm.StreamOpts{
 			Workers:       opts.Workers,
 			CheckEvery:    opts.CheckEvery,
 			SettleChecks:  opts.SettleChecks,
 			MinConfidence: opts.MinConfidence,
-		}
-		if opts.DecryptCacheWindows > 0 {
-			so.DecryptCache = cache.NewCache64(opts.DecryptCacheWindows)
-		}
-		sj.recs[i] = wm.NewStreamRecognizer(key, so)
+		})
 	}
 }
 
@@ -295,23 +281,12 @@ func (sj *StreamJob) ID() string { return hex.EncodeToString(sj.digest[:]) }
 // Dir returns the job directory.
 func (sj *StreamJob) Dir() string { return sj.dir }
 
-// Trace returns the job's event stream (nil when tracing is off).
-func (sj *StreamJob) Trace() *obs.Trace { return sj.trace }
-
 // Committed returns the durable decoded-bit offset: every bit below it
 // is journaled and fed, so an interrupted uploader resumes from here.
 func (sj *StreamJob) Committed() int64 {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
 	return sj.committed
-}
-
-// Chunks returns how many chunk records the journal holds (replayed +
-// new).
-func (sj *StreamJob) Chunks() int64 {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return sj.chunks
 }
 
 // Finished reports whether the stream's final chunk has been journaled.
@@ -477,12 +452,10 @@ func (sj *StreamJob) assembleLocked() *StreamResult {
 	return res
 }
 
-// Close releases the chunk journal and the job-owned trace. The job
-// directory and its contents stay.
+// Close releases the chunk journal and the trace. The job directory and
+// its contents stay.
 func (sj *StreamJob) Close() error {
-	if sj.ownTrace {
-		_ = sj.trace.Close() // trace is telemetry; it never gates the job
-	}
+	_ = sj.trace.Close() // trace is telemetry; it never gates the job
 	return sj.wal.Close()
 }
 

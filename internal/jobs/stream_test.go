@@ -46,7 +46,7 @@ func feedAll(t *testing.T, sj *StreamJob, bits string, chunk int) {
 // RecognizeBits result, and the real key's watermark is recovered.
 func TestStreamJobMatchesBatchRecognition(t *testing.T) {
 	bits, keys := streamFixture(t)
-	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true, NoTrace: true}}
+	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true}}
 	sj, err := OpenStream(t.TempDir(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestStreamJobMatchesBatchRecognition(t *testing.T) {
 // starting past the committed offset is refused with ErrStreamGap.
 func TestStreamJobDuplicateAndGapChunks(t *testing.T) {
 	bits, keys := streamFixture(t)
-	spec := StreamSpec{Keys: keys[:1], Opts: StreamOptions{NoSync: true, NoTrace: true}}
+	spec := StreamSpec{Keys: keys[:1], Opts: StreamOptions{NoSync: true}}
 	sj, err := OpenStream(t.TempDir(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestStreamJobDuplicateAndGapChunks(t *testing.T) {
 // uninterrupted stream's.
 func TestStreamJobCrashResume(t *testing.T) {
 	bits, keys := streamFixture(t)
-	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true, NoTrace: true}}
+	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true}}
 
 	finish := func(dir string, upTo int, chunk int) string {
 		sj, err := OpenStream(dir, spec)
@@ -199,7 +199,7 @@ func TestStreamJobCrashResume(t *testing.T) {
 func TestStreamJobFinishSealsStream(t *testing.T) {
 	bits, keys := streamFixture(t)
 	dir := t.TempDir()
-	spec := StreamSpec{Keys: keys[:1], Opts: StreamOptions{NoSync: true, NoTrace: true}}
+	spec := StreamSpec{Keys: keys[:1], Opts: StreamOptions{NoSync: true}}
 	sj, err := OpenStream(dir, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestStreamPathHelpers(t *testing.T) {
 func TestStreamJournalCorruptHeader(t *testing.T) {
 	bits, keys := streamFixture(t)
 	dir := t.TempDir()
-	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true, NoTrace: true}}
+	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true}}
 	sj, err := OpenStream(dir, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestStreamJournalCorruptHeader(t *testing.T) {
 func TestStreamJournalCorruptRecord(t *testing.T) {
 	bits, keys := streamFixture(t)
 	dir := t.TempDir()
-	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true, NoTrace: true}}
+	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true}}
 	sj, err := OpenStream(dir, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -108,8 +108,8 @@ func TestJobTraceResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	spec.Opts.OnGrade = func(completed int) {
-		if completed >= 4 {
+	spec.Opts.OnEvent = func(ev GradeEvent) {
+		if ev.Completed >= 4 {
 			cancel() // synchronous: the serial worker sees it before the next grade
 		}
 	}
@@ -154,17 +154,6 @@ func TestJobTraceResume(t *testing.T) {
 	}
 	if resumed < 4 {
 		t.Errorf("no job.open recorded resumed >= 4 (got %d)", resumed)
-	}
-}
-
-// TestJobNoTrace: NoTrace suppresses the file entirely.
-func TestJobNoTrace(t *testing.T) {
-	spec := baseSpec(t)
-	spec.Opts.NoTrace = true
-	dir := t.TempDir()
-	mustExecute(t, dir, spec)
-	if _, err := os.Stat(TracePath(dir)); !os.IsNotExist(err) {
-		t.Errorf("trace.jsonl exists despite NoTrace (stat err = %v)", err)
 	}
 }
 

@@ -470,36 +470,41 @@ func (c *Campaign) Run() (*Matrix, error) {
 		}
 		return ctx.Err()
 	}
-	maxAttempts := c.opts.Retry.Attempts()
+	// A journal failure halts the run: no worker starts another cell once
+	// any settle has failed. The WAL counts the failure before it releases
+	// its lock, so a worker whose settle follows it (the WAL reopens
+	// itself) stops before taking another cell, even if the failing worker
+	// has not yet stored firstErr.
 	var firstErr atomic.Value
+	failuresBefore := c.journal.Failures()
+	stop := func() bool { return ctxErr() != nil || c.journal.Failures() != failuresBefore }
 	runOne := func(_, i int) {
 		idx := pending[i]
 		var cell CellResult
-		var err error
-		for attempt := 1; ; attempt++ {
-			if ctxErr() != nil {
-				return // interrupted: not journaled, re-runs on resume
-			}
+		attempt := func(n int) error {
+			var err error
 			cell, err = c.runCell(idx)
-			cell.Attempts = attempt
-			if err == nil {
-				break
-			}
-			if attempt >= maxAttempts || !jobs.Retryable(err) {
-				// Terminal: the cell fails but stays settled — the error
-				// is part of the campaign's result, not a reason to halt.
-				cell.Outcome = OutcomeFail
-				cell.Err = err.Error()
-				break
-			}
+			cell.Attempts = n
+			return err
+		}
+		onRetry := func(n int, err error) {
 			c.opts.Obs.Counter("tournament.retries").Add(1)
 			c.opts.Trace.Event("cell.retry", map[string]int64{
-				"idx": int64(idx), "attempt": int64(attempt),
+				"idx": int64(idx), "attempt": int64(n),
 			}, map[string]string{"err": err.Error()})
-			jobs.SleepCtx(ctx, c.opts.Retry.Backoff(digest, idx, 0, attempt))
+		}
+		_, interrupted, err := c.opts.Retry.Do(ctx, digest, idx, 0, attempt, onRetry)
+		if interrupted {
+			return // not journaled, re-runs on resume
+		}
+		if err != nil {
+			// Terminal: the cell fails but stays settled — the error is
+			// part of the campaign's result, not a reason to halt.
+			cell.Outcome = OutcomeFail
+			cell.Err = err.Error()
 		}
 		if err := c.settle(idx, cell); err != nil {
-			firstErr.CompareAndSwap(nil, err) // journal failure halts the run
+			firstErr.CompareAndSwap(nil, err)
 		}
 	}
 
@@ -507,7 +512,7 @@ func (c *Campaign) Run() (*Matrix, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	par.For(len(pending), workers, func() bool { return ctxErr() != nil || firstErr.Load() != nil }, runOne)
+	par.For(len(pending), workers, stop, runOne)
 	if e := firstErr.Load(); e != nil {
 		return nil, e.(error)
 	}

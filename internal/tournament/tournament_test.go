@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pathmark/internal/iofault"
@@ -303,5 +304,28 @@ func TestJournalCorruptionDetected(t *testing.T) {
 	}
 	if iofault.IsCorrupt(err) {
 		t.Fatalf("torn header misclassified as proven corruption: %v", err)
+	}
+}
+
+// TestRunHaltsOnJournalFailure: a failed journal fsync stops every cell
+// worker, not only the one whose settle hit it. Syncs #0-#2 commit the
+// header and two cells; the third cell's sync fails, after which at most
+// the cells already running on the other workers may still settle.
+func TestRunHaltsOnJournalFailure(t *testing.T) {
+	const workers = 4
+	var settled atomic.Int64
+	_, err := Execute(t.TempDir(), testManifest(), Options{
+		Workers: workers,
+		FS: iofault.NewFaultFS(iofault.OS, []iofault.Fault{
+			{Op: iofault.OpSync, Kind: iofault.KindSyncFail, After: 3, Path: "journal"},
+		}),
+		OnCell: func(int, CellResult) { settled.Add(1) },
+	})
+	if err == nil {
+		t.Fatal("run survived a journal fsync failure")
+	}
+	if n := settled.Load(); n > 2+(workers-1) {
+		t.Fatalf("%d cells settled, want at most %d: workers kept grading after the journal failed",
+			n, 2+(workers-1))
 	}
 }

@@ -79,13 +79,6 @@ func (c *CFG) BlockOf(pc int) int { return c.blockOf[pc] }
 // NumBlocks returns the block count.
 func (c *CFG) NumBlocks() int { return len(c.Blocks) }
 
-// EndsWithCondBranch reports whether block bi's final instruction is a
-// conditional branch — the blocks whose trace events carry watermark bits.
-func (c *CFG) EndsWithCondBranch(m *Method, bi int) bool {
-	b := c.Blocks[bi]
-	return b.End > b.Start && m.Code[b.End-1].Op.IsCondBranch()
-}
-
 // ProgramCFG caches the CFG of every method.
 type ProgramCFG struct {
 	Methods []*CFG

@@ -47,9 +47,6 @@ type EmbedOptions struct {
 	// StepLimit bounds the tracing run (0 = interpreter default);
 	// exhaustion surfaces as a *StageError wrapping vm.ResourceError.
 	StepLimit int64
-	// MaxHeap bounds the tracing run's cumulative array allocation
-	// (0 = interpreter default).
-	MaxHeap int64
 	// CoalitionSafe excludes the condition generator from GenAuto's mix
 	// (remapping its roll onto the unrolled loop generator, so the
 	// placement rng stream is unchanged). The loop generators draw
@@ -172,14 +169,15 @@ func analyzeHost(p *vm.Program, key *Key, opts EmbedOptions) (*hostAnalysis, err
 	if err := vm.Verify(p); err != nil {
 		return nil, fmt.Errorf("wm: host program fails verification: %w", err)
 	}
-	// Tracing phase (§3.1). The step/heap budgets and context bound the
-	// run: a host program that spins forever (or is attacked into doing
-	// so) surfaces a typed StageError instead of consuming the default
-	// 100M-step budget.
+	// Tracing phase (§3.1). The step budget and context bound the run
+	// (the heap runs under the interpreter's default budget): a host
+	// program that spins forever (or is attacked into doing so) surfaces
+	// a typed StageError instead of consuming the default 100M-step
+	// budget.
 	span := opts.Obs.Start("embed.trace")
 	tr, _, err := vm.CollectWith(p, vm.RunOptions{
 		Input: key.Input, SnapshotLimit: 2,
-		Ctx: opts.Ctx, StepLimit: opts.StepLimit, MaxHeap: opts.MaxHeap,
+		Ctx: opts.Ctx, StepLimit: opts.StepLimit,
 	})
 	if err != nil {
 		span.Finish()

@@ -328,22 +328,6 @@ type CorpusResult struct {
 	DecryptStats cache.Stats
 }
 
-// MatchFor returns the index of the first key whose recognition of
-// suspect s fully recovered the expected watermark ws[k], or -1. It is
-// the fleet-identification step: keys typically share input and cipher
-// and differ only in the watermark each customer received.
-func (r *CorpusResult) MatchFor(s int, ws []*big.Int) int {
-	if r == nil || s < 0 || s >= len(r.Recognitions) {
-		return -1
-	}
-	for k, rec := range r.Recognitions[s] {
-		if k < len(ws) && rec.Matches(ws[k]) {
-			return k
-		}
-	}
-	return -1
-}
-
 // RecognizeCorpus matches every suspect program against every candidate
 // key. Each suspect is traced once per distinct secret input — keys
 // sharing an input (the whole-fleet-one-input setup) reuse the decoded

@@ -115,10 +115,6 @@ func OpaqueFalseGuard(rng *rand.Rand, at int, src, guarded []vm.Instr) []vm.Inst
 	return out
 }
 
-// NumOpaqueTemplates reports how many distinct opaquely-false templates the
-// library rotates through (used by stealth-oriented tests).
-func NumOpaqueTemplates() int { return len(opaqueZeroTemplates) }
-
 // opaqueZeroValue mirrors each template in Go for the property tests: the
 // value the emitted code would push for input x. Kept in lockstep with
 // opaqueZeroTemplates by index.

@@ -231,9 +231,7 @@ func RecognizeBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*Recognitio
 		return nil, &StageError{Stage: "scan", Worker: -1, Cause: err}
 	}
 	rec := acc.recognition(b.Len())
-	if n := len(scanErrs); n > 0 {
-		rec.Degraded = true
-		rec.StageErrors = append(rec.StageErrors, scanErrs...)
+	if len(scanErrs) > 0 {
 		opts.Obs.Counter("recognize.scan_panics").Add(int64(acc.panics))
 	}
 	span.Set("windows", int64(acc.windows)).
@@ -266,27 +264,42 @@ func RecognizeBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*Recognitio
 			Observe(int64(acc.valid) * 1_000_000 / int64(acc.windows))
 	}
 
-	for st, c := range acc.counts {
+	// Stage 3: vote + consistency graphs + CRT merge.
+	return rec, resolve(opts.Ctx, rec, acc.counts, scanErrs, key, opts.Obs)
+}
+
+// resolve is the recognition tail that RecognizeBits, the stream's Flush
+// and its probes share. It caps the statement counts at countCap in
+// place, marks rec Degraded with the scan's recovered failures, runs the
+// vote/graph/CRT stage when any statement survived, and returns the
+// first StageError rec then carries. reg, when non-nil, receives the
+// recognize.vote span and the recognize.degraded counter.
+func resolve(ctx context.Context, rec *Recognition, counts map[crt.Statement]int,
+	scanErrs []*StageError, key *Key, reg *obs.Registry) error {
+	for st, c := range counts {
 		if c > countCap {
-			acc.counts[st] = countCap
+			counts[st] = countCap
 		}
 	}
-	if len(acc.counts) > 0 {
-		// Stage 3: vote + consistency graphs + CRT merge.
-		span = opts.Obs.Start("recognize.vote")
-		resolveStatements(opts.Ctx, rec, acc.counts, key)
+	if len(scanErrs) > 0 {
+		rec.Degraded = true
+		rec.StageErrors = append(rec.StageErrors, scanErrs...)
+	}
+	if len(counts) > 0 {
+		span := reg.Start("recognize.vote")
+		resolveStatements(ctx, rec, counts, key)
 		span.Set("unique_statements", int64(rec.UniqueStatements)).
 			Set("voted_out", int64(rec.VotedOut)).
 			Set("survivors", int64(rec.Survivors)).
 			Set("confidence_bp", int64(rec.Confidence*10_000)).Finish()
 	}
 	if rec.Degraded {
-		opts.Obs.Counter("recognize.degraded").Add(1)
+		reg.Counter("recognize.degraded").Add(1)
 	}
 	if len(rec.StageErrors) > 0 {
-		return rec, rec.StageErrors[0]
+		return rec.StageErrors[0]
 	}
-	return rec, nil
+	return nil
 }
 
 // statementCountHint pre-sizes a scan accumulator's statement-count map.

@@ -3,12 +3,11 @@ package wm
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
 	"runtime"
 
 	"pathmark/internal/bitstring"
-	"pathmark/internal/cache"
-	"pathmark/internal/crt"
 	"pathmark/internal/obs"
 	"pathmark/internal/vm"
 )
@@ -28,9 +27,6 @@ type StreamOpts struct {
 	// the context error and the recognizer refuses further input (its
 	// accumulated state is partial and no longer batch-identical).
 	Ctx context.Context
-	// DecryptCache memoizes window decryption exactly as in the batch
-	// scan; results are bit-identical with it on or off.
-	DecryptCache *cache.Cache64
 	// CheckEvery is the early-exit probe interval in scanned windows:
 	// after every CheckEvery new windows the accumulated evidence is run
 	// through the vote/graph stage on a snapshot of the counts. 0 picks
@@ -73,10 +69,9 @@ const (
 
 // StreamRecognizer is the online form of RecognizeBits (§3.3): trace
 // evidence arrives in chunks — decoded bits or raw vm trace events — and
-// the sliding-window scan, prefilter stack, decrypt cache, and CRT vote
-// state advance incrementally, in memory bounded by
-// O(window buffer + distinct surviving statements), independent of the
-// trace length.
+// the sliding-window scan, prefilter stack and CRT vote state advance
+// incrementally, in memory bounded by O(window buffer + distinct
+// surviving statements), independent of the trace length.
 //
 // Three pieces of state make chunked scanning equal batch scanning:
 //
@@ -160,11 +155,8 @@ func NewStreamRecognizer(key *Key, opts StreamOpts) *StreamRecognizer {
 		minConf = 1.0
 	}
 	return &StreamRecognizer{
-		key: key,
-		cfg: scanConfig{
-			filters:      DefaultFilters,
-			decryptCache: opts.DecryptCache,
-		},
+		key:          key,
+		cfg:          scanConfig{filters: DefaultFilters},
 		workers:      workers,
 		ctx:          opts.Ctx,
 		checkEvery:   checkEvery,
@@ -225,18 +217,12 @@ func (r *StreamRecognizer) appendable() error {
 // TotalBits returns the number of decoded trace bits appended so far.
 func (r *StreamRecognizer) TotalBits() int { return r.total }
 
-// BufferedBits returns the current tail-buffer length — the only state
-// proportional to anything other than the surviving statements. It is
-// bounded by the largest single append plus compactMinDrop+maxWindowSpan,
-// independent of the cumulative trace length.
-func (r *StreamRecognizer) BufferedBits() int { return r.buf.Len() }
-
-// PeakBufferedBits returns the high-water mark of BufferedBits.
+// PeakBufferedBits returns the high-water mark of the tail-buffer length
+// — the only state proportional to anything other than the surviving
+// statements. It is bounded by the largest single append plus
+// compactMinDrop+maxWindowSpan, independent of the cumulative trace
+// length.
 func (r *StreamRecognizer) PeakBufferedBits() int { return r.peakBuffered }
-
-// PendingBranches reports trace-event decoder branches still awaiting
-// their successor block (nonzero only mid-chunk or on truncated traces).
-func (r *StreamRecognizer) PendingBranches() int { return r.decoder.Pending() }
 
 // Probes returns how many early-exit probes have run.
 func (r *StreamRecognizer) Probes() int { return r.probes }
@@ -350,22 +336,14 @@ func (r *StreamRecognizer) compact() {
 	r.base = newBase
 }
 
-// probe runs the vote/consistency/CRT stage over a capped snapshot of
-// the statement counts and applies the settle rule. The accumulated
-// counts themselves are untouched, preserving Flush's batch identity.
+// probe runs the recognition tail (resolve) over a snapshot of the
+// statement counts and applies the settle rule. resolve caps the
+// snapshot, not the accumulated counts, preserving Flush's batch
+// identity.
 func (r *StreamRecognizer) probe() {
 	r.probes++
 	rec := r.acc.recognition(r.total)
-	if len(r.acc.counts) > 0 {
-		counts := make(map[crt.Statement]int, len(r.acc.counts))
-		for st, c := range r.acc.counts {
-			if c > countCap {
-				c = countCap
-			}
-			counts[st] = c
-		}
-		resolveStatements(r.ctx, rec, counts, r.key)
-	}
+	_ = resolve(r.ctx, rec, maps.Clone(r.acc.counts), r.scanErrs, r.key, nil)
 	if rec.FullCoverage {
 		r.settle(rec)
 		return
@@ -392,7 +370,7 @@ func (r *StreamRecognizer) settle(rec *Recognition) {
 }
 
 // Flush finalizes the stream and returns the Recognition for everything
-// appended, following the batch pipeline's tail verbatim (count cap,
+// appended, running the batch pipeline's own tail, resolve (count cap,
 // vote, consistency graphs, Generalized-CRT merge): on a completely
 // streamed trace the result is bit-identical to RecognizeBits over the
 // whole decoded string, regardless of chunking, worker count, or
@@ -408,26 +386,12 @@ func (r *StreamRecognizer) Flush() (*Recognition, error) {
 		return nil, r.err
 	}
 	rec := r.acc.recognition(r.total)
-	if len(r.scanErrs) > 0 {
-		rec.Degraded = true
-		rec.StageErrors = append(rec.StageErrors, r.scanErrs...)
-	}
-	for st, c := range r.acc.counts {
-		if c > countCap {
-			r.acc.counts[st] = countCap
-		}
-	}
-	if len(r.acc.counts) > 0 {
-		resolveStatements(r.ctx, rec, r.acc.counts, r.key)
-	}
+	r.flushErr = resolve(r.ctx, rec, r.acc.counts, r.scanErrs, r.key, nil)
 	r.reg.Counter("stream.windows_total").Add(int64(rec.Windows))
 	r.reg.Counter("stream.probes").Add(int64(r.probes))
 	if r.settled {
 		r.reg.Counter("stream.early_exit").Add(1)
 	}
 	r.flushed = rec
-	if len(rec.StageErrors) > 0 {
-		r.flushErr = rec.StageErrors[0]
-	}
 	return r.flushed, r.flushErr
 }

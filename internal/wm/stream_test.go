@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pathmark/internal/bitstring"
-	"pathmark/internal/cache"
 	"pathmark/internal/vm"
 	"pathmark/internal/workloads"
 )
@@ -79,8 +78,8 @@ func requireEqualRecognition(t *testing.T, ctx string, got, want *Recognition) {
 // TestStreamRecognizerMatchesBatch is the equivalence property the
 // streaming subsystem is pinned by: over random marked programs, feeding
 // the decoded trace in chunks of every size — one bit at a time through
-// whole-trace — at several worker counts, with and without the decrypt
-// cache, Flush must reproduce batch RecognizeBits exactly.
+// whole-trace — at several worker counts, Flush must reproduce batch
+// RecognizeBits exactly.
 func TestStreamRecognizerMatchesBatch(t *testing.T) {
 	chunkSizes := []int{1, 7, 64, 4096, -1} // -1 = whole trace in one append
 	workerCounts := []int{1, 4, 8}
@@ -95,33 +94,26 @@ func TestStreamRecognizerMatchesBatch(t *testing.T) {
 		}
 		for _, chunk := range chunkSizes {
 			for _, workers := range workerCounts {
-				for _, withCache := range []bool{false, true} {
-					name := fmt.Sprintf("seed %d chunk %d workers %d cache %v",
-						seed, chunk, workers, withCache)
-					opts := StreamOpts{Workers: workers}
-					if withCache {
-						opts.DecryptCache = cache.NewCache64(1 << 16)
-					}
-					r := NewStreamRecognizer(key, opts)
-					size := chunk
-					if size < 0 {
-						size = bits.Len()
-					}
-					for lo := 0; lo < bits.Len(); lo += size {
-						hi := lo + size
-						if hi > bits.Len() {
-							hi = bits.Len()
-						}
-						if err := r.AppendBits(sliceBits(bits, lo, hi)); err != nil {
-							t.Fatalf("%s: append: %v", name, err)
-						}
-					}
-					got, err := r.Flush()
-					if err != nil {
-						t.Fatalf("%s: flush: %v", name, err)
-					}
-					requireEqualRecognition(t, name, got, batch)
+				name := fmt.Sprintf("seed %d chunk %d workers %d", seed, chunk, workers)
+				r := NewStreamRecognizer(key, StreamOpts{Workers: workers})
+				size := chunk
+				if size < 0 {
+					size = bits.Len()
 				}
+				for lo := 0; lo < bits.Len(); lo += size {
+					hi := lo + size
+					if hi > bits.Len() {
+						hi = bits.Len()
+					}
+					if err := r.AppendBits(sliceBits(bits, lo, hi)); err != nil {
+						t.Fatalf("%s: append: %v", name, err)
+					}
+				}
+				got, err := r.Flush()
+				if err != nil {
+					t.Fatalf("%s: flush: %v", name, err)
+				}
+				requireEqualRecognition(t, name, got, batch)
 			}
 		}
 	}
