@@ -39,6 +39,10 @@ func Assemble(src string) (*Program, error) {
 	labels := make(map[string]int)  // labels of the current method
 	methods := make(map[string]int) // first method of each name
 	entryName := ""
+	// code collects the current method's instructions. It is reused for
+	// every method, and each method gets an exactly sized copy, so the
+	// program's code is allocated once rather than grown by doubling.
+	var code []Instr
 
 	finishMethod := func() error {
 		if cur == nil {
@@ -49,8 +53,10 @@ func Assemble(src string) (*Program, error) {
 			if !ok {
 				return fmt.Errorf("line %d: undefined label %q in method %s", fx.line, fx.label, fx.method.Name)
 			}
-			fx.method.Code[fx.pc].Target = t
+			code[fx.pc].Target = t
 		}
+		cur.Code = append([]Instr(nil), code...)
+		code = code[:0]
 		fixups = fixups[:0]
 		clear(labels)
 		return nil
@@ -110,7 +116,7 @@ func Assemble(src string) (*Program, error) {
 			if _, dup := labels[name]; dup {
 				return nil, fmt.Errorf("line %d: duplicate label %q", lineNo+1, name)
 			}
-			labels[name] = len(cur.Code)
+			labels[name] = len(code)
 			continue
 		}
 		if cur == nil {
@@ -126,12 +132,12 @@ func Assemble(src string) (*Program, error) {
 			if n != 2 {
 				return nil, fmt.Errorf("line %d: %s wants a label", lineNo+1, op)
 			}
-			fixups = append(fixups, fixup{cur, len(cur.Code), fields[1], lineNo + 1})
+			fixups = append(fixups, fixup{cur, len(code), fields[1], lineNo + 1})
 		case op == OpCall:
 			if n != 2 {
 				return nil, fmt.Errorf("line %d: call wants a method name", lineNo+1)
 			}
-			callFixups = append(callFixups, fixup{cur, len(cur.Code), fields[1], lineNo + 1})
+			callFixups = append(callFixups, fixup{cur, len(code), fields[1], lineNo + 1})
 		case hasImmediate(op):
 			if n != 2 {
 				return nil, fmt.Errorf("line %d: %s wants an operand", lineNo+1, op)
@@ -146,7 +152,7 @@ func Assemble(src string) (*Program, error) {
 				return nil, fmt.Errorf("line %d: %s takes no operand", lineNo+1, op)
 			}
 		}
-		cur.Code = append(cur.Code, in)
+		code = append(code, in)
 	}
 	if err := finishMethod(); err != nil {
 		return nil, err

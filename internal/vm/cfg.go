@@ -76,6 +76,11 @@ func BuildCFG(m *Method) *CFG {
 // BlockOf returns the index of the block containing pc.
 func (c *CFG) BlockOf(pc int) int { return c.blockOf[pc] }
 
+// leader reports whether pc starts a block.
+func (c *CFG) leader(pc int) bool {
+	return pc < len(c.blockOf) && c.Blocks[c.blockOf[pc]].Start == pc
+}
+
 // NumBlocks returns the block count.
 func (c *CFG) NumBlocks() int { return len(c.Blocks) }
 

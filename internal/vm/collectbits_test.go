@@ -275,3 +275,64 @@ func FuzzCollectBits(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRunStepLimit checks the step budget on generated programs,
+// trapping ones included. The limit is checked before each step, so a
+// budget k at or above the steps a run takes leaves its outcome as it is
+// (k equal to the steps still completes), and any smaller positive k
+// stops it with a step-limit *ResourceError that has used exactly k.
+// CollectBits must agree with Run under every budget, with and without
+// a live context.
+func FuzzRunStepLimit(f *testing.F) {
+	f.Add([]byte{0, 1, byte(vm.OpConst), 2, 1, byte(vm.OpIfNe), 2, 1}, uint16(1))
+	f.Add([]byte{0, 1, byte(vm.OpConst), 9, 0, byte(vm.OpRet), 0, 0}, uint16(2)) // main: const -1; ret
+	f.Add([]byte("\x00\x00\x20\x00\x01"), uint16(4096))                          // main: goto 0
+	f.Add([]byte("\x01\x10\x01\x05\x00\x15\x02\x03\x1c\x00\x01\x20\x01\x04\x22\x00\x00"), uint16(4097))
+	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
+		if k == 0 {
+			return // the 100M default budget
+		}
+		p := fuzzProgram(data)
+		base := vm.RunOptions{Input: []int64{3, -1}, MaxHeap: 1 << 10, MaxDepth: 32}
+		// The reference run: capped above every k so looping programs
+		// end, profiled so a failed run still tells how many steps it
+		// dispatched.
+		ref := base
+		ref.StepLimit = 1 << 16
+		ref.Profile = vm.NewProfile()
+		want, wantErr := vm.Run(p, ref)
+		steps := ref.Profile.Steps
+		if wantErr == nil && want.Steps != steps {
+			t.Fatalf("Result.Steps %d, Profile.Steps %d", want.Steps, steps)
+		}
+		live, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		for _, ctx := range []context.Context{nil, live} {
+			opts := base
+			opts.StepLimit = int64(k)
+			opts.Ctx = ctx
+			got, gotErr := vm.Run(p, opts)
+			switch {
+			case int64(k) >= steps:
+				if d := diffErr(wantErr, gotErr); d != "" {
+					t.Fatalf("limit %d of %d steps: %s", k, steps, d)
+				}
+				if wantErr == nil && (got.Steps != want.Steps || !vm.SameBehavior(got, want)) {
+					t.Fatalf("limit %d: result %+v, unlimited %+v", k, got, want)
+				}
+			default:
+				var re *vm.ResourceError
+				if !errors.As(gotErr, &re) || !errors.Is(gotErr, vm.ErrStepLimit) || re.Used != int64(k) || re.Limit != int64(k) {
+					t.Fatalf("limit %d of %d steps: got %v, want a step-limit error with used %d", k, steps, gotErr, k)
+				}
+			}
+			_, bres, bitsErr := vm.CollectBits(p, opts)
+			if d := diffErr(gotErr, errors.Unwrap(bitsErr)); d != "" {
+				t.Fatalf("limit %d: Run and CollectBits disagree: %s", k, d)
+			}
+			if gotErr == nil && (bres.Steps != got.Steps || !vm.SameBehavior(bres, got)) {
+				t.Fatalf("limit %d: Run result %+v, CollectBits %+v", k, got, bres)
+			}
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package vm_test
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,8 +29,9 @@ func jessCopySource(tb testing.TB) string {
 }
 
 // TestIngestAllocs guards the ingest path's allocations: Assemble stays
-// under one allocation per ten source lines, and a program digest
-// (render plus SHA-256) under nine.
+// under one allocation per ten source lines and under twice the bytes of
+// the code it returns, and a program digest (render plus SHA-256) under
+// nine allocations.
 func TestIngestAllocs(t *testing.T) {
 	src := jessCopySource(t)
 	lines := strings.Count(src, "\n")
@@ -36,9 +39,27 @@ func TestIngestAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(5, func() { vm.MustAssemble(src) }); a*10 >= float64(lines) {
 		t.Errorf("Assemble of a %d-line copy: %.0f allocations, want under %d", lines, a, lines/10)
 	}
+	codeBytes := uint64(p.CodeSize()) * uint64(reflect.TypeOf(vm.Instr{}).Size())
+	if b := bytesPerRun(5, func() { vm.MustAssemble(src) }); b >= 2*codeBytes {
+		t.Errorf("Assemble of a copy with %d bytes of code: %d bytes allocated, want under %d", codeBytes, b, 2*codeBytes)
+	}
 	if a := testing.AllocsPerRun(5, func() { wm.ProgramDigest(p) }); a > 8 {
 		t.Errorf("ProgramDigest: %.0f allocations, want at most 8", a)
 	}
+}
+
+// bytesPerRun is the mean number of bytes f allocates per call, over runs
+// calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up, as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkIngest times what a served grade does to each suspect before

@@ -55,8 +55,9 @@ func (e *ResourceError) Unwrap() error { return e.Cause }
 
 // ctxCheckInterval is how many instructions execute between context
 // cancellation checks: frequent enough that cancellation is prompt (a few
-// microseconds of VM work), rare enough that the per-step cost is one
-// counter mask.
+// microseconds of VM work). The check costs nothing per step: the step
+// countdown stops at every multiple of the interval as well as at the
+// step limit, and only a stop tests either.
 const ctxCheckInterval = 4096
 
 // RunOptions controls execution.
@@ -85,8 +86,9 @@ type RunOptions struct {
 	// only taken when Trace is non-nil.
 	SnapshotLimit int
 	// Profile, when non-nil, accumulates the dynamic opcode mix and
-	// per-block execution counts. Disabled (nil) it costs one hoisted
-	// nil-check per instruction.
+	// per-block execution counts. Disabled (nil) it costs each
+	// instruction one test of a pointer the loop holds for the whole
+	// run. Enabled, it turns on block tracking like Trace does.
 	Profile *Profile
 }
 
@@ -100,7 +102,9 @@ type Result struct {
 // frame is one activation record. The interpreter keeps one frame per
 // call depth and reuses it for every call made at that depth: a call
 // clears the locals and empties the operand stack but keeps both
-// buffers, so steady-state calls allocate nothing.
+// buffers, so steady-state calls allocate nothing. The executing
+// frame's pc and operand stack live in the dispatch loop's locals; its
+// frame holds them whenever the loop calls out.
 type frame struct {
 	method *Method
 	mi     int
@@ -110,16 +114,31 @@ type frame struct {
 	pc     int
 }
 
+// fault is the RuntimeError of the instruction at fr.pc. The dispatch
+// loop saves its pc to the frame before it formats a message.
+func (fr *frame) fault(format string, args ...any) error {
+	return &RuntimeError{Method: fr.method.Name, PC: fr.pc, Msg: fmt.Sprintf(format, args...)}
+}
+
+// budget is the run's step countdown. The dispatch loop holds left in
+// a register and saves it here whenever it calls out.
+type budget struct {
+	stop int64 // the step count at which the loop next checks budgets
+	left int64 // steps still to run before stop
+}
+
 // stackHint is the operand-stack capacity a frame starts with.
 const stackHint = 16
 
-// opPops is the operand-stack pop count of every opcode but OpCall, whose
-// count is the callee's NArgs.
-var opPops = func() (t [opCount]int8) {
+// opPops is the operand-stack pop count of every opcode byte: 0 for
+// OpCall, whose count is the callee's NArgs, and for invalid opcodes,
+// which fault in the dispatch's default arm. Indexed by an Op, it
+// needs no bounds check.
+var opPops = func() (t [256]uint8) {
 	for o := Op(0); o < opCount; o++ {
 		if o != OpCall {
 			pops, _ := stackEffect(o)
-			t[o] = int8(pops)
+			t[o] = uint8(pops)
 		}
 	}
 	return t
@@ -153,6 +172,16 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 // non-nil sink receives every conditional branch together with the pc
 // it lands on. Block tracking (CFGs, block entries) runs only when
 // opts.Trace or opts.Profile asks for it.
+//
+// The dispatch loop holds the executing frame's code, pc, operand stack
+// and locals in registers. Whatever calls out of it (a call, a return,
+// an allocation, a trace or sink event, a budget stop) first saves pc,
+// stack and the countdown to the frame and the budget, then reloads
+// them in the outer loop, so none of them lives across a call and the
+// compiler need not spill them on every step. The step budget is a
+// countdown: left runs down to stop, the earlier of the step limit and
+// the next context check, and only there does the loop test either;
+// the run has executed stop − left steps.
 func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	if err := checkHeader(p); err != nil {
 		return nil, err
@@ -178,6 +207,7 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 		prof.BlockCount = make(map[BlockKey]int64)
 	}
 	tracking := opts.Trace != nil || prof != nil
+	events := tracking || sink != nil // branches call out
 
 	var cfgs []*CFG
 	if tracking {
@@ -232,17 +262,6 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 		fr.stack = fr.stack[:0]
 	}
 
-	// frames[:depth] is the live call stack; frames past depth keep their
-	// buffers for the next call at that depth.
-	frames := make([]frame, 1, 16)
-	enter(&frames[0], p.Entry)
-	depth := 1
-	var f *frame // the executing frame
-
-	fault := func(msg string) error {
-		return &RuntimeError{Method: f.method.Name, PC: f.pc, Msg: msg}
-	}
-
 	enterBlock := func(fr *frame, bi int) {
 		if prof != nil {
 			prof.enterBlock(fr.mi, bi)
@@ -251,318 +270,379 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 			opts.Trace.addBlockEnter(fr.mi, bi, fr.locals, statics, snapLimit)
 		}
 	}
-	// enterAt records a block entry when fr's pc starts a block.
-	enterAt := func(fr *frame) {
-		if tracking && fr.pc < len(fr.method.Code) {
-			if bi := fr.cfg.BlockOf(fr.pc); fr.cfg.Blocks[bi].Start == fr.pc {
-				enterBlock(fr, bi)
-			}
-		}
-	}
 
-	pop := func() int64 {
-		v := f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-		return v
-	}
-	pushv := func(v int64) { f.stack = append(f.stack, v) }
-	// next moves to the fall-through instruction, emitting a block entry
-	// when it crosses into a leader (e.g. falling through into a branch
-	// target).
-	next := func() {
-		f.pc++
-		enterAt(f)
-	}
-	// advance transfers control to pc to within the method. A branch or
-	// goto whose target lies outside the method faults: only verified
-	// programs are guaranteed to stay inside.
-	advance := func(to int) error {
-		if to < 0 || to >= len(f.method.Code) {
-			return fault(fmt.Sprintf("branch to pc %d outside method [0,%d)", to, len(f.method.Code)))
-		}
-		f.pc = to
-		enterAt(f)
-		return nil
-	}
+	// frames[:depth] is the live call stack; frames past depth keep their
+	// buffers for the next call at that depth.
+	frames := make([]frame, 1, 16)
+	enter(&frames[0], p.Entry)
+	depth := 1
+	f := &frames[0] // the executing frame
+	enterBlock(f, 0)
+	// stop == left == 0 sends the first step through the budget check.
+	b := &budget{}
 
-	// Enter the entry block of the entry method.
-	enterBlock(&frames[0], 0)
-
+load:
 	for {
-		f = &frames[depth-1]
-		if f.pc >= len(f.method.Code) {
-			return nil, fault("fell off end of method")
-		}
-		if res.Steps >= stepLimit {
-			return nil, &ResourceError{
-				Resource: "steps", Limit: stepLimit, Used: res.Steps,
-				Method: f.method.Name, PC: f.pc, Cause: ErrStepLimit,
+		// Load the executing frame into registers.
+		code, pc, stack, locals, left := f.method.Code, f.pc, f.stack, f.locals, b.left
+	dispatch:
+		for {
+			if len(stack) == cap(stack) {
+				// Make room for the one push an instruction may do.
+				f.pc, b.left = pc, left
+				f.stack = append(stack, 0)[:len(stack)]
+				continue load
 			}
-		}
-		if ctxDone != nil && res.Steps%ctxCheckInterval == 0 {
-			select {
-			case <-ctxDone:
-				return nil, &ResourceError{
-					Resource: "context", Limit: stepLimit, Used: res.Steps,
-					Method: f.method.Name, PC: f.pc, Cause: opts.Ctx.Err(),
+			if uint(pc) >= uint(len(code)) {
+				f.pc = pc
+				return nil, f.fault("fell off end of method")
+			}
+			if left == 0 {
+				f.pc, f.stack = pc, stack
+				if err := b.check(f, stepLimit, opts.Ctx, ctxDone); err != nil {
+					return nil, err
 				}
-			default:
+				continue load
 			}
-		}
-		res.Steps++
-		in := f.method.Code[f.pc]
-		if prof != nil {
-			prof.Steps++
-			if int(in.Op) < len(prof.OpCount) {
-				prof.OpCount[in.Op]++
-			}
-		}
-
-		// The verifier guarantees operand ranges and stack discipline for
-		// verified programs; guard anyway so unverified/attacked programs
-		// fault cleanly.
-		var pops int
-		switch {
-		case in.Op == OpCall:
-			if in.A < 0 || in.A >= int64(len(p.Methods)) {
-				return nil, fault("callee index out of range")
-			}
-			pops = p.Methods[in.A].NArgs
-		case in.Op < opCount:
-			pops = int(opPops[in.Op])
-		default:
-			return nil, fault(fmt.Sprintf("invalid opcode %d", in.Op))
-		}
-		if len(f.stack) < pops {
-			return nil, fault(fmt.Sprintf("stack underflow executing %v", in.Op))
-		}
-
-		switch in.Op {
-		case OpNop:
-			next()
-		case OpConst:
-			pushv(in.A)
-			next()
-		case OpLoad:
-			if in.A < 0 || in.A >= int64(len(f.locals)) {
-				return nil, fault("local index out of range")
-			}
-			pushv(f.locals[in.A])
-			next()
-		case OpStore:
-			if in.A < 0 || in.A >= int64(len(f.locals)) {
-				return nil, fault("local index out of range")
-			}
-			f.locals[in.A] = pop()
-			next()
-		case OpGetStatic:
-			if in.A < 0 || in.A >= int64(len(statics)) {
-				return nil, fault("static index out of range")
-			}
-			pushv(statics[in.A])
-			next()
-		case OpPutStatic:
-			if in.A < 0 || in.A >= int64(len(statics)) {
-				return nil, fault("static index out of range")
-			}
-			statics[in.A] = pop()
-			next()
-		case OpDup:
-			v := pop()
-			pushv(v)
-			pushv(v)
-			next()
-		case OpPop:
-			pop()
-			next()
-		case OpSwap:
-			b, a := pop(), pop()
-			pushv(b)
-			pushv(a)
-			next()
-		case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr:
-			b, a := pop(), pop()
-			var v int64
-			switch in.Op {
-			case OpAdd:
-				v = a + b
-			case OpSub:
-				v = a - b
-			case OpMul:
-				v = a * b
-			case OpDiv:
-				if b == 0 {
-					return nil, fault("division by zero")
-				}
-				v = a / b
-			case OpRem:
-				if b == 0 {
-					return nil, fault("division by zero")
-				}
-				v = a % b
-			case OpAnd:
-				v = a & b
-			case OpOr:
-				v = a | b
-			case OpXor:
-				v = a ^ b
-			case OpShl:
-				v = a << (uint64(b) & 63)
-			case OpShr:
-				v = a >> (uint64(b) & 63)
-			}
-			pushv(v)
-			next()
-		case OpNeg:
-			pushv(-pop())
-			next()
-		case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe,
-			OpIfCmpEq, OpIfCmpNe, OpIfCmpLt, OpIfCmpGe, OpIfCmpGt, OpIfCmpLe:
-			// ifXX v is ifcmpXX v, 0.
-			var a, b int64
-			cmp := in.Op
-			if cmp < OpIfCmpEq {
-				a, cmp = pop(), cmp-OpIfEq+OpIfCmpEq
-			} else {
-				b, a = pop(), pop()
-			}
-			var taken bool
-			switch cmp {
-			case OpIfCmpEq:
-				taken = a == b
-			case OpIfCmpNe:
-				taken = a != b
-			case OpIfCmpLt:
-				taken = a < b
-			case OpIfCmpGe:
-				taken = a >= b
-			case OpIfCmpGt:
-				taken = a > b
-			case OpIfCmpLe:
-				taken = a <= b
-			}
-			to := f.pc + 1
-			if taken {
-				to = in.Target
-			}
-			if opts.Trace != nil {
-				opts.Trace.addBranchExec(f.mi, f.pc, taken)
-			}
-			if sink != nil {
-				sink.branch(f.mi, f.pc, to)
-			}
-			if err := advance(to); err != nil {
-				return nil, err
-			}
-		case OpGoto:
-			if err := advance(in.Target); err != nil {
-				return nil, err
-			}
-		case OpCall:
-			if depth >= maxDepth {
-				return nil, fault("call depth exceeded")
-			}
-			callee := p.Methods[in.A]
-			if callee.NArgs < 0 || callee.NArgs > callee.NLocals {
-				return nil, fault(fmt.Sprintf("callee %s takes %d args in %d locals",
-					callee.Name, callee.NArgs, callee.NLocals))
-			}
-			if depth == len(frames) {
-				frames = append(frames, frame{})
-				f = &frames[depth-1] // the append may have moved the caller
-			}
-			nf := &frames[depth]
-			enter(nf, int(in.A))
-			for i := callee.NArgs - 1; i >= 0; i-- {
-				nf.locals[i] = pop()
-			}
-			depth++
+			left--
+			in := code[pc]
 			if prof != nil {
-				prof.Calls++
-				if depth > prof.MaxObservedDepth {
-					prof.MaxObservedDepth = depth
+				prof.Steps++
+				if int(in.Op) < len(prof.OpCount) {
+					prof.OpCount[in.Op]++
 				}
 			}
-			enterBlock(nf, 0)
-		case OpRet:
-			v := pop()
-			depth--
-			if depth == 0 {
-				res.Return = v
-				return res, nil
+			// The verifier guarantees operand ranges and stack discipline
+			// for verified programs; guard anyway so unverified/attacked
+			// programs fault cleanly.
+			if len(stack) < int(opPops[in.Op]) {
+				f.pc = pc
+				return nil, f.fault("stack underflow executing %v", in.Op)
 			}
-			caller := &frames[depth-1]
-			caller.stack = append(caller.stack, v)
-			// Resume after the call. Calls never end blocks, so this is a
-			// block continuation, not an entry, unless the next pc
-			// happens to be a branch target.
-			caller.pc++
-			enterAt(caller)
-		case OpNewArr:
-			nv := pop()
-			if nv < 0 || nv > 1<<24 {
-				return nil, fault(fmt.Sprintf("bad array size %d", nv))
-			}
-			if heapCells+nv > maxHeap {
-				return nil, &ResourceError{
-					Resource: "heap", Limit: maxHeap, Used: heapCells + nv,
-					Method: f.method.Name, PC: f.pc, Cause: ErrHeapLimit,
+			n := len(stack) - 1 // the top of the stack; pushes have room at n+1
+			var taken bool      // set by the conditional branches
+
+			switch in.Op {
+			case OpNop:
+			case OpConst:
+				stack = stack[:n+2]
+				stack[n+1] = in.A
+			case OpLoad:
+				if uint64(in.A) >= uint64(len(locals)) {
+					f.pc = pc
+					return nil, f.fault("local index out of range")
 				}
+				stack = stack[:n+2]
+				stack[n+1] = locals[in.A]
+			case OpStore:
+				if uint64(in.A) >= uint64(len(locals)) {
+					f.pc = pc
+					return nil, f.fault("local index out of range")
+				}
+				locals[in.A] = stack[n]
+				stack = stack[:n]
+			case OpGetStatic:
+				if uint64(in.A) >= uint64(len(statics)) {
+					f.pc = pc
+					return nil, f.fault("static index out of range")
+				}
+				stack = stack[:n+2]
+				stack[n+1] = statics[in.A]
+			case OpPutStatic:
+				if uint64(in.A) >= uint64(len(statics)) {
+					f.pc = pc
+					return nil, f.fault("static index out of range")
+				}
+				statics[in.A] = stack[n]
+				stack = stack[:n]
+			case OpDup:
+				stack = stack[:n+2]
+				stack[n+1] = stack[n]
+			case OpPop:
+				stack = stack[:n]
+			case OpSwap:
+				stack[n-1], stack[n] = stack[n], stack[n-1]
+
+			// Binary ops leave a OP b where a was and drop b.
+			case OpAdd:
+				stack[n-1] += stack[n]
+				stack = stack[:n]
+			case OpSub:
+				stack[n-1] -= stack[n]
+				stack = stack[:n]
+			case OpMul:
+				stack[n-1] *= stack[n]
+				stack = stack[:n]
+			case OpDiv:
+				if stack[n] == 0 {
+					f.pc = pc
+					return nil, f.fault("division by zero")
+				}
+				stack[n-1] /= stack[n]
+				stack = stack[:n]
+			case OpRem:
+				if stack[n] == 0 {
+					f.pc = pc
+					return nil, f.fault("division by zero")
+				}
+				stack[n-1] %= stack[n]
+				stack = stack[:n]
+			case OpAnd:
+				stack[n-1] &= stack[n]
+				stack = stack[:n]
+			case OpOr:
+				stack[n-1] |= stack[n]
+				stack = stack[:n]
+			case OpXor:
+				stack[n-1] ^= stack[n]
+				stack = stack[:n]
+			case OpShl:
+				stack[n-1] <<= uint64(stack[n]) & 63
+				stack = stack[:n]
+			case OpShr:
+				stack[n-1] >>= uint64(stack[n]) & 63
+				stack = stack[:n]
+			case OpNeg:
+				stack[n] = -stack[n]
+
+			// Conditional branches compute taken and join at cond below:
+			// ifXX v compares v with 0, ifcmpXX a b compares a with b.
+			case OpIfEq:
+				taken, stack = stack[n] == 0, stack[:n]
+				goto cond
+			case OpIfNe:
+				taken, stack = stack[n] != 0, stack[:n]
+				goto cond
+			case OpIfLt:
+				taken, stack = stack[n] < 0, stack[:n]
+				goto cond
+			case OpIfGe:
+				taken, stack = stack[n] >= 0, stack[:n]
+				goto cond
+			case OpIfGt:
+				taken, stack = stack[n] > 0, stack[:n]
+				goto cond
+			case OpIfLe:
+				taken, stack = stack[n] <= 0, stack[:n]
+				goto cond
+			case OpIfCmpEq:
+				taken, stack = stack[n-1] == stack[n], stack[:n-1]
+				goto cond
+			case OpIfCmpNe:
+				taken, stack = stack[n-1] != stack[n], stack[:n-1]
+				goto cond
+			case OpIfCmpLt:
+				taken, stack = stack[n-1] < stack[n], stack[:n-1]
+				goto cond
+			case OpIfCmpGe:
+				taken, stack = stack[n-1] >= stack[n], stack[:n-1]
+				goto cond
+			case OpIfCmpGt:
+				taken, stack = stack[n-1] > stack[n], stack[:n-1]
+				goto cond
+			case OpIfCmpLe:
+				taken, stack = stack[n-1] <= stack[n], stack[:n-1]
+				goto cond
+
+			case OpGoto:
+				if uint(in.Target) >= uint(len(code)) {
+					f.pc = pc
+					return nil, f.fault("branch to pc %d outside method [0,%d)", in.Target, len(code))
+				}
+				pc = in.Target
+				if tracking {
+					f.pc, f.stack, b.left = pc, stack, left
+					break dispatch
+				}
+				continue
+			case OpCall:
+				f.pc = pc
+				if uint64(in.A) >= uint64(len(p.Methods)) {
+					return nil, f.fault("callee index out of range")
+				}
+				callee := p.Methods[in.A]
+				if len(stack) < callee.NArgs {
+					return nil, f.fault("stack underflow executing %v", in.Op)
+				}
+				if depth >= maxDepth {
+					return nil, f.fault("call depth exceeded")
+				}
+				if callee.NArgs < 0 || callee.NArgs > callee.NLocals {
+					return nil, f.fault("callee %s takes %d args in %d locals",
+						callee.Name, callee.NArgs, callee.NLocals)
+				}
+				f.stack, b.left = stack, left
+				if depth == len(frames) {
+					frames = append(frames, frame{}) // may move the caller
+				}
+				caller, nf := &frames[depth-1], &frames[depth]
+				enter(nf, int(in.A))
+				args := len(caller.stack) - callee.NArgs
+				copy(nf.locals, caller.stack[args:])
+				caller.stack = caller.stack[:args]
+				depth++
+				if prof != nil {
+					prof.Calls++
+					if depth > prof.MaxObservedDepth {
+						prof.MaxObservedDepth = depth
+					}
+				}
+				f = nf
+				enterBlock(f, 0)
+				continue load
+			case OpRet:
+				v := stack[n]
+				f.stack = stack[:n] // keeps a grown buffer for the next call here
+				depth--
+				if depth == 0 {
+					res.Return, res.Steps = v, b.stop-left
+					return res, nil
+				}
+				b.left = left
+				// Resume after the call. Calls never end blocks, so this
+				// is a block continuation, not an entry, unless the next
+				// pc happens to be a branch target.
+				f = &frames[depth-1]
+				f.pc++
+				f.stack = append(f.stack, v)
+				break dispatch
+
+			case OpNewArr:
+				f.pc = pc
+				nv := stack[n]
+				if nv < 0 || nv > 1<<24 {
+					return nil, f.fault("bad array size %d", nv)
+				}
+				if heapCells+nv > maxHeap {
+					return nil, &ResourceError{
+						Resource: "heap", Limit: maxHeap, Used: heapCells + nv,
+						Method: f.method.Name, PC: f.pc, Cause: ErrHeapLimit,
+					}
+				}
+				f.pc, f.stack, b.left = pc+1, stack, left
+				heapCells += nv
+				heap = append(heap, make([]int64, nv))
+				f.stack[len(f.stack)-1] = int64(len(heap))
+				break dispatch
+			case OpALoad:
+				ref, i := stack[n-1], stack[n]
+				if uint64(ref-1) >= uint64(len(heap)) {
+					f.pc = pc
+					return nil, f.fault("bad array reference %d", ref)
+				}
+				arr := heap[ref-1]
+				if uint64(i) >= uint64(len(arr)) {
+					f.pc = pc
+					return nil, f.fault("array index %d out of range [0,%d)", i, len(arr))
+				}
+				stack[n-1] = arr[i]
+				stack = stack[:n]
+			case OpAStore:
+				ref, i := stack[n-2], stack[n-1]
+				if uint64(ref-1) >= uint64(len(heap)) {
+					f.pc = pc
+					return nil, f.fault("bad array reference %d", ref)
+				}
+				arr := heap[ref-1]
+				if uint64(i) >= uint64(len(arr)) {
+					f.pc = pc
+					return nil, f.fault("array index %d out of range [0,%d)", i, len(arr))
+				}
+				arr[i] = stack[n]
+				stack = stack[:n-2]
+			case OpArrLen:
+				ref := stack[n]
+				if uint64(ref-1) >= uint64(len(heap)) {
+					f.pc = pc
+					return nil, f.fault("bad array reference %d", ref)
+				}
+				stack[n] = int64(len(heap[ref-1]))
+			case OpIn:
+				f.pc, f.stack, b.left = pc+1, stack[:n+2], left
+				var v int64
+				if inPos < len(input) {
+					v = input[inPos]
+					inPos++
+				}
+				f.stack[n+1] = v
+				break dispatch
+			case OpPrint:
+				f.pc, f.stack, b.left = pc+1, stack[:n], left
+				res.Output = append(res.Output, stack[n])
+				break dispatch
+			default:
+				f.pc = pc
+				return nil, f.fault("invalid opcode %d", in.Op)
 			}
-			heapCells += nv
-			heap = append(heap, make([]int64, nv))
-			pushv(int64(len(heap)))
-			next()
-		case OpALoad:
-			i, ref := pop(), pop()
-			arr, err := heapArr(heap, ref)
-			if err != nil {
-				return nil, fault(err.Error())
+
+			// Fall through to the next instruction.
+			pc++
+			if tracking && f.cfg.leader(pc) {
+				f.pc, f.stack, b.left = pc, stack, left
+				break dispatch
 			}
-			if i < 0 || i >= int64(len(arr)) {
-				return nil, fault(fmt.Sprintf("array index %d out of range [0,%d)", i, len(arr)))
+			continue
+
+		cond:
+			{
+				to := pc + 1
+				if taken {
+					to = in.Target
+				}
+				if events {
+					f.pc, f.stack, b.left = pc, stack, left
+					if opts.Trace != nil {
+						opts.Trace.addBranchExec(f.mi, f.pc, taken)
+					}
+					if sink != nil {
+						sink.branch(f.mi, f.pc, to)
+					}
+					if uint(to) >= uint(len(f.method.Code)) {
+						return nil, f.fault("branch to pc %d outside method [0,%d)", to, len(f.method.Code))
+					}
+					f.pc = to
+					break dispatch
+				}
+				if uint(to) >= uint(len(code)) {
+					f.pc = pc
+					return nil, f.fault("branch to pc %d outside method [0,%d)", to, len(code))
+				}
+				pc = to
 			}
-			pushv(arr[i])
-			next()
-		case OpAStore:
-			v, i, ref := pop(), pop(), pop()
-			arr, err := heapArr(heap, ref)
-			if err != nil {
-				return nil, fault(err.Error())
-			}
-			if i < 0 || i >= int64(len(arr)) {
-				return nil, fault(fmt.Sprintf("array index %d out of range [0,%d)", i, len(arr)))
-			}
-			arr[i] = v
-			next()
-		case OpArrLen:
-			ref := pop()
-			arr, err := heapArr(heap, ref)
-			if err != nil {
-				return nil, fault(err.Error())
-			}
-			pushv(int64(len(arr)))
-			next()
-		case OpIn:
-			if inPos < len(input) {
-				pushv(input[inPos])
-				inPos++
-			} else {
-				pushv(0)
-			}
-			next()
-		case OpPrint:
-			res.Output = append(res.Output, pop())
-			next()
+		}
+		// Back from a call out: record a block entry when the saved pc
+		// starts a block (e.g. falling through into a branch target).
+		if tracking && f.cfg.leader(f.pc) {
+			enterBlock(f, f.cfg.BlockOf(f.pc))
 		}
 	}
 }
 
-func heapArr(heap [][]int64, ref int64) ([]int64, error) {
-	if ref < 1 || ref > int64(len(heap)) {
-		return nil, fmt.Errorf("bad array reference %d", ref)
+// check runs at a budget stop, with the executing frame saved in f: it
+// fails the run once its step limit is used up or its context is done,
+// and otherwise sets the next stop.
+func (b *budget) check(f *frame, stepLimit int64, ctx context.Context, ctxDone <-chan struct{}) error {
+	used := b.stop
+	if used >= stepLimit {
+		return &ResourceError{
+			Resource: "steps", Limit: stepLimit, Used: used,
+			Method: f.method.Name, PC: f.pc, Cause: ErrStepLimit,
+		}
 	}
-	return heap[ref-1], nil
+	b.stop = stepLimit
+	if ctxDone != nil {
+		select {
+		case <-ctxDone:
+			return &ResourceError{
+				Resource: "context", Limit: stepLimit, Used: used,
+				Method: f.method.Name, PC: f.pc, Cause: ctx.Err(),
+			}
+		default:
+		}
+		b.stop = min(b.stop, used+ctxCheckInterval)
+	}
+	b.left = b.stop - used
+	return nil
 }
 
 // SameBehavior reports whether two run results are observationally
