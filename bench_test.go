@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"pathmark/internal/attacks"
-	"pathmark/internal/bitstring"
 	"pathmark/internal/experiments"
 	"pathmark/internal/feistel"
 	"pathmark/internal/isa"
@@ -330,79 +329,6 @@ func BenchmarkRecognizeScan(b *testing.B) {
 			b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "pipeline-Mwindows/s")
 		})
 	}
-}
-
-// benchBits builds a pseudo-random bit vector for windowing benchmarks.
-func benchBits(n int) *bitstring.Bits {
-	bs := bitstring.New(n)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		bs.Append(rng.Intn(2) == 1)
-	}
-	return bs
-}
-
-// BenchmarkWindows64 compares the incremental rolling window iteration
-// against per-index Word64 reassembly over the same vector (run with
-// -benchmem: both are allocation-free, rolling does one shift+or per
-// step instead of a two-word splice).
-func BenchmarkWindows64(b *testing.B) {
-	bs := benchBits(1 << 16)
-	b.Run("rolling", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			bs.Windows64(func(_ int, w uint64) bool {
-				sink ^= w
-				return true
-			})
-		}
-		_ = sink
-	})
-	b.Run("word64-per-index", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j+64 <= bs.Len(); j++ {
-				sink ^= bs.Word64(j)
-			}
-		}
-		_ = sink
-	})
-}
-
-// BenchmarkStrideWindows64 compares zero-copy stride-phase window
-// iteration against materializing the phase with Stride and scanning the
-// copy — the recognizer's old inner loop (run with -benchmem: the
-// zero-copy path never allocates).
-func BenchmarkStrideWindows64(b *testing.B) {
-	bs := benchBits(1 << 16)
-	b.Run("zero-copy", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			for phase := 0; phase < 2; phase++ {
-				bs.StrideWindows64(2, phase, func(_ int, w uint64) bool {
-					sink ^= w
-					return true
-				})
-			}
-		}
-		_ = sink
-	})
-	b.Run("materialize", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			for phase := 0; phase < 2; phase++ {
-				bs.Stride(2, phase).Windows64(func(_ int, w uint64) bool {
-					sink ^= w
-					return true
-				})
-			}
-		}
-		_ = sink
-	})
 }
 
 func BenchmarkVMInterpreter(b *testing.B) {

@@ -215,12 +215,7 @@ func (c *common) secretInput() []int64 {
 
 func (c *common) wmKey() *wm.Key {
 	if c.keyfile != "" {
-		f, err := os.Open(c.keyfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		key, err := wm.LoadKey(f)
+		key, err := wm.LoadKeyFile(c.keyfile)
 		if err != nil {
 			fatal(err)
 		}

@@ -3,12 +3,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pathmark/internal/vm"
+	"pathmark/internal/wm"
 	"pathmark/internal/workloads"
 )
 
@@ -139,6 +142,45 @@ func TestRecognizeExitCodes(t *testing.T) {
 	if exitNoMatch == exitError || exitNoMatch == exitUsage {
 		t.Errorf("no-match code %d must be distinct from hard-error %d and usage %d",
 			exitNoMatch, exitError, exitUsage)
+	}
+}
+
+// TestRecognizeKeyfileHelper is not a test: it is the subprocess body for
+// TestRecognizeKeyfileErrors, whose bad keyfiles end in fatal's os.Exit.
+func TestRecognizeKeyfileHelper(t *testing.T) {
+	env := os.Getenv("PATHMARK_RECOGNIZE_ARGS")
+	if env == "" {
+		t.Skip("helper process for TestRecognizeKeyfileErrors")
+	}
+	os.Exit(cmdRecognize(strings.Split(env, "\n")))
+}
+
+// TestRecognizeKeyfileErrors pins -keyfile to wm.LoadKeyFile: a missing
+// file and a corrupt one each exit with the hard-error code and print
+// the loader's own error.
+func TestRecognizeKeyfileErrors(t *testing.T) {
+	dir := t.TempDir()
+	host, _ := writeMiniCalc(t, dir)
+	corrupt := filepath.Join(dir, "corrupt.key")
+	if err := os.WriteFile(corrupt, []byte(`{"version": 1, "input": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, keyfile := range []string{filepath.Join(dir, "missing.key"), corrupt} {
+		_, loadErr := wm.LoadKeyFile(keyfile)
+		if loadErr == nil {
+			t.Fatalf("%s: loader accepted a bad keyfile", keyfile)
+		}
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestRecognizeKeyfileHelper$")
+		cmd.Env = append(os.Environ(),
+			"PATHMARK_RECOGNIZE_ARGS="+strings.Join([]string{"-in", host, "-keyfile", keyfile}, "\n"))
+		out, err := cmd.CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != exitError {
+			t.Fatalf("%s: want exit %d, got err=%v\n%s", keyfile, exitError, err, out)
+		}
+		if want := "pathmark: " + loadErr.Error(); !strings.Contains(string(out), want) {
+			t.Errorf("%s: output lacks the loader's error %q:\n%s", keyfile, want, out)
+		}
 	}
 }
 

@@ -102,23 +102,12 @@ func (b *Bits) AppendBits(other *Bits) {
 	}
 }
 
-// Bit returns the bit at index i. It panics if i is out of range; code
-// handling untrusted indices should use TryBit instead.
+// Bit returns the bit at index i. It panics if i is out of range.
 func (b *Bits) Bit(i int) bool {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("bitstring: index %d out of range [0,%d)", i, b.n))
 	}
 	return b.words[i/64]&(1<<uint(i%64)) != 0
-}
-
-// TryBit is the checked form of Bit: out-of-range indices — including
-// indices derived from attacked or corrupted traces — return an error
-// instead of panicking.
-func (b *Bits) TryBit(i int) (bool, error) {
-	if i < 0 || i >= b.n {
-		return false, fmt.Errorf("bitstring: index %d out of range [0,%d)", i, b.n)
-	}
-	return b.words[i/64]&(1<<uint(i%64)) != 0, nil
 }
 
 // Set assigns the bit at index i. It panics if i is out of range.
@@ -279,17 +268,13 @@ func (b *Bits) StrideNumWindows64(k, phase int) int {
 	return 0
 }
 
-// StrideWindows64 calls fn for every 64-bit window of the stride-k,
-// phase-p subsequence, in order. It is equivalent to
-// b.Stride(k, phase).Windows64(fn) but reads bits directly from the
-// underlying words instead of materializing a new vector.
-func (b *Bits) StrideWindows64(k, phase int, fn func(start int, window uint64) bool) {
-	b.StrideWindows64Range(k, phase, 0, b.StrideNumWindows64(k, phase), fn)
-}
-
-// StrideWindows64Range is the [lo, hi)-clamped, shardable variant of
-// StrideWindows64: window start indices are positions in the stride
-// subsequence, so window j covers raw bits phase+k*j .. phase+k*(j+63).
+// StrideWindows64Range calls fn for every 64-bit window of the stride-k,
+// phase-p subsequence whose starting index lies in [lo, hi), clamped to the
+// valid range, stopping early if fn returns false. It is equivalent to
+// scanning b.Stride(k, phase) but reads bits directly from the underlying
+// words instead of materializing a new vector. Window start indices are
+// positions in the stride subsequence, so window j covers raw bits
+// phase+k*j .. phase+k*(j+63).
 func (b *Bits) StrideWindows64Range(k, phase, lo, hi int, fn func(start int, window uint64) bool) {
 	lo, hi, ok := clampWindowRange(lo, hi, b.StrideNumWindows64(k, phase))
 	if !ok {

@@ -278,7 +278,7 @@ func TestStrideWindows64MatchesMaterialized(t *testing.T) {
 		for _, c := range []struct{ k, phase int }{{1, 0}, {2, 0}, {2, 1}, {3, 1}} {
 			want := refWindows(b.Stride(c.k, c.phase))
 			got := 0
-			b.StrideWindows64(c.k, c.phase, func(start int, w uint64) bool {
+			b.StrideWindows64Range(c.k, c.phase, 0, b.StrideNumWindows64(c.k, c.phase), func(start int, w uint64) bool {
 				if want[start] != w {
 					t.Fatalf("n=%d stride(%d,%d): window %d = %#x, want %#x",
 						n, c.k, c.phase, start, w, want[start])
@@ -316,7 +316,7 @@ func TestStrideWindows64RangeAndEarlyStop(t *testing.T) {
 		}
 	}
 	n := 0
-	b.StrideWindows64(2, 0, func(int, uint64) bool {
+	b.StrideWindows64Range(2, 0, 0, b.StrideNumWindows64(2, 0), func(int, uint64) bool {
 		n++
 		return n < 3
 	})

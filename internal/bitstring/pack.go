@@ -1,12 +1,11 @@
 package bitstring
 
-// Stride-2 packing for the recognizer's batched scan kernel. The scalar
-// scan walks the two stride-2 phases of a trace through
-// StrideWindows64Range, gathering every window bit-by-bit; the batched
-// kernel instead materializes each phase once as a contiguous bit vector
-// (one word-parallel pass over the trace) and then scans it stride-1,
-// which lets the same incremental window roll and block-gather code
-// serve all three scan tasks.
+// Stride-2 packing for the recognizer's batched scan kernel. Rather than
+// gathering every stride-2 window bit-by-bit (StrideWindows64Range, the
+// reference form), the kernel materializes each phase once as a
+// contiguous bit vector (one word-parallel pass over the trace) and then
+// scans it stride-1, which lets the same incremental window roll and
+// block-gather code serve all three scan tasks.
 
 // Words exposes the backing words of the vector: bit i of the vector is
 // bit i%64 of Words()[i/64], and bits at or beyond Len() in the last
@@ -28,16 +27,11 @@ func compactEven(x uint64) uint64 {
 	return x
 }
 
-// PackStride2 materializes the stride-2, phase-p subsequence as a new
-// vector, equivalent to Stride(2, phase) but word-parallel: every output
-// word packs the even-position bits of two input words (shifted by the
-// phase), so the pass costs a few ALU ops per 64 trace bits instead of a
-// per-bit Append. phase must be 0 or 1.
-func (b *Bits) PackStride2(phase int) *Bits {
-	return b.PackStride2Into(nil, phase)
-}
-
-// PackStride2Into is PackStride2 recycling dst's storage when its word
+// PackStride2Into materializes the stride-2, phase-p subsequence,
+// equivalent to Stride(2, phase) but word-parallel: every output word
+// packs the even-position bits of two input words (shifted by the phase),
+// so the pass costs a few ALU ops per 64 trace bits instead of a per-bit
+// Append. phase must be 0 or 1. It recycles dst's storage when its word
 // capacity suffices (a nil dst allocates fresh). Every output word is
 // fully overwritten, so a recycled vector carries no state from its
 // previous contents; scan callers that repack phases per call pool the

@@ -21,9 +21,9 @@ func TestPackStride2MatchesStride(t *testing.T) {
 				continue // StrideLen requires phase < k only; phase 1 of empty is fine
 			}
 			want := b.Stride(2, phase)
-			got := b.PackStride2(phase)
+			got := b.PackStride2Into(nil, phase)
 			if got.Len() != want.Len() {
-				t.Fatalf("n=%d phase=%d: PackStride2 len %d, Stride len %d", n, phase, got.Len(), want.Len())
+				t.Fatalf("n=%d phase=%d: PackStride2Into len %d, Stride len %d", n, phase, got.Len(), want.Len())
 			}
 			if err := got.Validate(); err != nil {
 				t.Fatalf("n=%d phase=%d: packed vector invalid: %v", n, phase, err)
@@ -37,7 +37,7 @@ func TestPackStride2MatchesStride(t *testing.T) {
 
 // TestPackStride2Windows checks the property the batched kernel actually
 // relies on: scanning the packed phase stride-1 visits exactly the same
-// windows as StrideWindows64 over the original trace.
+// windows as StrideWindows64Range over the original trace.
 func TestPackStride2Windows(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	b := New(777)
@@ -45,12 +45,12 @@ func TestPackStride2Windows(t *testing.T) {
 		b.Append(rng.Intn(2) == 1)
 	}
 	for phase := 0; phase < 2; phase++ {
-		packed := b.PackStride2(phase)
+		packed := b.PackStride2Into(nil, phase)
 		if got, want := packed.NumWindows64(), b.StrideNumWindows64(2, phase); got != want {
 			t.Fatalf("phase %d: packed has %d windows, stride view has %d", phase, got, want)
 		}
 		var wantWindows []uint64
-		b.StrideWindows64(2, phase, func(start int, w uint64) bool {
+		b.StrideWindows64Range(2, phase, 0, b.StrideNumWindows64(2, phase), func(start int, w uint64) bool {
 			wantWindows = append(wantWindows, w)
 			return true
 		})
@@ -95,7 +95,7 @@ func TestPackStride2InvalidPhase(t *testing.T) {
 			t.Fatal("expected panic for phase 2")
 		}
 	}()
-	New(10).PackStride2(2)
+	New(10).PackStride2Into(nil, 2)
 }
 
 func BenchmarkPackStride2(b *testing.B) {
@@ -105,9 +105,10 @@ func BenchmarkPackStride2(b *testing.B) {
 		bits.Append(rng.Intn(2) == 1)
 	}
 	b.SetBytes(1 << 17)
+	var dst *Bits
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = bits.PackStride2(i & 1)
+		dst = bits.PackStride2Into(dst, i&1)
 	}
 }
 

@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestTryBit(t *testing.T) {
-	b, _ := FromString("1011")
-	for i, want := range []bool{true, false, true, true} {
-		got, err := b.TryBit(i)
-		if err != nil || got != want {
-			t.Errorf("TryBit(%d) = %v, %v; want %v, nil", i, got, err, want)
-		}
-	}
-	for _, i := range []int{-1, 4, 1 << 30} {
-		if _, err := b.TryBit(i); err == nil {
-			t.Errorf("TryBit(%d) should fail", i)
-		}
-	}
-}
-
 func TestTryWord64(t *testing.T) {
 	b := FromUint64(0xDEADBEEFCAFEF00D)
 	b.Append(true)

@@ -271,14 +271,3 @@ func (bf *BranchFunc) Finalize(u *isa.Unit, keys, targets []uint32, slots []Tamp
 	}
 	return nil
 }
-
-// Hash returns the perfect-hash index the finalized branch function will
-// compute for a key; used by the embedder to map call sites to tamper
-// slots. It must be called only after Finalize succeeded with these keys.
-func Hash(keys []uint32, key uint32) (uint32, error) {
-	ph, err := perfecthash.Build(keys)
-	if err != nil {
-		return 0, err
-	}
-	return ph.Lookup(key), nil
-}

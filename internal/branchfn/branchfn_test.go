@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pathmark/internal/isa"
-	"pathmark/internal/perfecthash"
 )
 
 // buildDispatchTest wires a branch function dispatching n chained call
@@ -136,23 +135,6 @@ func TestRegisterAndFlagPreservation(t *testing.T) {
 	for i := range want {
 		if res.Output[i] != want[i] {
 			t.Fatalf("output %v, want %v", res.Output, want)
-		}
-	}
-}
-
-func TestHashMatchesPerfectHash(t *testing.T) {
-	keys := []uint32{0x08048010, 0x08048022, 0x08048031, 0x08048047}
-	ph, err := perfecthash.Build(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		got, err := Hash(keys, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ph.Lookup(k) {
-			t.Errorf("Hash(%#x) = %d, want %d", k, got, ph.Lookup(k))
 		}
 	}
 }

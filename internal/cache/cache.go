@@ -46,14 +46,6 @@ type Stats struct {
 // Lookups returns the total number of GetOrCompute calls the stats cover.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses + s.Bypassed }
 
-// HitRate returns Hits / Lookups, or 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	if n := s.Lookups(); n > 0 {
-		return float64(s.Hits) / float64(n)
-	}
-	return 0
-}
-
 // Sub returns the delta s - prior, for attributing traffic to one
 // pipeline phase of a long-lived cache.
 func (s Stats) Sub(prior Stats) Stats {

@@ -242,15 +242,9 @@ func TestStatsArithmetic(t *testing.T) {
 	if s.Lookups() != 50 {
 		t.Errorf("Lookups = %d", s.Lookups())
 	}
-	if s.HitRate() != 0.6 {
-		t.Errorf("HitRate = %v", s.HitRate())
-	}
 	d := s.Sub(Stats{Hits: 10, Misses: 5, Bypassed: 0})
 	if d != (Stats{Hits: 20, Misses: 5, Bypassed: 10}) {
 		t.Errorf("Sub = %+v", d)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Error("empty HitRate must be 0")
 	}
 }
 

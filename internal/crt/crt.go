@@ -36,7 +36,7 @@ type Params struct {
 	// Framing constants, fixed by the capacity and memoized here because
 	// Unframe runs on every decrypted window in the scan hot loop (see
 	// framing.go).
-	frameShift     uint   // payload width = bits.Len64(Capacity()-1)
+	frameShift     uint   // payload width = bits.Len64(Capacity()-1); < 64 since Capacity < 2^63
 	framePayload   uint64 // low-bit mask selecting the payload field
 	frameCheckMask uint64 // check field truncated to the available headroom
 	frameCap       uint64 // Capacity(), denormalized out of the offsets slice
@@ -213,31 +213,6 @@ func (p *Params) Modulus(s Statement) uint64 {
 	return p.primes[s.I] * p.primes[s.J]
 }
 
-// Consistent reports whether two statements can simultaneously hold for
-// some W: their residues must agree modulo the gcd of their moduli.
-func (p *Params) Consistent(a, b Statement) bool {
-	g := gcd64(p.Modulus(a), p.Modulus(b))
-	return a.X%g == b.X%g
-}
-
-// SharePrime reports whether two statements share a prime index and agree
-// on the residue modulo every shared prime. This is adjacency in the
-// recognizer's graph H: agreement that is *not* explained by the Chinese
-// Remainder Theorem alone and therefore unlikely for garbage statements.
-func (p *Params) SharePrime(a, b Statement) bool {
-	shared := false
-	for _, i := range []int{a.I, a.J} {
-		if i == b.I || i == b.J {
-			shared = true
-			q := p.primes[i]
-			if a.X%q != b.X%q {
-				return false
-			}
-		}
-	}
-	return shared
-}
-
 // Reconstruct merges statements with the Generalized Chinese Remainder
 // Theorem. On success it returns the combined value W mod M and the
 // combined modulus M (the product of all primes covered by the
@@ -287,21 +262,4 @@ func mergeCongruence(a, m, b, n *big.Int) (c, l *big.Int, err error) {
 	c.Add(c, a)
 	c.Mod(c, l)
 	return c, l, nil
-}
-
-// CoveredPrimes returns the set of prime indices mentioned by the
-// statements, as a sorted slice. Full coverage (len == r) is necessary for
-// the combined modulus to reach Π p_k.
-func (p *Params) CoveredPrimes(stmts []Statement) []int {
-	seen := make(map[int]bool)
-	for _, s := range stmts {
-		seen[s.I] = true
-		seen[s.J] = true
-	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -178,39 +178,6 @@ func TestReconstructDetectsInconsistency(t *testing.T) {
 	}
 }
 
-func TestConsistentAndSharePrime(t *testing.T) {
-	p := mustParams(t, []uint64{2, 3, 5, 7})
-	stmts, _ := p.Split(big.NewInt(101))
-	for i := range stmts {
-		for j := range stmts {
-			if !p.Consistent(stmts[i], stmts[j]) {
-				t.Errorf("true statements %+v and %+v reported inconsistent", stmts[i], stmts[j])
-			}
-		}
-	}
-	// (0,1) and (0,2) share prime 0 and agree there.
-	if !p.SharePrime(stmts[0], stmts[1]) {
-		t.Error("SharePrime((0,1),(0,2)) = false, want true")
-	}
-	// (0,1) and (2,3) share nothing.
-	var s23 Statement
-	for _, s := range stmts {
-		if s.I == 2 && s.J == 3 {
-			s23 = s
-		}
-	}
-	if p.SharePrime(stmts[0], s23) {
-		t.Error("SharePrime((0,1),(2,3)) = true, want false")
-	}
-	// A corrupted residue that disagrees on the shared prime: flipping the
-	// low bit changes the residue mod p1 = 2.
-	bad := stmts[1]
-	bad.X ^= 1
-	if p.SharePrime(stmts[0], bad) {
-		t.Error("SharePrime with disagreeing shared residue = true, want false")
-	}
-}
-
 func TestDefaultPrimes(t *testing.T) {
 	ps := DefaultPrimes(10, 13)
 	if len(ps) != 10 {
@@ -236,20 +203,6 @@ func TestSplitRejectsOversizeWatermark(t *testing.T) {
 	}
 	if _, err := p.Split(big.NewInt(-1)); err == nil {
 		t.Error("Split accepted negative W")
-	}
-}
-
-func TestCoveredPrimes(t *testing.T) {
-	p := mustParams(t, []uint64{2, 3, 5, 7})
-	got := p.CoveredPrimes([]Statement{{I: 0, J: 2}, {I: 2, J: 3}})
-	want := []int{0, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("CoveredPrimes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CoveredPrimes = %v, want %v", got, want)
-		}
 	}
 }
 

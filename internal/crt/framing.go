@@ -34,15 +34,6 @@ func frameFold16(v uint64) uint64 {
 	return v & 0xffff
 }
 
-// framePayloadBits returns the width of the payload field: the number of
-// bits needed to represent every encoding in [0, Capacity()). Capacity is
-// below 2^63 (enforced by NewParams), so at least one check bit exists.
-// The value is fixed by the basis and memoized in NewParams: Unframe runs
-// once per decrypted window, so this must stay a field load.
-func (p *Params) framePayloadBits() uint {
-	return p.frameShift
-}
-
 // frameCheck returns the expected check field for a payload: the magic ^
 // parity fold, truncated to the headroom when fewer than 16 bits remain.
 // When more than 16 bits of headroom exist the surplus high bits are
@@ -71,13 +62,6 @@ func (p *Params) Unframe(w uint64) (enc uint64, ok bool) {
 		return 0, false
 	}
 	return enc, true
-}
-
-// FrameCheckBits reports how many high bits of a framed block are
-// structurally constrained — the log2 rejection power framing adds on
-// top of the capacity range check.
-func (p *Params) FrameCheckBits() int {
-	return 64 - int(p.framePayloadBits())
 }
 
 // FrameConsts is the flattened form of the framing check, published for

@@ -6,49 +6,6 @@ import (
 	"testing/quick"
 )
 
-// TestConsistentMatchesBruteForce checks Consistent against the ground
-// truth "some W satisfies both congruences" on a small basis where
-// exhaustive search is feasible.
-func TestConsistentMatchesBruteForce(t *testing.T) {
-	p := mustParams(t, []uint64{2, 3, 5, 7})
-	maxW := p.MaxWatermark().Int64() // 210
-	stmts := func() []Statement {
-		var out []Statement
-		for k := 0; k < p.NumPairs(); k++ {
-			i, j := p.Pair(k)
-			m := p.Modulus(Statement{I: i, J: j})
-			for x := uint64(0); x < m; x += 3 { // sample every 3rd residue
-				out = append(out, Statement{I: i, J: j, X: x})
-			}
-		}
-		return out
-	}()
-	satisfiable := func(a, b Statement) bool {
-		ma, mb := int64(p.Modulus(a)), int64(p.Modulus(b))
-		for w := int64(0); w < maxW; w++ {
-			if w%ma == int64(a.X) && w%mb == int64(b.X) {
-				return true
-			}
-		}
-		return false
-	}
-	checked := 0
-	for i := 0; i < len(stmts); i += 2 {
-		for j := i; j < len(stmts); j += 3 {
-			a, b := stmts[i], stmts[j]
-			got := p.Consistent(a, b)
-			want := satisfiable(a, b)
-			if got != want {
-				t.Fatalf("Consistent(%+v, %+v) = %v, brute force says %v", a, b, got, want)
-			}
-			checked++
-		}
-	}
-	if checked < 50 {
-		t.Fatalf("only %d pairs checked", checked)
-	}
-}
-
 // TestEncodeDecodeBijection: the enumeration is a bijection between
 // statements and [0, Capacity).
 func TestEncodeDecodeBijection(t *testing.T) {

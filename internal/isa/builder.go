@@ -31,15 +31,13 @@ func (b *Builder) Raw(in Ins) *Builder {
 	return b
 }
 
-// AllocData reserves n bytes of data section and returns the offset.
-func (b *Builder) AllocData(n int) int {
+// AllocWords reserves n 32-bit words of data section, returning the byte
+// offset.
+func (b *Builder) AllocWords(n int) int {
 	off := len(b.u.Data)
-	b.u.Data = append(b.u.Data, make([]byte, n)...)
+	b.u.Data = append(b.u.Data, make([]byte, 4*n)...)
 	return off
 }
-
-// AllocWords reserves n 32-bit words, returning the byte offset.
-func (b *Builder) AllocWords(n int) int { return b.AllocData(4 * n) }
 
 // SetDataWord patches a word into the data image at a byte offset.
 func (b *Builder) SetDataWord(off int, v uint32) {
@@ -83,7 +81,6 @@ func (b *Builder) Pop(r byte) *Builder  { return b.Raw(Ins{Op: OPop, R1: r}) }
 func (b *Builder) Add(dst, src byte) *Builder  { return b.Raw(Ins{Op: OAdd, R1: dst, R2: src}) }
 func (b *Builder) Sub(dst, src byte) *Builder  { return b.Raw(Ins{Op: OSub, R1: dst, R2: src}) }
 func (b *Builder) And(dst, src byte) *Builder  { return b.Raw(Ins{Op: OAnd, R1: dst, R2: src}) }
-func (b *Builder) Or(dst, src byte) *Builder   { return b.Raw(Ins{Op: OOr, R1: dst, R2: src}) }
 func (b *Builder) Xor(dst, src byte) *Builder  { return b.Raw(Ins{Op: OXor, R1: dst, R2: src}) }
 func (b *Builder) Mul(dst, src byte) *Builder  { return b.Raw(Ins{Op: OMul, R1: dst, R2: src}) }
 func (b *Builder) UDiv(dst, src byte) *Builder { return b.Raw(Ins{Op: OUDiv, R1: dst, R2: src}) }

@@ -23,24 +23,6 @@ func FuzzDecodeAt(f *testing.F) {
 	})
 }
 
-// FuzzParseAsm checks the textual assembler never panics and that accepted
-// programs assemble.
-func FuzzParseAsm(f *testing.F) {
-	f.Add(asmCountdown)
-	f.Add("  mov eax, 1\n  hlt\n")
-	f.Add("data 4\nx:\n  jmp x\n")
-	f.Add("\x00\xff:")
-	f.Fuzz(func(t *testing.T, src string) {
-		u, err := ParseAsm(src)
-		if err != nil {
-			return
-		}
-		if _, err := Assemble(u); err != nil {
-			t.Fatalf("ParseAsm accepted a unit Assemble rejects: %v", err)
-		}
-	})
-}
-
 // FuzzCPUOnRandomText loads arbitrary bytes as a text section and runs the
 // CPU: it must halt, fault, or hit the step limit — never panic.
 func FuzzCPUOnRandomText(f *testing.F) {

@@ -284,9 +284,6 @@ func Open(dir string, spec Spec) (*Job, error) {
 // the same spec.
 func (j *Job) ID() string { return hex.EncodeToString(j.digest[:]) }
 
-// Dir returns the job's directory.
-func (j *Job) Dir() string { return j.dir }
-
 // Reused reports how many grades this process restored from the journal
 // instead of executing — the resume savings.
 func (j *Job) Reused() int {

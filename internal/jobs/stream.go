@@ -278,9 +278,6 @@ func (sj *StreamJob) feedRecognizers(bits *bitstring.Bits) error {
 // ID is the stream job's content address in hex.
 func (sj *StreamJob) ID() string { return hex.EncodeToString(sj.digest[:]) }
 
-// Dir returns the job directory.
-func (sj *StreamJob) Dir() string { return sj.dir }
-
 // Committed returns the durable decoded-bit offset: every bit below it
 // is journaled and fed, so an interrupted uploader resumes from here.
 func (sj *StreamJob) Committed() int64 {

@@ -57,18 +57,12 @@ func EmbedFramed(u *isa.Unit, w *big.Int, bits int, opts EmbedOptions) (*isa.Uni
 	return Embed(u, framed, total, opts)
 }
 
-// ExtractFramed recovers a framed watermark with no begin/end knowledge:
-// it collects every branch-function dispatch in execution order and scans
-// the bit sequence for the frame header. It is ExtractFramedContext with
-// no cancellation.
-func ExtractFramed(img *isa.Image, input []int64, kind TracerKind, stepLimit int64) (*Extraction, error) {
-	return ExtractFramedContext(nil, img, input, kind, stepLimit)
-}
-
-// ExtractFramedContext is ExtractFramed bounded by a context: the tracing
-// run polls ctx periodically, so a deadline converts a spinning (or
-// attacked) image into a prompt error instead of a step-budget burn. A
-// nil ctx disables the checks.
+// ExtractFramedContext recovers a framed watermark with no begin/end
+// knowledge: it collects every branch-function dispatch in execution order
+// and scans the bit sequence for the frame header. The tracing run polls
+// ctx periodically, so a deadline converts a spinning (or attacked) image
+// into a prompt error instead of a step-budget burn. A nil ctx disables
+// the checks.
 func ExtractFramedContext(ctx context.Context, img *isa.Image, input []int64, kind TracerKind, stepLimit int64) (*Extraction, error) {
 	events, err := TraceMisReturnsContext(ctx, img, input, stepLimit)
 	if err != nil && len(events) == 0 {

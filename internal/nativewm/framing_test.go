@@ -25,7 +25,7 @@ func TestFramedRoundTripWithoutMark(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Extraction needs no begin/end/bit-count knowledge at all.
-		ext, err := ExtractFramed(img, trainInput, SmartTracer, 0)
+		ext, err := ExtractFramedContext(nil, img, trainInput, SmartTracer, 0)
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
@@ -63,7 +63,7 @@ func TestFramedExtractionFailsOnCleanBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtractFramed(img, trainInput, SmartTracer, 0); err == nil {
+	if _, err := ExtractFramedContext(nil, img, trainInput, SmartTracer, 0); err == nil {
 		t.Error("found a frame in an unwatermarked binary")
 	}
 }
@@ -96,7 +96,7 @@ func TestFramedAndManualExtractionAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := ExtractFramed(img, trainInput, SmartTracer, 0)
+	auto, err := ExtractFramedContext(nil, img, trainInput, SmartTracer, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

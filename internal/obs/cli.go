@@ -65,9 +65,6 @@ func (c *CLI) Begin() (*Registry, error) {
 	return c.reg, nil
 }
 
-// Registry returns the registry Begin created (nil when stats are off).
-func (c *CLI) Registry() *Registry { return c.reg }
-
 // Finish stops the CPU profile, writes the heap profile, and flushes the
 // summary and JSONL sinks. Only the first call acts.
 func (c *CLI) Finish() error {

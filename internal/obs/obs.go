@@ -236,78 +236,6 @@ func (h *Histogram) Observe(v int64) {
 	h.mu.Unlock()
 }
 
-// Merge folds other's counters and histograms into r (summing values and
-// buckets) and appends other's finished spans at r's current nesting
-// depth. It supports fan-out stages that give each worker a private
-// registry and combine them at the join; the merge result is independent
-// of merge order for counters and histograms.
-func (r *Registry) Merge(other *Registry) {
-	if r == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	type histCopy struct {
-		name    string
-		timing  bool
-		count   int64
-		sum     int64
-		min     int64
-		max     int64
-		buckets [65]int64
-	}
-	var counters []struct {
-		name string
-		v    int64
-	}
-	for name, c := range other.counters {
-		counters = append(counters, struct {
-			name string
-			v    int64
-		}{name, c.v.Load()})
-	}
-	var hists []histCopy
-	for name, h := range other.hists {
-		h.mu.Lock()
-		hists = append(hists, histCopy{name, h.timing, h.count, h.sum, h.min, h.max, h.buckets})
-		h.mu.Unlock()
-	}
-	spans := append([]*Span(nil), other.spans...)
-	other.mu.Unlock()
-
-	for _, c := range counters {
-		r.Counter(c.name).Add(c.v)
-	}
-	for _, hc := range hists {
-		h := r.histogram(hc.name, hc.timing)
-		h.mu.Lock()
-		if hc.count > 0 {
-			if h.count == 0 || hc.min < h.min {
-				h.min = hc.min
-			}
-			if h.count == 0 || hc.max > h.max {
-				h.max = hc.max
-			}
-			h.count += hc.count
-			h.sum += hc.sum
-			for i, b := range hc.buckets {
-				h.buckets[i] += b
-			}
-		}
-		h.mu.Unlock()
-	}
-	r.mu.Lock()
-	for _, s := range spans {
-		if s.done {
-			r.spans = append(r.spans, &Span{
-				reg: r, name: s.name, depth: r.depth + s.depth,
-				start: s.start, wall: s.wall, done: true,
-				counters: copyCounters(s.counters),
-			})
-		}
-	}
-	r.mu.Unlock()
-}
-
 func copyCounters(m map[string]int64) map[string]int64 {
 	if m == nil {
 		return nil

@@ -64,8 +64,6 @@ func TestNilRegistry(t *testing.T) {
 	}
 	r.Histogram("h").Observe(3)
 	r.TimingHistogram("t").Observe(3)
-	r.Merge(NewRegistry())
-	NewRegistry().Merge(r)
 	if err := r.WriteJSONL(&bytes.Buffer{}, JSONLOptions{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
@@ -192,39 +190,6 @@ func TestSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("n").Add(1)
-	b.Counter("n").Add(2)
-	b.Counter("only-b").Add(7)
-	a.Histogram("h").Observe(1)
-	b.Histogram("h").Observe(100)
-	sp := b.Start("worker")
-	sp.Set("items", 5).Finish()
-	b.Start("unfinished") // must not be merged
-
-	a.Merge(b)
-	if v := a.Counter("n").Value(); v != 3 {
-		t.Errorf("merged n = %d, want 3", v)
-	}
-	if v := a.Counter("only-b").Value(); v != 7 {
-		t.Errorf("merged only-b = %d, want 7", v)
-	}
-	snap := a.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "worker" || snap.Spans[0].Counters["items"] != 5 {
-		t.Errorf("merged spans = %+v", snap.Spans)
-	}
-	var h *HistStat
-	for i := range snap.Hists {
-		if snap.Hists[i].Name == "h" {
-			h = &snap.Hists[i]
-		}
-	}
-	if h == nil || h.Count != 2 || h.Sum != 101 || h.Min != 1 || h.Max != 100 {
-		t.Errorf("merged histogram = %+v", h)
 	}
 }
 

@@ -75,6 +75,3 @@ func binomial(n, k int) float64 {
 	}
 	return r
 }
-
-// Binomial exposes C(n,k) as a float64 for the experiment harness.
-func Binomial(n, k int) float64 { return binomial(n, k) }

@@ -122,8 +122,8 @@ func TestBinomial(t *testing.T) {
 		want float64
 	}{{5, 0, 1}, {5, 5, 1}, {5, 2, 10}, {10, 3, 120}, {3, 4, 0}, {3, -1, 0}}
 	for _, c := range cases {
-		if got := Binomial(c.n, c.k); got != c.want {
-			t.Errorf("Binomial(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
+		if got := binomial(c.n, c.k); got != c.want {
+			t.Errorf("binomial(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
 		}
 	}
 }

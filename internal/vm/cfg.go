@@ -15,12 +15,9 @@ type CFG struct {
 	Blocks []Block
 	// blockOf maps each pc to the index of its containing block.
 	blockOf []int
-	// Succs[i] lists the block indices reachable from block i by a direct
-	// control transfer (fall-through, branch, or both); returns have none.
-	Succs [][]int
 }
 
-// BuildCFG computes the method's basic blocks and successor lists.
+// BuildCFG computes the method's basic blocks.
 // Leaders are: pc 0, every branch target, and every instruction following
 // a block-ending instruction (branch or ret). Calls do not end blocks —
 // as in JVM bytecode, an invoke is an ordinary block-internal instruction.
@@ -53,21 +50,6 @@ func BuildCFG(m *Method) *CFG {
 	for bi, b := range cfg.Blocks {
 		for pc := b.Start; pc < b.End; pc++ {
 			cfg.blockOf[pc] = bi
-		}
-	}
-	cfg.Succs = make([][]int, len(cfg.Blocks))
-	for bi, b := range cfg.Blocks {
-		if b.End == 0 {
-			continue
-		}
-		last := m.Code[b.End-1]
-		// An out-of-range target (unverified code) has no successor
-		// block; executing it faults.
-		if last.Op.IsBranch() && last.Target >= 0 && last.Target < n {
-			cfg.Succs[bi] = append(cfg.Succs[bi], cfg.blockOf[last.Target])
-		}
-		if last.Op != OpRet && last.Op != OpGoto && b.End < n {
-			cfg.Succs[bi] = append(cfg.Succs[bi], cfg.BlockOf(b.End))
 		}
 	}
 	return cfg

@@ -29,9 +29,10 @@ func jessCopySource(tb testing.TB) string {
 }
 
 // TestIngestAllocs guards the ingest path's allocations: Assemble stays
-// under one allocation per ten source lines and under twice the bytes of
-// the code it returns, and a program digest (render plus SHA-256) under
-// nine allocations.
+// under one allocation per ten source lines and under 1.4 times the bytes
+// of the code it returns (the verifier reuses one stack-height buffer
+// across methods), and a program digest (render plus SHA-256) under nine
+// allocations.
 func TestIngestAllocs(t *testing.T) {
 	src := jessCopySource(t)
 	lines := strings.Count(src, "\n")
@@ -40,8 +41,8 @@ func TestIngestAllocs(t *testing.T) {
 		t.Errorf("Assemble of a %d-line copy: %.0f allocations, want under %d", lines, a, lines/10)
 	}
 	codeBytes := uint64(p.CodeSize()) * uint64(reflect.TypeOf(vm.Instr{}).Size())
-	if b := bytesPerRun(5, func() { vm.MustAssemble(src) }); b >= 2*codeBytes {
-		t.Errorf("Assemble of a copy with %d bytes of code: %d bytes allocated, want under %d", codeBytes, b, 2*codeBytes)
+	if b := bytesPerRun(5, func() { vm.MustAssemble(src) }); 5*b >= 7*codeBytes {
+		t.Errorf("Assemble of a copy with %d bytes of code: %d bytes allocated, want under %d", codeBytes, b, 7*codeBytes/5)
 	}
 	if a := testing.AllocsPerRun(5, func() { wm.ProgramDigest(p) }); a > 8 {
 		t.Errorf("ProgramDigest: %.0f allocations, want at most 8", a)

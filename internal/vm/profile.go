@@ -10,8 +10,7 @@ import "sort"
 // path (measured at well under 1% on the recognition benchmarks — see
 // EXPERIMENTS.md "Instrumentation overhead").
 //
-// Profile is not safe for concurrent use; give each Run its own and
-// combine results with Merge.
+// Profile is not safe for concurrent use; give each Run its own.
 type Profile struct {
 	// Steps counts dispatched instructions (mirrors Result.Steps).
 	Steps int64
@@ -32,27 +31,6 @@ func NewProfile() *Profile {
 
 func (p *Profile) enterBlock(mi, bi int) {
 	p.BlockCount[BlockKey{Method: mi, Block: bi}]++
-}
-
-// Merge adds other's counts into p.
-func (p *Profile) Merge(other *Profile) {
-	if p == nil || other == nil {
-		return
-	}
-	p.Steps += other.Steps
-	p.Calls += other.Calls
-	for i := range p.OpCount {
-		p.OpCount[i] += other.OpCount[i]
-	}
-	if p.BlockCount == nil {
-		p.BlockCount = make(map[BlockKey]int64)
-	}
-	for k, v := range other.BlockCount {
-		p.BlockCount[k] += v
-	}
-	if other.MaxObservedDepth > p.MaxObservedDepth {
-		p.MaxObservedDepth = other.MaxObservedDepth
-	}
 }
 
 // OpCountEntry is one row of the dynamic opcode mix.

@@ -119,25 +119,3 @@ func TestProfileDoesNotPerturb(t *testing.T) {
 		t.Errorf("profile has %d blocks, trace %d", len(prof.BlockCount), len(tr.BlockCount))
 	}
 }
-
-func TestProfileMerge(t *testing.T) {
-	p, err := Assemble(profileTestSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := NewProfile(), NewProfile()
-	if _, err := Run(p, RunOptions{Profile: a}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(p, RunOptions{Profile: b}); err != nil {
-		t.Fatal(err)
-	}
-	steps := a.Steps
-	a.Merge(b)
-	if a.Steps != 2*steps || a.Calls != 20 {
-		t.Errorf("merged Steps=%d Calls=%d, want %d/20", a.Steps, a.Calls, 2*steps)
-	}
-	var nilProf *Profile
-	nilProf.Merge(a) // must not panic
-	a.Merge(nil)
-}

@@ -21,12 +21,13 @@ func Verify(p *Program) error {
 		return fmt.Errorf("vm: entry index %d out of range", p.Entry)
 	}
 	names := make(map[string]bool, len(p.Methods))
+	var sv stackVerifier
 	for _, m := range p.Methods {
 		if names[m.Name] {
 			return fmt.Errorf("vm: duplicate method name %q", m.Name)
 		}
 		names[m.Name] = true
-		if err := verifyMethod(p, m); err != nil {
+		if err := sv.verifyMethod(p, m); err != nil {
 			return fmt.Errorf("vm: method %s: %w", m.Name, err)
 		}
 	}
@@ -42,13 +43,25 @@ func VerifyMethod(p *Program, i int) error {
 	if i < 0 || i >= len(p.Methods) {
 		return fmt.Errorf("vm: method index %d out of range", i)
 	}
-	if err := verifyMethod(p, p.Methods[i]); err != nil {
+	var sv stackVerifier
+	if err := sv.verifyMethod(p, p.Methods[i]); err != nil {
 		return fmt.Errorf("vm: method %s: %w", p.Methods[i].Name, err)
 	}
 	return nil
 }
 
-func verifyMethod(p *Program, m *Method) error {
+// stackVerifier holds the stack check's scratch buffers, so one Verify
+// reuses them across every method of the program.
+type stackVerifier struct {
+	height []int32 // per-pc stack height, unknownHeight until reached
+	work   []stackItem
+}
+
+type stackItem struct{ pc, h int32 }
+
+const unknownHeight = -1
+
+func (sv *stackVerifier) verifyMethod(p *Program, m *Method) error {
 	n := len(m.Code)
 	if n == 0 {
 		return fmt.Errorf("empty code")
@@ -82,38 +95,26 @@ func verifyMethod(p *Program, m *Method) error {
 	if last != OpRet && last != OpGoto {
 		return fmt.Errorf("pc %d: method may fall off the end (last op %v)", n-1, last)
 	}
-	return verifyStack(p, m)
+	return sv.verifyStack(p, m)
 }
 
 // verifyStack abstractly interprets the method, assigning each reachable
 // pc a stack height and rejecting inconsistencies and underflow.
-func verifyStack(p *Program, m *Method) error {
-	const unknown = -1
-	height := make([]int, len(m.Code))
-	for i := range height {
-		height[i] = unknown
+func (sv *stackVerifier) verifyStack(p *Program, m *Method) error {
+	n := len(m.Code)
+	if cap(sv.height) < n {
+		sv.height = make([]int32, n)
 	}
-	type workItem struct{ pc, h int }
-	work := []workItem{{0, 0}}
-	push := func(pc, h int) error {
-		if h > 4096 {
-			return fmt.Errorf("pc %d: operand stack exceeds limit", pc)
-		}
-		if height[pc] == unknown {
-			height[pc] = h
-			work = append(work, workItem{pc, h})
-			return nil
-		}
-		if height[pc] != h {
-			return fmt.Errorf("pc %d: inconsistent stack height %d vs %d", pc, height[pc], h)
-		}
-		return nil
+	sv.height = sv.height[:n]
+	for i := range sv.height {
+		sv.height[i] = unknownHeight
 	}
-	height[0] = 0
-	for len(work) > 0 {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		pc, h := item.pc, item.h
+	sv.height[0] = 0
+	sv.work = append(sv.work[:0], stackItem{0, 0})
+	for len(sv.work) > 0 {
+		item := sv.work[len(sv.work)-1]
+		sv.work = sv.work[:len(sv.work)-1]
+		pc, h := int(item.pc), int(item.h)
 		in := m.Code[pc]
 		var pops, pushes int
 		if in.Op == OpCall {
@@ -130,25 +131,42 @@ func verifyStack(p *Program, m *Method) error {
 			// next is the height after consuming the return value; any
 			// residue is tolerated (like the JVM, we allow dead operands).
 		case in.Op == OpGoto:
-			if err := push(in.Target, next); err != nil {
+			if err := sv.push(in.Target, next); err != nil {
 				return err
 			}
 		case in.Op.IsCondBranch():
-			if err := push(in.Target, next); err != nil {
+			if err := sv.push(in.Target, next); err != nil {
 				return err
 			}
-			if pc+1 < len(m.Code) {
-				if err := push(pc+1, next); err != nil {
+			if pc+1 < n {
+				if err := sv.push(pc+1, next); err != nil {
 					return err
 				}
 			}
 		default:
-			if pc+1 < len(m.Code) {
-				if err := push(pc+1, next); err != nil {
+			if pc+1 < n {
+				if err := sv.push(pc+1, next); err != nil {
 					return err
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// push records height h at pc and queues pc the first time it is reached,
+// rejecting a second arrival at a different height.
+func (sv *stackVerifier) push(pc, h int) error {
+	if h > 4096 {
+		return fmt.Errorf("pc %d: operand stack exceeds limit", pc)
+	}
+	if sv.height[pc] == unknownHeight {
+		sv.height[pc] = int32(h)
+		sv.work = append(sv.work, stackItem{int32(pc), int32(h)})
+		return nil
+	}
+	if sv.height[pc] != int32(h) {
+		return fmt.Errorf("pc %d: inconsistent stack height %d vs %d", pc, sv.height[pc], h)
 	}
 	return nil
 }
