@@ -57,6 +57,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"os"
@@ -368,13 +369,7 @@ func cmdTrace(args []string) {
 		// One event per line on stdout, nothing else: the dump pipes
 		// straight into `pathmark watch -format events`.
 		out := bufio.NewWriter(os.Stdout)
-		for _, e := range tr.Events {
-			kind := "block"
-			if e.Kind == vm.EvBranchExec {
-				kind = "branch"
-			}
-			fmt.Fprintf(out, "%s %d %d\n", kind, e.Method, e.Loc)
-		}
+		writeTraceEvents(out, tr.Events)
 		out.Flush()
 		fmt.Fprintf(os.Stderr, "trace events: %d, branch executions: %d\n", len(tr.Events), tr.NumBranchExecs())
 		return
@@ -383,6 +378,19 @@ func cmdTrace(args []string) {
 	fmt.Printf("return: %d, output: %v, steps: %d\n", res.Return, res.Output, res.Steps)
 	fmt.Printf("trace events: %d, branch executions: %d\n", len(tr.Events), tr.NumBranchExecs())
 	fmt.Printf("bit-string (%d bits):\n%s\n", bits.Len(), bits)
+}
+
+// writeTraceEvents writes one "branch METHOD PC" or "block METHOD BLOCK"
+// line per event: the `pathmark trace -events` dump, which is the
+// `pathmark watch -format events` input.
+func writeTraceEvents(w io.Writer, events []vm.Event) {
+	for _, e := range events {
+		kind := "block"
+		if e.Kind == vm.EvBranchExec {
+			kind = "branch"
+		}
+		fmt.Fprintf(w, "%s %d %d\n", kind, e.Method, e.Loc)
+	}
 }
 
 func cmdAttack(args []string) {

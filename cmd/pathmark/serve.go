@@ -280,7 +280,7 @@ func newServer(cfg serveConfig) (*server, error) {
 		// answer whether or not the operator passed -stats.
 		cfg.reg = obs.NewRegistry()
 	}
-	if err := os.MkdirAll(cfg.root, 0o755); err != nil {
+	if err := cfg.fs().MkdirAll(cfg.root, 0o755); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -794,7 +794,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Stitch the HTTP request into the job's trace stream: the
 		// job-side events carry the job ID, this one links it to the
 		// request trace ID from the access log.
-		if tr, terr := obs.OpenTraceFile(jobs.TracePath(j.dir), j.id, false); terr == nil {
+		if tr, terr := obs.OpenTraceFileFS(s.cfg.fs(), jobs.TracePath(j.dir), j.id, false); terr == nil {
 			tr.Event("job.submitted", nil, map[string]string{"http_trace": requestTraceID(r)})
 			tr.Close()
 		}
@@ -828,7 +828,7 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job is %s, not done", st.Status))
 		return
 	}
-	data, err := os.ReadFile(jobs.ResultPath(j.dir))
+	data, err := s.cfg.fs().ReadFile(jobs.ResultPath(j.dir))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -905,7 +905,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("unknown job"))
 		return
 	}
-	data, err := os.ReadFile(jobs.TracePath(j.dir))
+	data, err := s.cfg.fs().ReadFile(jobs.TracePath(j.dir))
 	if err != nil {
 		writeError(w, http.StatusNotFound, errors.New("job has no trace stream"))
 		return

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
@@ -290,27 +291,71 @@ func serveFixtureSeed(t *testing.T, seed uint64) (body []byte, w0 *big.Int) {
 		Keys:     []string{keyDoc.String()},
 		Options:  serveRequestOptions{Workers: 1},
 	}
-	body, err = json.Marshal(req)
+	return mustJSON(t, req), w0
+}
+
+// startServer builds a daemon over cfg and serves it on a test listener.
+func startServer(t *testing.T, cfg serveConfig) (*server, *httptest.Server) {
+	t.Helper()
+	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body, w0
+	return srv, httptest.NewServer(srv.handler())
+}
+
+// submitJob POSTs a job request and decodes the status it answers with.
+func submitJob(t *testing.T, ts *httptest.Server, body []byte) (jobStatus, int) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st jobStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	return st, resp.StatusCode
+}
+
+// getBody GETs url and returns the response body and status code.
+func getBody(t *testing.T, url string) ([]byte, int) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, resp.StatusCode
+}
+
+func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+	t.Helper()
+	body, _ := getBody(t, ts.URL+"/jobs/"+id)
+	var st jobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func pollJob(t *testing.T, ts *httptest.Server, id string) jobStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := getStatus(t, ts, id)
 		switch st.Status {
 		case "done", "failed", "interrupted":
 			return st
@@ -327,50 +372,28 @@ func pollJob(t *testing.T, ts *httptest.Server, id string) jobStatus {
 // fetch, bad input handling, and readiness flipping off on drain.
 func TestServeLifecycle(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 2, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 2, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	for _, probe := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(ts.URL + probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: %d, want 200", probe, resp.StatusCode)
+		if _, code := getBody(t, ts.URL+probe); code != http.StatusOK {
+			t.Errorf("%s: %d, want 200", probe, code)
 		}
 	}
 
 	body, w0 := serveFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st jobStatus
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || st.ID == "" {
-		t.Fatalf("submit: status %d, body %+v", resp.StatusCode, st)
+	st, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted || st.ID == "" {
+		t.Fatalf("submit: status %d, body %+v", code, st)
 	}
 	if st.Total != 2 {
 		t.Errorf("submit: total %d, want 2", st.Total)
 	}
 
 	// Idempotent resubmit: same corpus digests to the same job.
-	resp2, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st2 jobStatus
-	json.NewDecoder(resp2.Body).Decode(&st2)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || st2.ID != st.ID {
-		t.Errorf("resubmit: status %d id %s, want 200 and id %s", resp2.StatusCode, st2.ID, st.ID)
+	if st2, code := submitJob(t, ts, body); code != http.StatusOK || st2.ID != st.ID {
+		t.Errorf("resubmit: status %d id %s, want 200 and id %s", code, st2.ID, st.ID)
 	}
 
 	final := pollJob(t, ts, st.ID)
@@ -378,17 +401,10 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("job finished as %+v, want done with 2/2", final)
 	}
 
-	res, err := http.Get(ts.URL + "/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
 	resultBytes, _ := os.ReadFile(jobs.ResultPath(filepath.Join(root, st.ID)))
-	gotBytes := new(bytes.Buffer)
-	gotBytes.ReadFrom(res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK || !bytes.Equal(gotBytes.Bytes(), resultBytes) {
-		t.Fatalf("result fetch: status %d, %d bytes (disk has %d)",
-			res.StatusCode, gotBytes.Len(), len(resultBytes))
+	if code != http.StatusOK || !bytes.Equal(got, resultBytes) {
+		t.Fatalf("result fetch: status %d, %d bytes (disk has %d)", code, len(got), len(resultBytes))
 	}
 	var manifest struct {
 		Grades []struct {
@@ -398,7 +414,7 @@ func TestServeLifecycle(t *testing.T) {
 			} `json:"rec"`
 		} `json:"grades"`
 	}
-	if err := json.Unmarshal(gotBytes.Bytes(), &manifest); err != nil {
+	if err := json.Unmarshal(got, &manifest); err != nil {
 		t.Fatal(err)
 	}
 	if len(manifest.Grades) != 2 || manifest.Grades[0].Rec == nil ||
@@ -410,30 +426,22 @@ func TestServeLifecycle(t *testing.T) {
 	}
 
 	// Error surface: garbage body, unknown job, result of unknown job.
-	resp, _ = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{not json"))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage submit: %d, want 400", resp.StatusCode)
+	if _, code := submitJob(t, ts, []byte("{not json")); code != http.StatusBadRequest {
+		t.Errorf("garbage submit: %d, want 400", code)
 	}
-	resp.Body.Close()
-	resp, _ = http.Get(ts.URL + "/jobs/deadbeef")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
+	if _, code := getBody(t, ts.URL+"/jobs/deadbeef"); code != http.StatusNotFound {
+		t.Errorf("unknown job: %d, want 404", code)
 	}
-	resp.Body.Close()
 
 	// Drain: readiness flips, submissions are refused, existing results
 	// stay fetchable until shutdown completes.
 	srv.drain()
-	resp, _ = http.Get(ts.URL + "/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while draining: %d, want 503", resp.StatusCode)
+	if _, code := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
+		t.Errorf("readyz while draining: %d, want 503", code)
 	}
-	resp.Body.Close()
-	resp, _ = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("submit while draining: %d, want 503", resp.StatusCode)
+	if _, code := submitJob(t, ts, body); code != http.StatusServiceUnavailable {
+		t.Errorf("submit while draining: %d, want 503", code)
 	}
-	resp.Body.Close()
 }
 
 // TestServeRestartResume restarts the daemon over an existing job root:
@@ -443,20 +451,10 @@ func TestServeLifecycle(t *testing.T) {
 // the identical result.
 func TestServeRestartResume(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	body, _ := serveFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st jobStatus
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, _ := submitJob(t, ts, body)
 	if pollJob(t, ts, st.ID).Status != "done" {
 		t.Fatal("seed job did not finish")
 	}
@@ -468,21 +466,10 @@ func TestServeRestartResume(t *testing.T) {
 	ts.Close()
 
 	// Restart 1: the finished job is registered from disk.
-	srv2, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv2, ts2 := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.handler())
-	resp, err = http.Get(ts2.URL + "/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := new(bytes.Buffer)
-	kept.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(kept.Bytes(), firstResult) {
-		t.Fatalf("restarted daemon lost the finished result: status %d", resp.StatusCode)
+	if kept, code := getBody(t, ts2.URL+"/jobs/"+st.ID+"/result"); code != http.StatusOK || !bytes.Equal(kept, firstResult) {
+		t.Fatalf("restarted daemon lost the finished result: status %d", code)
 	}
 	srv2.drain()
 	ts2.Close()
@@ -493,12 +480,8 @@ func TestServeRestartResume(t *testing.T) {
 	if err := os.Remove(jobs.ResultPath(filepath.Join(root, st.ID))); err != nil {
 		t.Fatal(err)
 	}
-	srv3, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv3, ts3 := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts3 := httptest.NewServer(srv3.handler())
 	defer ts3.Close()
 	defer srv3.drain()
 	if st3 := pollJob(t, ts3, st.ID); st3.Status != "done" {
@@ -521,12 +504,8 @@ func TestServeRestartResume(t *testing.T) {
 // scan-layer reject counters on it.
 func TestServeMetricsAndTrace(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 2, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 2, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	defer srv.drain()
 
@@ -570,10 +549,9 @@ func TestServeMetricsAndTrace(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("trace Content-Type = %q", ct)
 	}
-	raw := new(bytes.Buffer)
-	raw.ReadFrom(resp.Body)
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	evs := obs.DecodeTraceEvents(raw.Bytes())
+	evs := obs.DecodeTraceEvents(raw)
 	byEvent := map[string]int{}
 	for _, ev := range evs {
 		if ev.Trace != st.ID {
@@ -598,16 +576,10 @@ func TestServeMetricsAndTrace(t *testing.T) {
 
 	// /metrics: machine-parseable, and the scan-layer reject counters are
 	// on the page (the acceptance criterion for the exposition format).
-	resp, err = http.Get(ts.URL + "/metrics")
+	page, _ := getBody(t, ts.URL+"/metrics")
+	samples, err := obs.ParsePrometheus(page)
 	if err != nil {
-		t.Fatal(err)
-	}
-	page := new(bytes.Buffer)
-	page.ReadFrom(resp.Body)
-	resp.Body.Close()
-	samples, err := obs.ParsePrometheus(page.Bytes())
-	if err != nil {
-		t.Fatalf("/metrics does not parse: %v\n%s", err, page.String())
+		t.Fatalf("/metrics does not parse: %v\n%s", err, page)
 	}
 	for _, name := range []string{
 		"pathmark_scan_reject_popcount", "pathmark_scan_reject_transitions",
@@ -632,20 +604,10 @@ func TestServeMetricsAndTrace(t *testing.T) {
 // stream and every grade stage present.
 func TestServeTraceAcrossRestart(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	body, _ := serveFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st jobStatus
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, _ := submitJob(t, ts, body)
 	if pollJob(t, ts, st.ID).Status != "done" {
 		t.Fatal("seed job did not finish")
 	}
@@ -659,26 +621,16 @@ func TestServeTraceAcrossRestart(t *testing.T) {
 	if err := os.Remove(jobs.ResultPath(filepath.Join(root, st.ID))); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv2, ts2 := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.handler())
 	defer ts2.Close()
 	defer srv2.drain()
 	if st2 := pollJob(t, ts2, st.ID); st2.Status != "done" {
 		t.Fatalf("resumed job finished as %+v", st2)
 	}
 
-	resp, err = http.Get(ts2.URL + "/jobs/" + st.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := new(bytes.Buffer)
-	raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	evs := obs.DecodeTraceEvents(raw.Bytes())
+	raw, _ := getBody(t, ts2.URL+"/jobs/"+st.ID+"/trace")
+	evs := obs.DecodeTraceEvents(raw)
 	ids := map[string]bool{}
 	byEvent := map[string]int{}
 	var resumedOpen int64 = -1
@@ -712,12 +664,8 @@ func TestServeTraceAcrossRestart(t *testing.T) {
 // serving. CI runs this under -race.
 func TestServeConcurrentLoad(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 16,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 16,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	const n = 6
@@ -767,13 +715,7 @@ func TestServeConcurrentLoad(t *testing.T) {
 		if id == "" {
 			t.Fatalf("job %d was never accepted", i)
 		}
-		resp, err := http.Get(ts.URL + "/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st jobStatus
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
+		st := getStatus(t, ts, id)
 		dir := filepath.Join(root, id)
 		if _, err := os.Stat(filepath.Join(dir, "request.json")); err != nil {
 			t.Errorf("job %s: request.json not durable: %v", id, err)
@@ -837,21 +779,34 @@ func streamServeFixture(t *testing.T) (body []byte, bits string, w0 *big.Int) {
 		// chunk arrived.
 		Options: serveRequestOptions{Workers: 1, CheckEvery: 1024},
 	}
-	body, err = json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	return mustJSON(t, req), tr.DecodeBits().String(), w0
+}
+
+// uploadBits posts bits[from+lo, from+hi) to stream job id for each cut
+// [lo, hi), requiring each chunk to commit through its end.
+func uploadBits(t *testing.T, ts *httptest.Server, id, bits string, from int, cuts [][2]int) {
+	t.Helper()
+	for _, c := range cuts {
+		lo, hi := from+c[0], from+c[1]
+		if cs, code := postChunk(t, ts, id, streamChunkRequest{Offset: int64(lo), Bits: bits[lo:hi]}); code != http.StatusOK || cs.Committed != int64(hi) {
+			t.Fatalf("chunk [%d, %d): status %d, committed %d", lo, hi, code, cs.Committed)
+		}
 	}
-	return body, tr.DecodeBits().String(), w0
+}
+
+// evenChunks cuts [0, n) into chunks of size (the last one shorter).
+func evenChunks(n, size int) [][2]int {
+	var cuts [][2]int
+	for lo := 0; lo < n; lo += size {
+		cuts = append(cuts, [2]int{lo, min(lo+size, n)})
+	}
+	return cuts
 }
 
 // postChunk uploads one chunk and decodes the response.
 func postChunk(t *testing.T, ts *httptest.Server, id string, chunk streamChunkRequest) (jobStatus, int) {
 	t.Helper()
-	body, err := json.Marshal(chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/jobs/"+id+"/stream", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/jobs/"+id+"/stream", "application/json", bytes.NewReader(mustJSON(t, chunk)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -866,50 +821,23 @@ func postChunk(t *testing.T, ts *httptest.Server, id string, chunk streamChunkRe
 // the finishing chunk, and a result manifest carrying the fingerprint.
 func TestServeStreamLifecycle(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 2, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 2, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	defer srv.drain()
 
 	body, bits, w0 := streamServeFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st jobStatus
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || st.ID == "" || !st.Stream || st.Status != "streaming" {
-		t.Fatalf("stream submit: status %d, body %+v", resp.StatusCode, st)
+	st, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted || st.ID == "" || !st.Stream || st.Status != "streaming" {
+		t.Fatalf("stream submit: status %d, body %+v", code, st)
 	}
 
 	// Idempotent resubmit: the key set digests to the same job.
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st2 jobStatus
-	json.NewDecoder(resp.Body).Decode(&st2)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || st2.ID != st.ID {
-		t.Errorf("stream resubmit: status %d id %s, want 200 and id %s", resp.StatusCode, st2.ID, st.ID)
+	if st2, code := submitJob(t, ts, body); code != http.StatusOK || st2.ID != st.ID {
+		t.Errorf("stream resubmit: status %d id %s, want 200 and id %s", code, st2.ID, st.ID)
 	}
 
-	const chunk = 512
-	for lo := 0; lo < len(bits); lo += chunk {
-		hi := lo + chunk
-		if hi > len(bits) {
-			hi = len(bits)
-		}
-		cs, code := postChunk(t, ts, st.ID, streamChunkRequest{Offset: int64(lo), Bits: bits[lo:hi]})
-		if code != http.StatusOK || cs.Committed != int64(hi) {
-			t.Fatalf("chunk at %d: status %d, committed %d (want %d)", lo, code, cs.Committed, hi)
-		}
-	}
+	uploadBits(t, ts, st.ID, bits, 0, evenChunks(len(bits), 512))
 
 	// A chunk past the committed offset is refused with the resume point.
 	var gap struct {
@@ -929,14 +857,7 @@ func TestServeStreamLifecycle(t *testing.T) {
 
 	// The early verdict latched during the upload, before the stream was
 	// sealed: a live uploader learns the answer without waiting for EOF.
-	resp, err = http.Get(ts.URL + "/jobs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mid jobStatus
-	json.NewDecoder(resp.Body).Decode(&mid)
-	resp.Body.Close()
-	if mid.Status != "streaming" || mid.SettledKeys != 1 {
+	if mid := getStatus(t, ts, st.ID); mid.Status != "streaming" || mid.SettledKeys != 1 {
 		t.Fatalf("pre-final status %+v, want streaming with 1 settled key", mid)
 	}
 
@@ -945,10 +866,6 @@ func TestServeStreamLifecycle(t *testing.T) {
 		t.Fatalf("final chunk: status %d, body %+v", code, fin)
 	}
 
-	res, err := http.Get(ts.URL + "/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var manifest struct {
 		Stream bool  `json:"stream"`
 		Bits   int64 `json:"bits"`
@@ -959,10 +876,9 @@ func TestServeStreamLifecycle(t *testing.T) {
 			} `json:"rec"`
 		} `json:"grades"`
 	}
-	err = json.NewDecoder(res.Body).Decode(&manifest)
-	res.Body.Close()
-	if err != nil || res.StatusCode != http.StatusOK {
-		t.Fatalf("result fetch: status %d, err %v", res.StatusCode, err)
+	res, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
+	if err := json.Unmarshal(res, &manifest); err != nil || code != http.StatusOK {
+		t.Fatalf("result fetch: status %d, err %v", code, err)
 	}
 	if !manifest.Stream || manifest.Bits != int64(len(bits)) ||
 		len(manifest.Grades) != 1 || manifest.Grades[0].Rec == nil ||
@@ -976,83 +892,27 @@ func TestServeStreamLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeStreamCrashResume is the stream job's crash-safety criterion
-// over HTTP: kill the daemon mid-upload, restart it over the same root,
-// resume the upload from the committed offset the status reports, and
-// require a result manifest byte-identical to an uninterrupted upload's.
+// TestServeStreamCrashResume is the stream job's resume protocol over
+// HTTP: kill the daemon mid-upload, restart it over the same root, and
+// the status reports the committed offset; an overlapping re-send is
+// trimmed and the rest of the upload finishes the job. That the verdict
+// equals batch recognition is TestDifferentialRecognition's serve leg.
 func TestServeStreamCrashResume(t *testing.T) {
 	body, bits, _ := streamServeFixture(t)
-	const chunk = 777
 
-	upload := func(ts *httptest.Server, id string, from, to int, final bool) jobStatus {
-		var last jobStatus
-		for lo := from; lo < to; lo += chunk {
-			hi := lo + chunk
-			if hi > to {
-				hi = to
-			}
-			cs, code := postChunk(t, ts, id, streamChunkRequest{Offset: int64(lo), Bits: bits[lo:hi]})
-			if code != http.StatusOK {
-				t.Fatalf("chunk at %d: status %d", lo, code)
-			}
-			last = cs
-		}
-		if final {
-			last, _ = postChunk(t, ts, id, streamChunkRequest{Offset: int64(to), Final: true})
-		}
-		return last
-	}
-	submit := func(ts *httptest.Server) jobStatus {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st jobStatus
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		return st
-	}
-
-	// Reference: one daemon, uninterrupted upload.
-	refRoot := t.TempDir()
-	srv, err := newServer(serveConfig{root: refRoot, maxActive: 1, maxJobs: 4,
-		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
-	st := submit(ts)
-	if fin := upload(ts, st.ID, 0, len(bits), true); fin.Status != "done" {
-		t.Fatalf("reference upload finished as %+v", fin)
-	}
-	want, err := os.ReadFile(jobs.ResultPath(filepath.Join(refRoot, st.ID)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.drain()
-	ts.Close()
-
-	// Crash run: upload half, kill the daemon (drain + close releases the
+	// Upload half, kill the daemon (drain + close releases the
 	// journal like a crash whose last chunk was fsynced), restart over the
 	// same root, resume from the committed offset, finish.
 	root := t.TempDir()
-	srv1, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv1, ts1 := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(srv1.handler())
-	st1 := submit(ts1)
-	upload(ts1, st1.ID, 0, len(bits)/2, false)
+	st1, _ := submitJob(t, ts1, body)
+	uploadBits(t, ts1, st1.ID, bits, 0, evenChunks(len(bits)/2, 777))
 	srv1.drain()
 	ts1.Close()
 
-	srv2, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv2, ts2 := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.handler())
 	defer ts2.Close()
 	defer srv2.drain()
 
@@ -1060,13 +920,7 @@ func TestServeStreamCrashResume(t *testing.T) {
 	// committed offset so the uploader knows where to resume. Re-send an
 	// overlapping chunk (uploaders resume from their own last ack) and the
 	// rest, then finish.
-	resp, err := http.Get(ts2.URL + "/jobs/" + st1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rst jobStatus
-	json.NewDecoder(resp.Body).Decode(&rst)
-	resp.Body.Close()
+	rst := getStatus(t, ts2, st1.ID)
 	if !rst.Stream || rst.Status != "streaming" || rst.Committed == 0 || rst.Committed > int64(len(bits)/2) {
 		t.Fatalf("resumed stream status %+v", rst)
 	}
@@ -1078,15 +932,9 @@ func TestServeStreamCrashResume(t *testing.T) {
 		Offset: int64(resume), Bits: bits[resume:rst.Committed]}); code != http.StatusOK || cs.Committed != rst.Committed {
 		t.Fatalf("overlap re-send: status %d, committed %d", code, cs.Committed)
 	}
-	if fin := upload(ts2, st1.ID, int(rst.Committed), len(bits), true); fin.Status != "done" {
+	uploadBits(t, ts2, st1.ID, bits, int(rst.Committed), evenChunks(len(bits)-int(rst.Committed), 777))
+	if fin, _ := postChunk(t, ts2, st1.ID, streamChunkRequest{Offset: int64(len(bits)), Final: true}); fin.Status != "done" {
 		t.Fatalf("resumed upload finished as %+v", fin)
-	}
-	got, err := os.ReadFile(jobs.ResultPath(filepath.Join(root, st1.ID)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("crash-resumed stream result differs from uninterrupted upload")
 	}
 }
 
@@ -1096,23 +944,13 @@ func TestServeStreamCrashResume(t *testing.T) {
 // the job's writer is appending concurrently. CI runs this under -race.
 func TestServeStreamTraceReadDuringWrite(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 2, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 2, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	defer srv.drain()
 
 	body, bits, _ := streamServeFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st jobStatus
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, _ := submitJob(t, ts, body)
 
 	stop := make(chan struct{})
 	var readerWg sync.WaitGroup
@@ -1144,16 +982,8 @@ func TestServeStreamTraceReadDuringWrite(t *testing.T) {
 		}
 	}()
 
-	const chunk = 64 // many small chunks = many concurrent trace appends
-	for lo := 0; lo < len(bits); lo += chunk {
-		hi := lo + chunk
-		if hi > len(bits) {
-			hi = len(bits)
-		}
-		if _, code := postChunk(t, ts, st.ID, streamChunkRequest{Offset: int64(lo), Bits: bits[lo:hi]}); code != http.StatusOK {
-			t.Fatalf("chunk at %d: status %d", lo, code)
-		}
-	}
+	// Many small chunks: many concurrent trace appends.
+	uploadBits(t, ts, st.ID, bits, 0, evenChunks(len(bits), 64))
 	close(stop)
 	readerWg.Wait()
 	if fin, code := postChunk(t, ts, st.ID, streamChunkRequest{Offset: int64(len(bits)), Final: true}); code != http.StatusOK || fin.Status != "done" {
@@ -1162,28 +992,15 @@ func TestServeStreamTraceReadDuringWrite(t *testing.T) {
 
 	// A torn tail on disk — the writer killed mid-append — is filtered
 	// out of the HTTP response entirely.
-	f, err := os.OpenFile(jobs.TracePath(filepath.Join(root, st.ID)), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"trace":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	resp, err = http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := new(bytes.Buffer)
-	raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if bytes.Contains(raw.Bytes(), []byte(`"torn`)) {
+	appendTorn(t, jobs.TracePath(filepath.Join(root, st.ID)), `{"trace":"torn`)
+	raw, _ := getBody(t, ts.URL+"/jobs/"+st.ID+"/trace")
+	if bytes.Contains(raw, []byte(`"torn`)) {
 		t.Error("trace response leaked the torn tail")
 	}
-	if good := obs.CompleteTraceLines(raw.Bytes()); len(good) != raw.Len() {
+	if good := obs.CompleteTraceLines(raw); len(good) != len(raw) {
 		t.Error("trace response is not a complete-line prefix")
 	}
-	evs := obs.DecodeTraceEvents(raw.Bytes())
+	evs := obs.DecodeTraceEvents(raw)
 	byEvent := map[string]int{}
 	for _, ev := range evs {
 		byEvent[ev.Event]++
@@ -1193,6 +1010,10 @@ func TestServeStreamTraceReadDuringWrite(t *testing.T) {
 			t.Errorf("stream trace missing %s (have %v)", stage, byEvent)
 		}
 	}
+	// `pathmark top` reads the same stream as one finished grade per key.
+	if st := aggregateTrace(evs); st.total != 1 || st.grades != 1 || st.dones != 1 {
+		t.Errorf("top reads the stream job as %+v, want 1/1 grades and done", st)
+	}
 }
 
 // TestServeReadOnlyDegradation: a storage fault while persisting a
@@ -1200,34 +1021,28 @@ func TestServeStreamTraceReadDuringWrite(t *testing.T) {
 // Retry-After header and /readyz reports it, while health, metrics and
 // status reads keep answering — and the background probe re-enables
 // writes once the disk recovers (here: the injected fault is spent).
+// Result reads go through the same filesystem: bit rot injected into
+// result.json reaches the served body.
 func TestServeReadOnlyDegradation(t *testing.T) {
 	root := t.TempDir()
 	ffs := iofault.NewFaultFS(iofault.OS, []iofault.Fault{
 		{Op: iofault.OpWrite, Kind: iofault.KindENOSPC, Path: "request.json"},
+		{Op: iofault.OpRead, Kind: iofault.KindReadFlip, Path: "result.json"},
 	})
-	srv, err := newServer(serveConfig{root: root, maxActive: 1, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true,
 		fsys: ffs, probeInterval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	defer srv.drain()
 
 	body, _ := serveFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("submit over ENOSPC: status %d, want 500", resp.StatusCode)
+	if _, code := submitJob(t, ts, body); code != http.StatusInternalServerError {
+		t.Fatalf("submit over ENOSPC: status %d, want 500", code)
 	}
 
 	// The fault tripped read-only mode: writes are refused with a retry
 	// hint, reads and probes stay live.
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1238,24 +1053,12 @@ func TestServeReadOnlyDegradation(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("read-only 503 missing Retry-After header")
 	}
-	resp, err = http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := new(bytes.Buffer)
-	rb.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(rb.String(), "read-only") {
-		t.Fatalf("readyz while read-only: status %d body %q, want 503 read-only", resp.StatusCode, rb.String())
+	if rb, code := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(string(rb), "read-only") {
+		t.Fatalf("readyz while read-only: status %d body %q, want 503 read-only", code, rb)
 	}
 	for _, path := range []string{"/healthz", "/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s while read-only: status %d, want 200", path, resp.StatusCode)
+		if _, code := getBody(t, ts.URL+path); code != http.StatusOK {
+			t.Errorf("%s while read-only: status %d, want 200", path, code)
 		}
 	}
 
@@ -1263,12 +1066,7 @@ func TestServeReadOnlyDegradation(t *testing.T) {
 	// write succeeds and the daemon leaves read-only mode.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		if _, code := getBody(t, ts.URL+"/readyz"); code == http.StatusOK {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -1276,18 +1074,17 @@ func TestServeReadOnlyDegradation(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st jobStatus
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit after recovery: status %d, want 202", resp.StatusCode)
+	st, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after recovery: status %d, want 202", code)
 	}
 	if fin := pollJob(t, ts, st.ID); fin.Status != "done" {
 		t.Fatalf("post-recovery job finished as %+v", fin)
+	}
+	got, _ := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
+	onDisk, err := os.ReadFile(jobs.ResultPath(filepath.Join(root, st.ID)))
+	if err != nil || bytes.Equal(got, onDisk) || len(ffs.Fired()) != 2 {
+		t.Fatalf("result read bypassed the daemon's filesystem: fired %v, err %v", ffs.Fired(), err)
 	}
 }
 
@@ -1297,38 +1094,18 @@ func TestServeReadOnlyDegradation(t *testing.T) {
 // quarantine/ with a reason record — and keep serving the latter.
 func TestServeQuarantineOnCorruptResume(t *testing.T) {
 	root := t.TempDir()
-	srv, err := newServer(serveConfig{root: root, maxActive: 2, maxJobs: 4,
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 2, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
 
 	// Job 1: a finished corpus job (stays healthy).
 	body, _ := serveFixture(t)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var healthy jobStatus
-	json.NewDecoder(resp.Body).Decode(&healthy)
-	resp.Body.Close()
+	healthy, _ := submitJob(t, ts, body)
 	pollJob(t, ts, healthy.ID)
 
 	// Job 2: a stream job left mid-upload.
 	sbody, bits, _ := streamServeFixture(t)
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(sbody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var victim jobStatus
-	json.NewDecoder(resp.Body).Decode(&victim)
-	resp.Body.Close()
-	for _, c := range []struct{ lo, hi int }{{0, 1024}, {1024, 2048}, {2048, 3072}} {
-		if _, code := postChunk(t, ts, victim.ID, streamChunkRequest{Offset: int64(c.lo), Bits: bits[c.lo:c.hi]}); code != http.StatusOK {
-			t.Fatalf("chunk upload at %d: status %d", c.lo, code)
-		}
-	}
+	victim, _ := submitJob(t, ts, sbody)
+	uploadBits(t, ts, victim.ID, bits, 0, evenChunks(3072, 1024))
 	srv.drain()
 	ts.Close()
 
@@ -1351,12 +1128,8 @@ func TestServeQuarantineOnCorruptResume(t *testing.T) {
 	}
 
 	// Restart. The corrupt job is quarantined, the healthy one still serves.
-	srv2, err := newServer(serveConfig{root: root, maxActive: 2, maxJobs: 4,
+	srv2, ts2 := startServer(t, serveConfig{root: root, maxActive: 2, maxJobs: 4,
 		reqTimeout: time.Minute, noSync: true})
-	if err != nil {
-		t.Fatalf("restart over corrupt root: %v", err)
-	}
-	ts2 := httptest.NewServer(srv2.handler())
 	defer ts2.Close()
 	defer srv2.drain()
 
@@ -1375,20 +1148,10 @@ func TestServeQuarantineOnCorruptResume(t *testing.T) {
 		t.Errorf("reason.json does not name the corruption: %s", reason)
 	}
 
-	resp, err = http.Get(ts2.URL + "/jobs/" + healthy.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
+	if _, code := getBody(t, ts2.URL+"/jobs/"+healthy.ID+"/result"); code != http.StatusOK {
+		t.Errorf("healthy job's result after quarantine restart: status %d, want 200", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthy job's result after quarantine restart: status %d, want 200", resp.StatusCode)
-	}
-	resp, err = http.Get(ts2.URL + "/jobs/" + victim.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("quarantined job still tracked: status %d, want 404", resp.StatusCode)
+	if _, code := getBody(t, ts2.URL+"/jobs/"+victim.ID); code != http.StatusNotFound {
+		t.Errorf("quarantined job still tracked: status %d, want 404", code)
 	}
 }

@@ -20,8 +20,9 @@ import (
 // operator's view of a running grade; the stream itself is append-only
 // telemetry, so watching it perturbs nothing.
 //
-// It exits when the stream carries a job.done event (the final frame is
-// still rendered), after -n renders when given, or on interrupt.
+// It exits when the stream carries a job.done or stream.done event (the
+// final frame is still rendered), after -n renders when given, or on
+// interrupt.
 func cmdTop(args []string) int {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	jobDir := fs.String("job", "", "job directory holding trace.jsonl")
@@ -75,7 +76,7 @@ func cmdTop(args []string) int {
 // topStats is the rolled-up view of one trace stream.
 type topStats struct {
 	traceID string
-	total   int64 // suspects*keys from the latest job.open
+	total   int64 // suspects*keys from the latest job.open, keys from stream.open
 	resumed int64
 	opens   int
 	dones   int
@@ -105,7 +106,11 @@ func aggregateTrace(evs []obs.TraceEvent) topStats {
 			st.opens++
 			st.total = ev.Attrs["suspects"] * ev.Attrs["keys"]
 			st.resumed = ev.Attrs["resumed"]
-		case "job.done":
+		case "stream.open":
+			// A stream job grades each key once, when the stream finishes.
+			st.opens++
+			st.total = ev.Attrs["keys"]
+		case "job.done", "stream.done":
 			st.dones++
 		case "grade.done":
 			st.grades++

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -188,12 +189,13 @@ func (e *truncatedStreamError) Error() string {
 }
 
 // streamFeeder parses one of the two stream formats incrementally and
-// feeds the recognizer. A line (or bit run) torn across two reads is
-// carried in tail until its remainder arrives.
+// feeds the recognizer once per read. A line (or bit run) torn across
+// two reads is carried in tail until its remainder arrives.
 type streamFeeder struct {
 	rec    *wm.StreamRecognizer
 	events bool
 	tail   []byte
+	evs    []vm.Event // one read's parsed events, reused
 	line   int64
 }
 
@@ -215,13 +217,11 @@ func (sf *streamFeeder) consume(data []byte) error {
 	return sf.consumeBits(data)
 }
 
-// finish flushes a torn final line — an event stream need not end in a
-// newline. Bits have no tail state.
+// finish terminates a torn final line — an event stream need not end in
+// a newline. Bits have no tail state.
 func (sf *streamFeeder) finish() error {
 	if sf.events && len(sf.tail) > 0 {
-		line := sf.tail
-		sf.tail = nil
-		return sf.feedEventLine(string(line))
+		return sf.consumeEvents([]byte{'\n'})
 	}
 	return nil
 }
@@ -245,29 +245,31 @@ func (sf *streamFeeder) consumeBits(data []byte) error {
 	return sf.rec.AppendBits(bits)
 }
 
+// consumeEvents parses every complete line of the read and appends their
+// events in one call: each append runs a full scan step, so one per line
+// would repeat that step's fixed cost thousands of times per read.
 func (sf *streamFeeder) consumeEvents(data []byte) error {
 	data = append(sf.tail, data...)
+	sf.evs = sf.evs[:0]
 	for {
-		nl := -1
-		for i, ch := range data {
-			if ch == '\n' {
-				nl = i
-				break
-			}
-		}
+		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
-			sf.tail = data
-			return nil
+			break
 		}
 		line := strings.TrimSuffix(string(data[:nl]), "\r")
 		data = data[nl+1:]
-		if err := sf.feedEventLine(line); err != nil {
+		if err := sf.parseEventLine(line); err != nil {
 			return err
 		}
 	}
+	sf.tail = data
+	if len(sf.evs) == 0 {
+		return nil
+	}
+	return sf.rec.AppendEvents(sf.evs...)
 }
 
-func (sf *streamFeeder) feedEventLine(line string) error {
+func (sf *streamFeeder) parseEventLine(line string) error {
 	sf.line++
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -290,5 +292,6 @@ func (sf *streamFeeder) feedEventLine(line string) error {
 	default:
 		return fmt.Errorf("event stream line %d: unknown event %q", sf.line, fields[0])
 	}
-	return sf.rec.AppendEvents(ev)
+	sf.evs = append(sf.evs, ev)
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -13,60 +12,6 @@ import (
 	"pathmark/internal/obs"
 	"pathmark/internal/wm"
 )
-
-// TestJobMatchesRecognizeCorpus is the parity contract: a journaled job
-// over a spec produces Recognitions bit-identical to RecognizeCorpus
-// over the same suspects, keys, and options — the jobs layer changes
-// durability, never results.
-func TestJobMatchesRecognizeCorpus(t *testing.T) {
-	suspects, keys, ws := fixture(t)
-	res := mustExecute(t, t.TempDir(), baseSpec(t))
-
-	corpus, err := wm.RecognizeCorpus(suspects, keys, wm.CorpusOpts{})
-	if err != nil {
-		t.Fatalf("RecognizeCorpus: %v", err)
-	}
-	for s := range suspects {
-		for k := range keys {
-			if !sameRec(res.Corpus.Recognitions[s][k], corpus.Recognitions[s][k]) {
-				t.Errorf("cell (%d,%d): job and corpus recognitions differ", s, k)
-			}
-			jobErr, corpusErr := res.Corpus.Errors[s][k], corpus.Errors[s][k]
-			if (jobErr == nil) != (corpusErr == nil) {
-				t.Errorf("cell (%d,%d): error presence differs: job %v, corpus %v", s, k, jobErr, corpusErr)
-			}
-		}
-	}
-	// Sanity: the fingerprinted copies actually recognize under the real
-	// key and not under the decoys.
-	for s := range ws {
-		if !res.Corpus.Recognitions[s][0].Matches(ws[s]) {
-			t.Errorf("copy %d does not recognize its watermark via the job path", s)
-		}
-		if res.Corpus.Recognitions[s][1].Matches(ws[s]) {
-			t.Errorf("copy %d matches under the wrong-cipher decoy", s)
-		}
-	}
-	if res.Failed != 0 || res.Reused != 0 {
-		t.Errorf("clean run: Failed=%d Reused=%d, want 0,0", res.Failed, res.Reused)
-	}
-}
-
-// TestJobDeterministicAcrossWorkers: the result manifest is
-// byte-identical at any worker count.
-func TestJobDeterministicAcrossWorkers(t *testing.T) {
-	var ref []byte
-	for _, workers := range []int{1, 4} {
-		spec := baseSpec(t)
-		spec.Opts.Workers = workers
-		b := mustEncode(t, mustExecute(t, t.TempDir(), spec))
-		if ref == nil {
-			ref = b
-		} else if !bytes.Equal(ref, b) {
-			t.Errorf("workers=%d: result manifest differs from workers=1", workers)
-		}
-	}
-}
 
 // abortAt runs the job in dir, cancelling the run once n grades have
 // been journaled — the in-process stand-in for kill -9 at a checkpoint
@@ -119,80 +64,6 @@ func TestGradeEventCompletedOnResume(t *testing.T) {
 	for i, c := range got {
 		if c != restored+1+i {
 			t.Fatalf("event %d: Completed = %d, want %d (restored %d + %d new)", i, c, restored+1+i, restored, i+1)
-		}
-	}
-}
-
-// TestJobCrashResumeBitIdentical is the acceptance property: interrupt a
-// job at a randomized checkpoint, resume it in a fresh Job (fresh
-// caches, as a new process would have), and the final result manifest is
-// byte-identical to an uninterrupted run's — with completed grades never
-// re-executed and each executed grade tracing exactly once.
-func TestJobCrashResumeBitIdentical(t *testing.T) {
-	refDir := t.TempDir()
-	ref := mustExecute(t, refDir, baseSpec(t))
-	refBytes := mustEncode(t, ref)
-	onDisk, err := os.ReadFile(ResultPath(refDir))
-	if err != nil || !bytes.Equal(onDisk, refBytes) {
-		t.Fatalf("result manifest on disk differs from EncodeResult (err=%v)", err)
-	}
-
-	total := ref.Suspects * ref.Keys
-	rng := rand.New(rand.NewSource(20260806))
-	for trial := 0; trial < 3; trial++ {
-		checkpoint := 1 + rng.Intn(total-1)
-		dir := t.TempDir()
-		spec := baseSpec(t)
-		spec.Opts.Workers = 1 + rng.Intn(4)
-		journaled := abortAt(t, dir, spec, checkpoint)
-
-		if trial == 0 {
-			// Harden one trial further: tear the journal tail, as a crash
-			// mid-append would.
-			f, err := os.OpenFile(JournalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.WriteString(`{"type":"grade","s":0,"k":`)
-			f.Close()
-		}
-
-		reg := obs.NewRegistry()
-		resumeSpec := baseSpec(t)
-		resumeSpec.Opts.Workers = 1 + rng.Intn(4)
-		resumeSpec.Opts.Obs = reg
-		res, err := Execute(context.Background(), dir, resumeSpec)
-		if err != nil {
-			t.Fatalf("trial %d: resume: %v", trial, err)
-		}
-
-		if got := mustEncode(t, res); !bytes.Equal(got, refBytes) {
-			t.Errorf("trial %d (checkpoint %d): resumed result differs from uninterrupted run", trial, checkpoint)
-		}
-		if fileBytes, err := os.ReadFile(ResultPath(dir)); err != nil || !bytes.Equal(fileBytes, refBytes) {
-			t.Errorf("trial %d: published manifest differs (err=%v)", trial, err)
-		}
-
-		// No duplicated grades: journal-restored + executed-this-run
-		// covers the matrix exactly once.
-		reused := int(reg.Counter("jobs.resume.reused").Value())
-		ran := int(reg.Counter("jobs.grades.run").Value())
-		if reused < checkpoint || reused > journaled {
-			t.Errorf("trial %d: reused %d grades, journaled %d at checkpoint %d", trial, reused, journaled, checkpoint)
-		}
-		if reused+ran != total {
-			t.Errorf("trial %d: reused %d + ran %d != total %d (grades duplicated or lost)", trial, reused, ran, total)
-		}
-		// No re-tracing of completed grades: every trace lookup this run
-		// came from an executed grade (restored grades never touch the
-		// trace cache), and lookups dedupe to at most one trace per
-		// distinct (suspect, input) pair.
-		ts := res.Corpus.TraceStats
-		if ts.Lookups() != int64(ran) {
-			t.Errorf("trial %d: %d trace lookups for %d executed grades — journaled grades were re-traced", trial, ts.Lookups(), ran)
-		}
-		if res.Reused != reused {
-			t.Errorf("trial %d: Result.Reused=%d, counter says %d", trial, res.Reused, reused)
 		}
 	}
 }

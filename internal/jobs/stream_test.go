@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"pathmark/internal/bitstring"
 	"pathmark/internal/iofault"
 	"pathmark/internal/vm"
 	"pathmark/internal/wm"
@@ -38,50 +37,6 @@ func feedAll(t *testing.T, sj *StreamJob, bits string, chunk int) {
 		if _, err := sj.Feed(int64(lo), bits[lo:hi]); err != nil {
 			t.Fatalf("feed at %d: %v", lo, err)
 		}
-	}
-}
-
-// TestStreamJobMatchesBatchRecognition pins the job layer end to end:
-// chunked upload through the journal yields, per key, the batch
-// RecognizeBits result, and the real key's watermark is recovered.
-func TestStreamJobMatchesBatchRecognition(t *testing.T) {
-	bits, keys := streamFixture(t)
-	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true}}
-	sj, err := OpenStream(t.TempDir(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sj.Close()
-	feedAll(t, sj, bits, 1024)
-	res, err := sj.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bits != int64(len(bits)) {
-		t.Fatalf("result bits %d != %d", res.Bits, len(bits))
-	}
-	if !res.Recognitions[0].FullCoverage {
-		t.Fatal("real key did not reach full coverage over the streamed trace")
-	}
-	// The wrong-cipher decoy must fail. The wrong-input decoy shares the
-	// real cipher and legitimately matches here: a stream job scans the
-	// uploaded trace as-is — the key's secret input only matters when the
-	// recognizer does the tracing itself.
-	if res.Recognitions[1].FullCoverage {
-		t.Fatal("wrong-cipher decoy reached full coverage")
-	}
-	// Cross-check against batch recognition under the same options.
-	parsed, err := bitstring.FromString(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := wm.RecognizeBits(parsed, keys[0], wm.RecognizeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recognitions[0].Watermark.Cmp(batch.Watermark) != 0 ||
-		res.Recognitions[0].Windows != batch.Windows {
-		t.Fatalf("stream job diverged from batch: %+v vs %+v", res.Recognitions[0], batch)
 	}
 }
 
@@ -118,78 +73,6 @@ func TestStreamJobDuplicateAndGapChunks(t *testing.T) {
 	}
 	if sj.Committed() != 200 {
 		t.Fatalf("committed %d after gap refusal, want 200", sj.Committed())
-	}
-}
-
-// TestStreamJobCrashResume is the crash-safety property: kill the job at
-// an arbitrary chunk boundary (drop the in-memory state, reopen over the
-// same directory), resume the upload from the reported committed offset,
-// and require the final result manifest to be byte-identical to an
-// uninterrupted stream's.
-func TestStreamJobCrashResume(t *testing.T) {
-	bits, keys := streamFixture(t)
-	spec := StreamSpec{Keys: keys, Opts: StreamOptions{NoSync: true}}
-
-	finish := func(dir string, upTo int, chunk int) string {
-		sj, err := OpenStream(dir, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := int(sj.Committed())
-		for lo := start; lo < upTo; lo += chunk {
-			hi := lo + chunk
-			if hi > upTo {
-				hi = upTo
-			}
-			if _, err := sj.Feed(int64(lo), bits[lo:hi]); err != nil {
-				t.Fatalf("feed at %d: %v", lo, err)
-			}
-		}
-		if upTo == len(bits) {
-			if _, err := sj.Finish(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sj.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if upTo < len(bits) {
-			return ""
-		}
-		b, err := os.ReadFile(ResultPath(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	// Uninterrupted reference run.
-	refDir := t.TempDir()
-	want := finish(refDir, len(bits), 777)
-
-	// Crash mid-stream, then resume in a "new process".
-	crashDir := t.TempDir()
-	finish(crashDir, len(bits)/2, 777) // first lifetime: half the trace, then "crash"
-	got := finish(crashDir, len(bits), 777)
-	if got != want {
-		t.Fatal("crash-resumed stream result differs from uninterrupted run")
-	}
-
-	// Resume must also tolerate a torn tail: append garbage to the chunk
-	// journal (a crash mid-append) and reopen.
-	tornDir := t.TempDir()
-	finish(tornDir, len(bits)/3, 500)
-	f, err := os.OpenFile(StreamPath(tornDir), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"type":"chunk","off":`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got = finish(tornDir, len(bits), 500)
-	if got != want {
-		t.Fatal("torn-tail resume result differs from uninterrupted run")
 	}
 }
 

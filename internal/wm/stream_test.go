@@ -1,7 +1,6 @@
 package wm
 
 import (
-	"fmt"
 	"testing"
 
 	"pathmark/internal/bitstring"
@@ -11,8 +10,8 @@ import (
 
 // markedTraceBits embeds a watermark into a random program and returns
 // the decoded trace bit-string of the marked program under the key's
-// secret input, plus the key and watermark.
-func markedTraceBits(t *testing.T, seed int64) (*bitstring.Bits, *Key, *vm.Trace) {
+// secret input, plus the key.
+func markedTraceBits(t *testing.T, seed int64) (*bitstring.Bits, *Key) {
 	t.Helper()
 	key := testKey(t, nil, 64)
 	p := workloads.RandomProgram(workloads.RandProgOptions{Seed: seed + 500})
@@ -27,7 +26,7 @@ func markedTraceBits(t *testing.T, seed int64) (*bitstring.Bits, *Key, *vm.Trace
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}
-	return tr.DecodeBits(), key, tr
+	return tr.DecodeBits(), key
 }
 
 // sliceBits returns bits [lo, hi) of b as a fresh vector.
@@ -39,121 +38,12 @@ func sliceBits(b *bitstring.Bits, lo, hi int) *bitstring.Bits {
 	return out
 }
 
-// requireEqualRecognition asserts that a streaming Flush reproduced the
-// batch Recognition field for field.
-func requireEqualRecognition(t *testing.T, ctx string, got, want *Recognition) {
-	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: nil recognition (got=%v want=%v)", ctx, got == nil, want == nil)
-	}
-	if (got.Watermark == nil) != (want.Watermark == nil) ||
-		(got.Watermark != nil && got.Watermark.Cmp(want.Watermark) != 0) {
-		t.Fatalf("%s: watermark %v != %v", ctx, got.Watermark, want.Watermark)
-	}
-	if (got.Modulus == nil) != (want.Modulus == nil) ||
-		(got.Modulus != nil && got.Modulus.Cmp(want.Modulus) != 0) {
-		t.Fatalf("%s: modulus %v != %v", ctx, got.Modulus, want.Modulus)
-	}
-	if got.FullCoverage != want.FullCoverage || got.Confidence != want.Confidence ||
-		got.Degraded != want.Degraded {
-		t.Fatalf("%s: coverage/confidence/degraded mismatch: %+v vs %+v", ctx, got, want)
-	}
-	if got.Windows != want.Windows || got.ValidStatements != want.ValidStatements ||
-		got.UniqueStatements != want.UniqueStatements || got.VotedOut != want.VotedOut ||
-		got.Survivors != want.Survivors || got.TraceBits != want.TraceBits ||
-		got.PrefilterRejected != want.PrefilterRejected ||
-		got.RejectedByLayer != want.RejectedByLayer || got.Decrypted != want.Decrypted {
-		t.Fatalf("%s: counter mismatch:\n got %+v\nwant %+v", ctx, got, want)
-	}
-	if len(got.Surviving) != len(want.Surviving) {
-		t.Fatalf("%s: %d survivors != %d", ctx, len(got.Surviving), len(want.Surviving))
-	}
-	for i := range got.Surviving {
-		if got.Surviving[i] != want.Surviving[i] {
-			t.Fatalf("%s: survivor %d: %+v != %+v", ctx, i, got.Surviving[i], want.Surviving[i])
-		}
-	}
-}
-
-// TestStreamRecognizerMatchesBatch is the equivalence property the
-// streaming subsystem is pinned by: over random marked programs, feeding
-// the decoded trace in chunks of every size — one bit at a time through
-// whole-trace — at several worker counts, Flush must reproduce batch
-// RecognizeBits exactly.
-func TestStreamRecognizerMatchesBatch(t *testing.T) {
-	chunkSizes := []int{1, 7, 64, 4096, -1} // -1 = whole trace in one append
-	workerCounts := []int{1, 4, 8}
-	for seed := int64(0); seed < 2; seed++ {
-		bits, key, _ := markedTraceBits(t, seed)
-		batch, err := RecognizeBits(bits, key, RecognizeOpts{})
-		if err != nil {
-			t.Fatalf("seed %d: batch: %v", seed, err)
-		}
-		if !batch.FullCoverage {
-			t.Fatalf("seed %d: batch did not reach full coverage (test premise)", seed)
-		}
-		for _, chunk := range chunkSizes {
-			for _, workers := range workerCounts {
-				name := fmt.Sprintf("seed %d chunk %d workers %d", seed, chunk, workers)
-				r := NewStreamRecognizer(key, StreamOpts{Workers: workers})
-				size := chunk
-				if size < 0 {
-					size = bits.Len()
-				}
-				for lo := 0; lo < bits.Len(); lo += size {
-					hi := lo + size
-					if hi > bits.Len() {
-						hi = bits.Len()
-					}
-					if err := r.AppendBits(sliceBits(bits, lo, hi)); err != nil {
-						t.Fatalf("%s: append: %v", name, err)
-					}
-				}
-				got, err := r.Flush()
-				if err != nil {
-					t.Fatalf("%s: flush: %v", name, err)
-				}
-				requireEqualRecognition(t, name, got, batch)
-			}
-		}
-	}
-}
-
-// TestStreamRecognizerEventFeedMatchesBatch drives the recognizer from
-// raw vm trace events instead of pre-decoded bits, splitting the event
-// stream at arbitrary boundaries (including mid branch-to-successor
-// transfers), and requires the same batch-identical Flush.
-func TestStreamRecognizerEventFeedMatchesBatch(t *testing.T) {
-	bits, key, tr := markedTraceBits(t, 3)
-	batch, err := RecognizeBits(bits, key, RecognizeOpts{})
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	for _, chunk := range []int{1, 13, 997} {
-		r := NewStreamRecognizer(key, StreamOpts{Workers: 2})
-		for lo := 0; lo < len(tr.Events); lo += chunk {
-			hi := lo + chunk
-			if hi > len(tr.Events) {
-				hi = len(tr.Events)
-			}
-			if err := r.AppendEvents(tr.Events[lo:hi]...); err != nil {
-				t.Fatalf("chunk %d: append: %v", chunk, err)
-			}
-		}
-		got, err := r.Flush()
-		if err != nil {
-			t.Fatalf("chunk %d: flush: %v", chunk, err)
-		}
-		requireEqualRecognition(t, fmt.Sprintf("events chunk %d", chunk), got, batch)
-	}
-}
-
 // TestStreamRecognizerEarlyExit pins the online payoff: on a marked
 // trace the stream settles (full prime-basis coverage) strictly before
 // the last chunk is appended, and the settled verdict already matches
 // the embedded watermark.
 func TestStreamRecognizerEarlyExit(t *testing.T) {
-	bits, key, _ := markedTraceBits(t, 1)
+	bits, key := markedTraceBits(t, 1)
 	r := NewStreamRecognizer(key, StreamOpts{Workers: 1, CheckEvery: 1024})
 	const chunk = 2048
 	settledAt := -1
@@ -195,7 +85,7 @@ func TestStreamRecognizerEarlyExit(t *testing.T) {
 // cumulative trace length — doubling the trace leaves the peak where it
 // was.
 func TestStreamRecognizerBoundedMemory(t *testing.T) {
-	bits, key, _ := markedTraceBits(t, 0)
+	bits, key := markedTraceBits(t, 0)
 	const chunk = 512
 	feed := func(repeats int) int {
 		r := NewStreamRecognizer(key, StreamOpts{Workers: 1, CheckEvery: -1})
