@@ -184,8 +184,21 @@ func TestCollectBitsErrorsMatch(t *testing.T) {
 
 // BenchmarkTraceBits compares recognition's two ways from a program to
 // its §3.1 bits on CaffeineMark: recording the trace and decoding it,
-// and sinking the bits as branches execute.
+// and sinking the bits as branches execute. Two more CollectBits legs
+// run the hosts of the recognize workload's extremes: a marked
+// CaffeineMark-like copy (long trace over small, hot code) and an
+// unmarked 60×150 Jess-like host (short trace over large code that
+// mostly runs once, where decoding hot methods must not cost).
 func BenchmarkTraceBits(b *testing.B) {
+	key, err := wm.NewKey(nil, feistel.KeyFromUint64(0x5eed, 0xfeed), 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	marked, _, err := wm.Embed(workloads.CaffeineMark(), wm.RandomWatermark(128, 1), key,
+		wm.EmbedOptions{Pieces: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	prog := workloads.CaffeineMark()
 	opts := vm.RunOptions{SnapshotLimit: 1}
 	b.Run("CollectWith+DecodeBits", func(b *testing.B) {
@@ -200,25 +213,33 @@ func BenchmarkTraceBits(b *testing.B) {
 			}
 		}
 	})
-	b.Run("CollectBits", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bits, _, err := vm.CollectBits(prog, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bits.Len() == 0 {
-				b.Fatal("no bits")
+	collectBits := func(prog *vm.Program) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bits, _, err := vm.CollectBits(prog, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if bits.Len() == 0 {
+					b.Fatal("no bits")
+				}
 			}
 		}
-	})
+	}
+	b.Run("CollectBits", collectBits(prog))
+	b.Run("CollectBitsMarkedCaffeineMark", collectBits(marked))
+	b.Run("CollectBitsJessLike60x150", collectBits(workloads.JessLike(
+		workloads.JessLikeOptions{Seed: 1, Methods: 60, BlockSize: 150})))
 }
 
 // fuzzProgram decodes fuzz bytes into an unverified program: one to three
 // methods of raw instructions with operands and branch targets drawn
-// around the valid ranges, invalid opcodes included. Method headers stay
-// well-formed (NArgs <= NLocals); everything inside may fault, loop or
-// recurse.
+// around the valid ranges. Per instruction a control byte picks an
+// opcode (one past the last is invalid), a window from the fused set, so
+// that fused dispatch meets in-range and out-of-range operands, or,
+// rarely, any raw byte. Method headers stay well-formed (NArgs <=
+// NLocals); everything inside may fault, loop or recurse.
 func fuzzProgram(data []byte) *vm.Program {
 	next := func() int {
 		if len(data) == 0 {
@@ -237,17 +258,92 @@ func fuzzProgram(data []byte) *vm.Program {
 			m.NArgs = next() % 3
 		}
 		n := 1 + next()%24
-		for pc := 0; pc < n; pc++ {
-			in := vm.Instr{Op: vm.Op(next() % nOps), A: int64(next()%8) - 2, Target: next()%(n+2) - 1}
-			if in.Op == vm.OpCall {
-				in.A = int64(next() % (nMethods + 1))
+		for len(m.Code) < n {
+			var ops []vm.Op
+			switch sel := next(); {
+			case sel < 4*nOps:
+				ops = []vm.Op{vm.Op(sel % nOps)}
+			case sel < 248:
+				ops = vm.FusedWindows[sel%len(vm.FusedWindows)]
+			default:
+				ops = []vm.Op{vm.Op(next())}
 			}
-			m.Code = append(m.Code, in)
+			for _, op := range ops[:min(len(ops), n-len(m.Code))] {
+				in := vm.Instr{Op: op, A: int64(next()%8) - 2, Target: next()%(n+2) - 1}
+				if in.Op == vm.OpCall {
+					in.A = int64(next() % (nMethods + 1))
+				}
+				m.Code = append(m.Code, in)
+			}
 		}
 		p.Methods = append(p.Methods, m)
 	}
 	return p
 }
+
+// fuzzBytes encodes methods as fuzzProgram input, one opcode per
+// control byte: at most three methods of 1 to 24 instructions with
+// valid opcodes, operands in [-2, 5] and targets in [-1, len]. Every
+// method has 3 locals.
+func fuzzBytes(methods ...*vm.Method) []byte {
+	b := []byte{byte(len(methods) - 1)}
+	for mi, m := range methods {
+		if mi > 0 {
+			b = append(b, byte(m.NArgs))
+		}
+		b = append(b, byte(len(m.Code)-1))
+		for _, in := range m.Code {
+			b = append(b, byte(in.Op), byte(in.A+2), byte(in.Target+1))
+			if in.Op == vm.OpCall {
+				b = append(b, byte(in.A))
+			}
+		}
+	}
+	return b
+}
+
+// hotMain is a main method that runs body decoded: it jumps over body
+// and back into it, a backward jump, before body's first instruction
+// runs. Body's pcs start at 1.
+func hotMain(body ...vm.Instr) *vm.Method {
+	code := append([]vm.Instr{{Op: vm.OpGoto, Target: len(body) + 1}}, body...)
+	return &vm.Method{Name: "main", NLocals: 3, Code: append(code, vm.Instr{Op: vm.OpGoto, Target: 1})}
+}
+
+// Fused-dispatch seeds. Each window runs where fusion is live (a hot
+// method) and meets one reason to fall back to its plain ops.
+var (
+	// A local out of range on a window's load, and on its store.
+	seedLoadOutOfRange = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpLoad, A: 5}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpAdd},
+		vm.Instr{Op: vm.OpStore}, vm.Instr{Op: vm.OpRet}))
+	seedStoreOutOfRange = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpDup}, vm.Instr{Op: vm.OpAdd},
+		vm.Instr{Op: vm.OpStore, A: 5}, vm.Instr{Op: vm.OpRet}))
+	// const; add on an empty stack: the add faults at its own pc,
+	// naming add.
+	seedConstAddUnderflow = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpAdd}, vm.Instr{Op: vm.OpRet}))
+	// store; load on an empty stack: the fused op underflows at its
+	// head, and the fault names store.
+	seedStoreLoadUnderflow = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpStore}, vm.Instr{Op: vm.OpLoad}, vm.Instr{Op: vm.OpRet}))
+	// A taken compare-and-branch window whose target is the method's
+	// length, one past its end.
+	seedBranchOutOfRange = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpLoad}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpIfCmpLt, Target: 6},
+		vm.Instr{Op: vm.OpRet}))
+	// A counted loop of x = x + c windows in main (hot from its first
+	// backward branch), then a call to a method entered once (cold).
+	seedHotLoopColdCall = fuzzBytes(&vm.Method{Name: "main", NLocals: 3, Code: []vm.Instr{
+		{Op: vm.OpConst, A: 3}, {Op: vm.OpStore, A: 1},
+		{Op: vm.OpLoad, A: 1}, {Op: vm.OpConst, A: -1}, {Op: vm.OpAdd}, {Op: vm.OpStore, A: 1}, // pcs 2-5
+		{Op: vm.OpLoad, A: 1}, {Op: vm.OpIfGt, Target: 2},
+		{Op: vm.OpCall, A: 1}, {Op: vm.OpRet},
+	}}, &vm.Method{Name: "m1", NLocals: 3, Code: []vm.Instr{
+		{Op: vm.OpLoad, A: 2}, {Op: vm.OpConst, A: 2}, {Op: vm.OpAdd}, {Op: vm.OpRet},
+	}})
+)
 
 // FuzzCollectBits requires the bit-sink run mode to agree with
 // CollectWith + DecodeBits on every generated program, trapping ones
@@ -256,6 +352,10 @@ func FuzzCollectBits(f *testing.F) {
 	f.Add([]byte{0, 1, byte(vm.OpConst), 2, 1, byte(vm.OpIfNe), 2, 1}) // main: const 0; ifne 0
 	f.Add([]byte("\x01\x10\x01\x05\x00\x15\x02\x03\x1c\x00\x01\x20\x01\x04\x22\x00\x00"))
 	f.Add([]byte("a counted loop? no: just bytes, decoded as code"))
+	for _, seed := range [][]byte{seedLoadOutOfRange, seedStoreOutOfRange, seedConstAddUnderflow,
+		seedStoreLoadUnderflow, seedBranchOutOfRange, seedHotLoopColdCall} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
 		opts := vm.RunOptions{Input: []int64{3, -1}, StepLimit: 5_000, MaxHeap: 1 << 10, MaxDepth: 32}
@@ -288,6 +388,13 @@ func FuzzRunStepLimit(f *testing.F) {
 	f.Add([]byte{0, 1, byte(vm.OpConst), 9, 0, byte(vm.OpRet), 0, 0}, uint16(2)) // main: const -1; ret
 	f.Add([]byte("\x00\x00\x20\x00\x01"), uint16(4096))                          // main: goto 0
 	f.Add([]byte("\x01\x10\x01\x05\x00\x15\x02\x03\x1c\x00\x01\x20\x01\x04\x22\x00\x00"), uint16(4097))
+	// Budgets that stop the hot loop's second x = x + c window (steps
+	// 9-12) before, inside and after it, and a branch window's fault.
+	for k := uint16(8); k <= 13; k++ {
+		f.Add(seedHotLoopColdCall, k)
+	}
+	f.Add(seedHotLoopColdCall, uint16(4096))
+	f.Add(seedBranchOutOfRange, uint16(4))
 	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
 		if k == 0 {
 			return // the 100M default budget
@@ -296,7 +403,8 @@ func FuzzRunStepLimit(f *testing.F) {
 		base := vm.RunOptions{Input: []int64{3, -1}, MaxHeap: 1 << 10, MaxDepth: 32}
 		// The reference run: capped above every k so looping programs
 		// end, profiled so a failed run still tells how many steps it
-		// dispatched.
+		// dispatched. Profiled runs are tracked and never fuse, so every
+		// other run here, fused, is checked against plain dispatch.
 		ref := base
 		ref.StepLimit = 1 << 16
 		ref.Profile = vm.NewProfile()

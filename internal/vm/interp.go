@@ -88,7 +88,8 @@ type RunOptions struct {
 	// Profile, when non-nil, accumulates the dynamic opcode mix and
 	// per-block execution counts. Disabled (nil) it costs each
 	// instruction one test of a pointer the loop holds for the whole
-	// run. Enabled, it turns on block tracking like Trace does.
+	// run. Enabled, it turns on block tracking like Trace does, and like
+	// every tracked run it dispatches plain, unfused ops.
 	Profile *Profile
 }
 
@@ -132,8 +133,8 @@ const stackHint = 16
 
 // opPops is the operand-stack pop count of every opcode byte: 0 for
 // OpCall, whose count is the callee's NArgs, and for invalid opcodes,
-// which fault in the dispatch's default arm. Indexed by an Op, it
-// needs no bounds check.
+// which fault, and for fused ops, which check their own. Indexed by an
+// Op, it needs no bounds check.
 var opPops = func() (t [256]uint8) {
 	for o := Op(0); o < opCount; o++ {
 		if o != OpCall {
@@ -169,9 +170,10 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 }
 
 // run is the interpreter behind Run, CollectWith and CollectBits. A
-// non-nil sink receives every conditional branch together with the pc
-// it lands on. Block tracking (CFGs, block entries) runs only when
-// opts.Trace or opts.Profile asks for it.
+// non-nil sink receives a bit for every conditional branch, decoded
+// inline from the pc it lands on. Block tracking (CFGs, block entries)
+// runs only when opts.Trace or opts.Profile asks for it; an untracked
+// run dispatches hot code on its decoded, fused ops (fuse.go).
 //
 // The dispatch loop holds the executing frame's code, pc, operand stack
 // and locals in registers. Whatever calls out of it (a call, a return,
@@ -181,7 +183,10 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 // compiler need not spill them on every step. The step budget is a
 // countdown: left runs down to stop, the earlier of the step limit and
 // the next context check, and only there does the loop test either;
-// the run has executed stop − left steps.
+// the run has executed stop − left steps. A fused op runs its window
+// only when the budget, operands and stack all let every instruction
+// in it run without a stop or fault; otherwise it dispatches its first
+// instruction's plain op, which counts, checks and faults as usual.
 func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	if err := checkHeader(p); err != nil {
 		return nil, err
@@ -207,7 +212,6 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 		prof.BlockCount = make(map[BlockKey]int64)
 	}
 	tracking := opts.Trace != nil || prof != nil
-	events := tracking || sink != nil // branches call out
 
 	var cfgs []*CFG
 	if tracking {
@@ -234,6 +238,27 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 		ctxDone = opts.Ctx.Done()
 	}
 
+	// An untracked run decodes what is hot: a whole method once it is
+	// entered a second time, the pcs a backward jump spans as it jumps.
+	// Until then code dispatches plain ops, since decoding an
+	// instruction costs about as much as running it once.
+	decoded := make([][]Op, len(p.Methods))  // nil until hot
+	entries := make([]uint8, len(p.Methods)) // capped at 2: decoded whole
+	heat := func(mi, lo, hi int) {
+		if tracking || entries[mi] == 2 {
+			return
+		}
+		code, ops := p.Methods[mi].Code, decoded[mi]
+		if ops == nil {
+			ops = make([]Op, len(code))
+			for i := range ops {
+				ops[i] = opPlain
+			}
+			decoded[mi] = ops
+		}
+		decode(code, ops, lo, hi)
+	}
+
 	// carve hands out zeroed buffers cut from a shared slab, so a deeper
 	// call stack costs one allocation per slab, not two per frame.
 	var slab []int64
@@ -250,6 +275,10 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	enter := func(fr *frame, mi int) {
 		m := p.Methods[mi]
 		fr.method, fr.mi, fr.cfg, fr.pc = m, mi, cfgOf(mi), 0
+		if entries[mi] == 1 {
+			heat(mi, 0, len(m.Code)-1)
+		}
+		entries[mi] = min(entries[mi]+1, 2)
 		if cap(fr.locals) >= m.NLocals {
 			fr.locals = fr.locals[:m.NLocals]
 			clear(fr.locals)
@@ -280,11 +309,17 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	enterBlock(f, 0)
 	// stop == left == 0 sends the first step through the budget check.
 	b := &budget{}
+	unfused := false // run the next reload's first step from the plain ops
 
 load:
 	for {
 		// Load the executing frame into registers.
 		code, pc, stack, locals, left := f.method.Code, f.pc, f.stack, f.locals, b.left
+		ops := decoded[f.mi] // nil: dispatch plain ops
+		if unfused {
+			ops = nil
+		}
+		unfused = false
 	dispatch:
 		for {
 			if len(stack) == cap(stack) {
@@ -306,6 +341,10 @@ load:
 			}
 			left--
 			in := code[pc]
+			d := in.Op // undecoded: a raw byte past the ISA faults in any arm
+			if pc < len(ops) {
+				d = ops[pc]
+			}
 			if prof != nil {
 				prof.Steps++
 				if int(in.Op) < len(prof.OpCount) {
@@ -315,14 +354,14 @@ load:
 			// The verifier guarantees operand ranges and stack discipline
 			// for verified programs; guard anyway so unverified/attacked
 			// programs fault cleanly.
-			if len(stack) < int(opPops[in.Op]) {
+			if len(stack) < int(opPops[d]) {
 				f.pc = pc
 				return nil, f.fault("stack underflow executing %v", in.Op)
 			}
 			n := len(stack) - 1 // the top of the stack; pushes have room at n+1
 			var taken bool      // set by the conditional branches
 
-			switch in.Op {
+			switch d {
 			case OpNop:
 			case OpConst:
 				stack = stack[:n+2]
@@ -449,11 +488,12 @@ load:
 					f.pc = pc
 					return nil, f.fault("branch to pc %d outside method [0,%d)", in.Target, len(code))
 				}
-				pc = in.Target
-				if tracking {
-					f.pc, f.stack, b.left = pc, stack, left
+				if tracking || in.Target <= pc && ops == nil {
+					f.pc, f.stack, b.left = in.Target, stack, left
+					heat(f.mi, in.Target, pc)
 					break dispatch
 				}
+				pc = in.Target
 				continue
 			case OpCall:
 				f.pc = pc
@@ -570,6 +610,117 @@ load:
 				f.pc, f.stack, b.left = pc+1, stack[:n], left
 				res.Output = append(res.Output, stack[n])
 				break dispatch
+
+			// Fused ops. Each runs its whole window or falls back; a
+			// branch window leaves pc at its branch for the cond tail.
+			case opPlain:
+				goto unfuse
+			case opLoadConst:
+				if ops == nil || left < 1 || len(stack)+2 > cap(stack) || uint64(in.A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left--
+				stack = stack[:n+3]
+				stack[n+1], stack[n+2] = locals[in.A], code[pc+1].A
+				pc += 2
+				continue
+			case opLoadLoad:
+				if ops == nil || left < 1 || len(stack)+2 > cap(stack) || uint64(in.A) >= uint64(len(locals)) ||
+					uint64(code[pc+1].A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left--
+				stack = stack[:n+3]
+				stack[n+1], stack[n+2] = locals[in.A], locals[code[pc+1].A]
+				pc += 2
+				continue
+			case opStoreLoad:
+				if ops == nil || left < 1 || n < 0 || uint64(in.A) >= uint64(len(locals)) ||
+					uint64(code[pc+1].A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left--
+				locals[in.A] = stack[n]
+				stack[n] = locals[code[pc+1].A]
+				pc += 2
+				continue
+			case opStoreGoto:
+				if ops == nil || left < 1 || n < 0 || uint64(in.A) >= uint64(len(locals)) ||
+					uint(code[pc+1].Target) >= uint(len(code)) {
+					goto unfuse
+				}
+				left--
+				locals[in.A] = stack[n]
+				stack = stack[:n]
+				pc = code[pc+1].Target
+				continue
+			case opAddStore:
+				if ops == nil || left < 1 || n < 1 || uint64(code[pc+1].A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left--
+				locals[code[pc+1].A] = stack[n-1] + stack[n]
+				stack = stack[:n-1]
+				pc += 2
+				continue
+			case opConstAdd:
+				if ops == nil || left < 1 || n < 0 {
+					goto unfuse
+				}
+				left--
+				stack[n] += in.A
+				pc += 2
+				continue
+			case opConstAnd:
+				if ops == nil || left < 1 || n < 0 {
+					goto unfuse
+				}
+				left--
+				stack[n] &= in.A
+				pc += 2
+				continue
+			case opConstShr:
+				if ops == nil || left < 1 || n < 0 {
+					goto unfuse
+				}
+				left--
+				stack[n] >>= uint64(in.A) & 63
+				pc += 2
+				continue
+			case opConstAndIfEq:
+				if ops == nil || left < 2 || n < 0 {
+					goto unfuse
+				}
+				left -= 2
+				taken, stack = stack[n]&in.A == 0, stack[:n]
+				pc += 2
+				goto cond
+			case opLoadConstIfCmpLt:
+				if ops == nil || left < 2 || uint64(in.A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left -= 2
+				taken = locals[in.A] < code[pc+1].A
+				pc += 2
+				goto cond
+			case opLoadConstIfCmpGe:
+				if ops == nil || left < 2 || uint64(in.A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left -= 2
+				taken = locals[in.A] >= code[pc+1].A
+				pc += 2
+				goto cond
+			case opLoadConstAddStore:
+				if ops == nil || left < 3 || uint64(in.A) >= uint64(len(locals)) ||
+					uint64(code[pc+3].A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left -= 3
+				locals[code[pc+3].A] = locals[in.A] + code[pc+1].A
+				pc += 4
+				continue
+
 			default:
 				f.pc = pc
 				return nil, f.fault("invalid opcode %d", in.Op)
@@ -587,18 +738,34 @@ load:
 			{
 				to := pc + 1
 				if taken {
-					to = in.Target
+					to = code[pc].Target
 				}
-				if events {
+				if sink != nil {
+					// §3.1 at the branch: 0 when it lands where its
+					// first execution landed, 1 otherwise. The sink
+					// always has room for this bit.
+					slot := &sink.first[int(sink.base[f.mi])+pc]
+					land := int32(to) + 1
+					if *slot == 0 {
+						*slot = land
+					}
+					var bit uint64
+					if *slot != land {
+						bit = 1
+					}
+					sink.words[sink.n>>6] |= bit << (sink.n & 63)
+					sink.n++
+				}
+				if tracking || sink != nil && sink.n == len(sink.words)<<6 {
 					f.pc, f.stack, b.left = pc, stack, left
 					if opts.Trace != nil {
-						opts.Trace.addBranchExec(f.mi, f.pc, taken)
+						opts.Trace.addBranchExec(f.mi, pc, taken)
 					}
 					if sink != nil {
-						sink.branch(f.mi, f.pc, to)
+						sink.reserve()
 					}
-					if uint(to) >= uint(len(f.method.Code)) {
-						return nil, f.fault("branch to pc %d outside method [0,%d)", to, len(f.method.Code))
+					if uint(to) >= uint(len(code)) {
+						return nil, f.fault("branch to pc %d outside method [0,%d)", to, len(code))
 					}
 					f.pc = to
 					break dispatch
@@ -607,8 +774,29 @@ load:
 					f.pc = pc
 					return nil, f.fault("branch to pc %d outside method [0,%d)", to, len(code))
 				}
+				if to <= pc && ops == nil {
+					f.pc, f.stack, b.left = to, stack, left
+					heat(f.mi, to, pc)
+					continue load
+				}
 				pc = to
 			}
+			continue
+
+		unfuse:
+			// Undecoded code reaches a fused op's arm only through a raw
+			// byte past the ISA.
+			if ops == nil {
+				f.pc = pc
+				return nil, f.fault("invalid opcode %d", in.Op)
+			}
+			// A fused op that cannot run its whole window, or a pc not
+			// decoded yet, hands its step back and runs the plain op.
+			// The frame dispatches plain ops until the loop next reloads
+			// it, at the latest on its next backward jump.
+			f.pc, f.stack, b.left = pc, stack, left+1
+			unfused = true
+			continue load
 		}
 		// Back from a call out: record a block entry when the saved pc
 		// starts a block (e.g. falling through into a branch target).

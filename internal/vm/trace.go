@@ -131,23 +131,26 @@ func CollectBits(p *Program, opts RunOptions) (*bitstring.Bits, *Result, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("vm: tracing run failed: %w", err)
 	}
-	return sink.bits, res, nil
+	bits, err := bitstring.FromWords(sink.words[:(sink.n+63)/64], sink.n)
+	return bits, res, err
 }
 
-// bitSink applies §3.1's rule at branch execution. Its one table, first,
-// holds for every instruction of the program (method mi's pc at
-// base[mi]+pc) the landing pc + 1 of that branch's first execution, or 0
-// before it. Every branch target and every pc after a conditional branch
-// starts a block, so within a method equal landing pcs are equal
-// successor blocks.
+// bitSink holds the state of §3.1's rule, which the interpreter applies
+// inline at branch execution. Its one table, first, holds for every
+// instruction of the program (method mi's pc at base[mi]+pc) the landing
+// pc + 1 of that branch's first execution, or 0 before it. Every branch
+// target and every pc after a conditional branch starts a block, so
+// within a method equal landing pcs are equal successor blocks. The bits
+// so far are the first n of words, which always has room for one more.
 type bitSink struct {
 	base  []int32
 	first []int32
-	bits  *bitstring.Bits
+	words []uint64
+	n     int
 }
 
 func newBitSink(p *Program) *bitSink {
-	s := &bitSink{base: make([]int32, len(p.Methods)), bits: bitstring.New(0)}
+	s := &bitSink{base: make([]int32, len(p.Methods)), words: make([]uint64, 1)}
 	n := 0
 	for mi, m := range p.Methods {
 		s.base[mi] = int32(n)
@@ -157,15 +160,12 @@ func newBitSink(p *Program) *bitSink {
 	return s
 }
 
-// branch records one execution of the conditional branch at (mi, pc)
-// landing on pc to.
-func (s *bitSink) branch(mi, pc, to int) {
-	slot := &s.first[s.base[mi]+int32(pc)]
-	land := int32(to) + 1
-	if *slot == 0 {
-		*slot = land
+// reserve makes room for one more bit when words is full.
+func (s *bitSink) reserve() {
+	if s.n == len(s.words)<<6 {
+		s.words = append(s.words, 0)
+		s.words = s.words[:cap(s.words)]
 	}
-	s.bits.Append(*slot != land)
 }
 
 // DecodeBits converts a trace into its bit-string per §3.1's rule:
