@@ -751,13 +751,61 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 64 << 20
+
+// readBody reads the request body, or answers the error and returns false:
+// 413 for a body over maxBodyBytes, 400 for one that could not be read
+// whole (shorter than its Content-Length, or a broken connection). A body
+// that states its length within the limit is read into one buffer of that
+// size; any other grows by doubling, and no buffer exceeds the limit.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	raw, err := readLimited(w, r)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, err)
+		} else {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		}
+		return nil, false
+	}
+	return raw, true
+}
+
+func readLimited(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = r.ContentLength + 1 // room for the read that meets EOF
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(len(buf), maxBodyBytes+1-len(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.unavailable(w) {
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+	raw, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req serveRequest
@@ -855,9 +903,8 @@ func (s *server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, errors.New("not a stream job"))
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+	raw, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var chunk streamChunkRequest

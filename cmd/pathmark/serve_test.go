@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"pathmark/internal/iofault"
@@ -897,6 +898,52 @@ func TestServeStreamLifecycle(t *testing.T) {
 // the status reports the committed offset; an overlapping re-send is
 // trimmed and the rest of the upload finishes the job. That the verdict
 // equals batch recognition is TestDifferentialRecognition's serve leg.
+// TestServeBodyReadErrors checks how a submit and a stream chunk answer a
+// body they cannot read: 413 only for a body over the limit, 400 for one
+// that ends before its Content-Length or breaks off mid-read.
+func TestServeBodyReadErrors(t *testing.T) {
+	srv, ts := startServer(t, serveConfig{root: t.TempDir(), maxActive: 2, maxJobs: 4,
+		reqTimeout: time.Minute, noSync: true})
+	defer ts.Close()
+	defer srv.drain()
+	body, _, _ := streamServeFixture(t)
+	st, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("stream submit: status %d", code)
+	}
+	// broken yields the start of a JSON body, then the error a connection
+	// that closes early gives.
+	broken := func(prefix string) io.Reader {
+		return io.MultiReader(strings.NewReader(prefix), iotest.ErrReader(io.ErrUnexpectedEOF))
+	}
+	for _, path := range []string{"/jobs", "/jobs/" + st.ID + "/stream"} {
+		for _, c := range []struct {
+			name   string
+			body   io.Reader
+			length int64
+			want   int
+		}{
+			{"short of its length", broken(`{"bits":"01`), 100, http.StatusBadRequest},
+			{"broken, length unknown", broken(`{"bits":"01`), -1, http.StatusBadRequest},
+			{"stated length over the limit", strings.NewReader("{}"), maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		} {
+			req := httptest.NewRequest(http.MethodPost, path, c.body)
+			req.ContentLength = c.length
+			rec := httptest.NewRecorder()
+			srv.handler().ServeHTTP(rec, req)
+			if rec.Code != c.want {
+				t.Errorf("POST %s, body %s: status %d (%s), want %d", path, c.name, rec.Code,
+					strings.TrimSpace(rec.Body.String()), c.want)
+			}
+		}
+	}
+	// A body that reads whole is still accepted: the stream job is where
+	// the first submit left it, so a resubmit answers 200.
+	if _, code := submitJob(t, ts, body); code != http.StatusOK {
+		t.Errorf("stream resubmit after the broken bodies: status %d, want 200", code)
+	}
+}
+
 func TestServeStreamCrashResume(t *testing.T) {
 	body, bits, _ := streamServeFixture(t)
 

@@ -83,7 +83,7 @@ var dumpGolden = map[string]string{
 
 // dumpCorpus is the named workloads, three Jess-like seeds, an embedded
 // copy of each, and RandomProgram seeds 0-49.
-func dumpCorpus(t *testing.T) []traceCase {
+func dumpCorpus(t testing.TB) []traceCase {
 	t.Helper()
 	type host struct {
 		traceCase

@@ -8,3 +8,16 @@ var FusedWindows = func() (ws [][]Op) {
 	}
 	return ws
 }()
+
+// ReferenceAssemble is the line-based assembler front end the byte lexer
+// replaced.
+var ReferenceAssemble = referenceAssemble
+
+// AssembleCaseSources are TestAssembleErrors' sources.
+func AssembleCaseSources() []string {
+	srcs := make([]string, len(assembleCases))
+	for i, c := range assembleCases {
+		srcs[i] = c.src
+	}
+	return srcs
+}

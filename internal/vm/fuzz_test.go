@@ -37,29 +37,59 @@ func FuzzAssemble(f *testing.F) {
 	})
 }
 
-// FuzzSplitFields checks the assembler's field splitter against strings.Fields,
-// the tokenizer it replaced: the same field count, and the same first
-// fields, for every input, Unicode white space and invalid UTF-8 included.
+// FuzzSplitFields checks the assembler lexer's field split against
+// strings.Fields, the tokenizer it replaced: for every line of the input,
+// cut at its first ';', the same field count and the same first fields,
+// Unicode white space and invalid UTF-8 included.
 func FuzzSplitFields(f *testing.F) {
 	for _, s := range []string{
 		"", " ", "const 1", "  method main 0 0  ", "a\tb\vc\fd\re",
 		"method\u00a0main\u20030\u30000", "\u0085const\u2028 1\u2029", "const\u200b1",
 		"\xff \xc2\xa0 \xc2", "a b c d e f g", "ifeq\u1680L\u205fM",
+		"ret;x", "a\nb c\n\n d;e f\ng", "\xc2;\xa0", "x\r\n", "\n",
 	} {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, line string) {
-		got, n := splitFields(line)
-		want := strings.Fields(line)
-		if n != len(want) {
-			t.Fatalf("splitFields(%q) counts %d, strings.Fields %d: %q", line, n, len(want), want)
-		}
-		for i := 0; i < min(n, len(got)); i++ {
-			if got[i] != want[i] {
-				t.Fatalf("splitFields(%q)[%d] = %q, strings.Fields %q", line, i, got[i], want[i])
+	f.Fuzz(func(t *testing.T, src string) {
+		lx := lexer{src: src}
+		for i, line := range strings.Split(src, "\n") {
+			if !lx.next() {
+				t.Fatalf("lexer of %q ends after %d lines, want %d", src, i, strings.Count(src, "\n")+1)
+			}
+			if lx.line != i+1 {
+				t.Fatalf("lexer of %q numbers line %d as %d", src, i+1, lx.line)
+			}
+			line, _, _ = strings.Cut(line, ";")
+			n := lx.n
+			want := strings.Fields(line)
+			if n != len(want) {
+				t.Fatalf("lexer line %q counts %d fields, strings.Fields %d: %q", line, n, len(want), want)
+			}
+			for j := 0; j < min(n, len(lx.span)); j++ {
+				if got := lx.field(j); got != want[j] {
+					t.Fatalf("lexer line %q field %d = %q, strings.Fields %q", line, j, got, want[j])
+				}
 			}
 		}
+		if lx.next() {
+			t.Fatalf("lexer of %q reads past its last line", src)
+		}
 	})
+}
+
+// TestOpByName checks the mnemonic switch against opNames: every opcode's
+// name resolves to it, and nothing else does.
+func TestOpByName(t *testing.T) {
+	for o := Op(0); o < opCount; o++ {
+		if got, ok := opByName(o.String()); !ok || got != o {
+			t.Errorf("opByName(%q) = %v, %v; want %v", o.String(), got, ok, o)
+		}
+	}
+	for _, s := range []string{"", "op(41)", "Const", "const ", "ifcmp", "statics", "entry", "method", "loa", "loadd"} {
+		if o, ok := opByName(s); ok {
+			t.Errorf("opByName(%q) = %v, want no opcode", s, o)
+		}
+	}
 }
 
 // FuzzInterpreterRobustness runs structurally valid but adversarial

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pathmark/internal/cache"
 	"pathmark/internal/feistel"
 	"pathmark/internal/vm"
 	"pathmark/internal/wm"
@@ -17,11 +18,25 @@ import (
 func jessCopySource(tb testing.TB) string {
 	tb.Helper()
 	host := workloads.JessLike(workloads.JessLikeOptions{Seed: 1, Methods: 60, BlockSize: 150})
+	return markedSource(tb, host, 0)
+}
+
+// caffeineCopySource is the source text of a marked CaffeineMark-like
+// copy in 64 pieces, the other suspect of a served grade.
+func caffeineCopySource(tb testing.TB) string {
+	tb.Helper()
+	return markedSource(tb, workloads.CaffeineMark(), 64)
+}
+
+// markedSource embeds a 128-bit watermark into host in the given number of
+// pieces (0: one per prime pair) and renders the copy.
+func markedSource(tb testing.TB, host *vm.Program, pieces int) string {
+	tb.Helper()
 	key, err := wm.NewKey(equivInput, feistel.KeyFromUint64(0x5eed, 0xfeed), 128)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	marked, _, err := wm.Embed(host, wm.RandomWatermark(128, 7), key, wm.EmbedOptions{Seed: 1})
+	marked, _, err := wm.Embed(host, wm.RandomWatermark(128, 7), key, wm.EmbedOptions{Seed: 1, Pieces: pieces})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -64,18 +79,58 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // BenchmarkIngest times what a served grade does to each suspect before
-// grading it: assemble the copy's source and render its canonical form.
+// grading it. AssembleDump/JessLike assembles a marked Jess-like copy's
+// source and renders its canonical form; Assemble times the assembler
+// alone on both suspects of a served grade; Digest times the program
+// digest (render plus SHA-256) a job ID is made from.
 func BenchmarkIngest(b *testing.B) {
-	src := jessCopySource(b)
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var buf []byte
-	for i := 0; i < b.N; i++ {
-		p, err := vm.Assemble(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = vm.AppendDump(buf[:0], p)
+	srcs := []struct {
+		name string
+		src  string
+	}{
+		{"JessLike", jessCopySource(b)},
+		{"CaffeineMark", caffeineCopySource(b)},
 	}
+	jess := srcs[0].src
+	b.Run("AssembleDump/JessLike", func(b *testing.B) {
+		b.SetBytes(int64(len(jess)))
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			p, err := vm.Assemble(jess)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = vm.AppendDump(buf[:0], p)
+		}
+		dumpSink = buf
+	})
+	for _, s := range srcs {
+		b.Run("Assemble/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(len(s.src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := vm.Assemble(s.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				progSink = p
+			}
+		})
+	}
+	b.Run("Digest/JessLike", func(b *testing.B) {
+		p := vm.MustAssemble(jess)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			digestSink = wm.ProgramDigest(p)
+		}
+	})
 }
+
+// BenchmarkIngest's results, kept live.
+var (
+	dumpSink   []byte
+	progSink   *vm.Program
+	digestSink cache.Digest
+)

@@ -405,56 +405,59 @@ join:
 	}
 }
 
+// assembleCases are TestAssembleErrors' sources and verdicts, at package
+// level so FuzzAssembleMatchesReference can start from the same sources.
+var assembleCases = []struct{ src, err string }{
+	{"method main 0 0\n  bogus\n  ret\n", "line 2: unknown mnemonic \"bogus\""},
+	{"method main 0 0\n  goto nowhere\n  const 0\n  ret\n", "line 2: undefined label \"nowhere\" in method main"},
+	{"method main 0 0\n  call nothing\n  ret\n", "line 2: call to undefined method \"nothing\""},
+	{"entry missing\nmethod main 0 0\n  const 0\n  ret\n", "entry method \"missing\" not defined"},
+	{"method main 0 0\nL:\nL:\n  const 0\n  ret\n", "line 3: duplicate label \"L\""},
+	{"  const 1\n", "line 1: instruction outside method"},
+	{"method main 0 0\n  const\n  ret\n", "line 2: const wants an operand"},
+	{"", "entry method \"main\" not defined"},
+	{"\n\n; only a comment\n", "entry method \"main\" not defined"},
+	{"L:\n", "line 1: label outside method"},
+	{"statics\n", "line 1: statics wants one operand"},
+	{"statics -1\n", "line 1: bad statics count \"-1\""},
+	{"statics 1 2\n", "line 1: statics wants one operand"},
+	{"statics x\nmethod main 0 0\n  const 0\n  ret\n", "line 1: bad statics count \"x\""},
+	{"entry\n", "line 1: entry wants a method name"},
+	{"entry a b\n", "line 1: entry wants a method name"},
+	{"method main 0\n", "line 1: method wants name nargs nlocals"},
+	{"method main 0 0 0\n", "line 1: method wants name nargs nlocals"},
+	{"method main x 0\n", "line 1: bad method header"},
+	{"method main 0 0\n  const 1 2\n  ret\n", "line 2: const wants an operand"},
+	{"method main 0 0\n  const 0x\n  ret\n", "line 2: bad operand \"0x\""},
+	{"method main 0 0\n  const 99999999999999999999\n  ret\n", "line 2: bad operand \"99999999999999999999\""},
+	{"method main 0 0\n  goto\n  ret\n", "line 2: goto wants a label"},
+	{"method main 0 0\n  goto a b\n  ret\n", "line 2: goto wants a label"},
+	{"method main 0 0\n  call\n  ret\n", "line 2: call wants a method name"},
+	{"method main 0 0\n  call a b\n  ret\n", "line 2: call wants a method name"},
+	{"method main 0 0\n  ret 1\n", "line 2: ret takes no operand"},
+	{"method main 0 0\n  ret\n", "vm: method main: pc 0: stack underflow (ret needs 1, has 0)"},
+	{"method main 0 0\n  const 0\n  ret\nmethod main 0 0\n  const 0\n  ret\n", "vm: duplicate method name \"main\""},
+	{"method main 0 0\n  call f\n  ret\nmethod f 0 0\n  const 0\n  ret\nmethod f 0 0\n  const 1\n  ret\n", "vm: duplicate method name \"f\""},
+	{"method main 0 0\nL: extra\n  const 0\n  ret\n", "line 2: unknown mnemonic \"L:\""},
+	{"method main 0 0\n:\n  goto \n  const 0\n  ret\n", "line 3: goto wants a label"},
+	{"method main 0 0\r\n  const 1\r\n  ret\r\n", ""},
+	{"method\u00a0main\u20030\u30000\n\u0085const\v1\f\n  ret\n", ""},
+	{"method main 0 0\n  const 1 ; trailing ; comment\n  ret;x\n", ""},
+	{"method main 0 0\n  const\u200b1\n  ret\n", "line 2: unknown mnemonic \"const\\u200b1\""},
+	{"method main 0 0\n  const \xff\n  ret\n", "line 2: bad operand \"\\xff\""},
+	{"method m\u00a0 0 0\n  const 1\n  ret\nentry m\n", ""},
+	{"entry f\nmethod f -1 0\n  const 1\n  ret\n", "vm: method f: NLocals 0 < NArgs -1"},
+	{"method main 0 1\n  const 0x10\n  store 0\n  load 0\n  ifeq done\n  const -7\n  pop\ndone:\n  const 0\n  ret\n", ""},
+	{"method main 0 0\n  const 1\n  goto L\nL:\n  ret\nmethod main2 0 0\nL:\n  goto L\n", ""},
+	{"method main 0 0\n  goto L\n  const 0\n  ret\nmethod g 0 0\nL:\n  const 0\n  ret\n", "line 2: undefined label \"L\" in method main"},
+}
+
 // TestAssembleErrors pins the assembler's verdict on malformed and
 // unusual sources: the exact error text, line number included, or ""
 // where the source assembles. Unicode white space separates fields as it
 // does for strings.Fields; a zero-width space does not.
 func TestAssembleErrors(t *testing.T) {
-	cases := []struct{ src, err string }{
-		{"method main 0 0\n  bogus\n  ret\n", "line 2: unknown mnemonic \"bogus\""},
-		{"method main 0 0\n  goto nowhere\n  const 0\n  ret\n", "line 2: undefined label \"nowhere\" in method main"},
-		{"method main 0 0\n  call nothing\n  ret\n", "line 2: call to undefined method \"nothing\""},
-		{"entry missing\nmethod main 0 0\n  const 0\n  ret\n", "entry method \"missing\" not defined"},
-		{"method main 0 0\nL:\nL:\n  const 0\n  ret\n", "line 3: duplicate label \"L\""},
-		{"  const 1\n", "line 1: instruction outside method"},
-		{"method main 0 0\n  const\n  ret\n", "line 2: const wants an operand"},
-		{"", "entry method \"main\" not defined"},
-		{"\n\n; only a comment\n", "entry method \"main\" not defined"},
-		{"L:\n", "line 1: label outside method"},
-		{"statics\n", "line 1: statics wants one operand"},
-		{"statics -1\n", "line 1: bad statics count \"-1\""},
-		{"statics 1 2\n", "line 1: statics wants one operand"},
-		{"statics x\nmethod main 0 0\n  const 0\n  ret\n", "line 1: bad statics count \"x\""},
-		{"entry\n", "line 1: entry wants a method name"},
-		{"entry a b\n", "line 1: entry wants a method name"},
-		{"method main 0\n", "line 1: method wants name nargs nlocals"},
-		{"method main 0 0 0\n", "line 1: method wants name nargs nlocals"},
-		{"method main x 0\n", "line 1: bad method header"},
-		{"method main 0 0\n  const 1 2\n  ret\n", "line 2: const wants an operand"},
-		{"method main 0 0\n  const 0x\n  ret\n", "line 2: bad operand \"0x\""},
-		{"method main 0 0\n  const 99999999999999999999\n  ret\n", "line 2: bad operand \"99999999999999999999\""},
-		{"method main 0 0\n  goto\n  ret\n", "line 2: goto wants a label"},
-		{"method main 0 0\n  goto a b\n  ret\n", "line 2: goto wants a label"},
-		{"method main 0 0\n  call\n  ret\n", "line 2: call wants a method name"},
-		{"method main 0 0\n  call a b\n  ret\n", "line 2: call wants a method name"},
-		{"method main 0 0\n  ret 1\n", "line 2: ret takes no operand"},
-		{"method main 0 0\n  ret\n", "vm: method main: pc 0: stack underflow (ret needs 1, has 0)"},
-		{"method main 0 0\n  const 0\n  ret\nmethod main 0 0\n  const 0\n  ret\n", "vm: duplicate method name \"main\""},
-		{"method main 0 0\n  call f\n  ret\nmethod f 0 0\n  const 0\n  ret\nmethod f 0 0\n  const 1\n  ret\n", "vm: duplicate method name \"f\""},
-		{"method main 0 0\nL: extra\n  const 0\n  ret\n", "line 2: unknown mnemonic \"L:\""},
-		{"method main 0 0\n:\n  goto \n  const 0\n  ret\n", "line 3: goto wants a label"},
-		{"method main 0 0\r\n  const 1\r\n  ret\r\n", ""},
-		{"method\u00a0main\u20030\u30000\n\u0085const\v1\f\n  ret\n", ""},
-		{"method main 0 0\n  const 1 ; trailing ; comment\n  ret;x\n", ""},
-		{"method main 0 0\n  const\u200b1\n  ret\n", "line 2: unknown mnemonic \"const\\u200b1\""},
-		{"method main 0 0\n  const \xff\n  ret\n", "line 2: bad operand \"\\xff\""},
-		{"method m\u00a0 0 0\n  const 1\n  ret\nentry m\n", ""},
-		{"entry f\nmethod f -1 0\n  const 1\n  ret\n", "vm: method f: NLocals 0 < NArgs -1"},
-		{"method main 0 1\n  const 0x10\n  store 0\n  load 0\n  ifeq done\n  const -7\n  pop\ndone:\n  const 0\n  ret\n", ""},
-		{"method main 0 0\n  const 1\n  goto L\nL:\n  ret\nmethod main2 0 0\nL:\n  goto L\n", ""},
-		{"method main 0 0\n  goto L\n  const 0\n  ret\nmethod g 0 0\nL:\n  const 0\n  ret\n", "line 2: undefined label \"L\" in method main"},
-	}
-	for _, c := range cases {
+	for _, c := range assembleCases {
 		_, err := Assemble(c.src)
 		got := ""
 		if err != nil {
