@@ -307,7 +307,6 @@ func cmdFleetIdentify(args []string) int {
 	defer cancel()
 	rec, err := wm.RecognizeWithOpts(p, c.wmKey(), wm.RecognizeOpts{
 		Workers: *workers, Ctx: ctx, StepLimit: c.maxSteps, Obs: reg,
-		DecryptCache: cache.NewCache64(0),
 	})
 	if rec == nil && err != nil {
 		fatal(err)
@@ -401,8 +400,7 @@ func cmdFleetDemo(args []string) int {
 		}
 	}
 	fmt.Println("fleet: unmarked host matches no customer (as it should)")
-	fmt.Printf("fleet: caches — traces %d run / %d reused, decrypts %d distinct / %d repeats answered from cache\n",
-		res.TraceStats.Misses, res.TraceStats.Hits,
-		res.DecryptStats.Misses, res.DecryptStats.Hits)
+	fmt.Printf("fleet: caches — traces %d run / %d reused\n",
+		res.TraceStats.Misses, res.TraceStats.Hits)
 	return exitOK
 }

@@ -91,8 +91,7 @@ type topStats struct {
 	valid     int64
 	rej       [4]int64 // popcount, transitions, phase, framing
 
-	traceHits, traceMisses     int64
-	decryptHits, decryptMisses int64
+	traceHits, traceMisses int64
 }
 
 func aggregateTrace(evs []obs.TraceEvent) topStats {
@@ -131,8 +130,6 @@ func aggregateTrace(evs []obs.TraceEvent) topStats {
 		case "job.caches":
 			st.traceHits = ev.Attrs["trace_hits"]
 			st.traceMisses = ev.Attrs["trace_misses"]
-			st.decryptHits = ev.Attrs["decrypt_hits"]
-			st.decryptMisses = ev.Attrs["decrypt_misses"]
 		}
 	}
 	// A resumed lifetime inherits journaled grades that re-emit nothing:
@@ -174,9 +171,8 @@ func renderTop(w io.Writer, st, prev topStats, elapsed time.Duration) {
 		st.windows, rate(st.windows, prev.windows), st.decrypted, st.valid)
 	fmt.Fprintf(&sb, "  rejects: popcount %s  transitions %s  phase %s  framing %s\n",
 		pct(st.rej[0]), pct(st.rej[1]), pct(st.rej[2]), pct(st.rej[3]))
-	fmt.Fprintf(&sb, "  caches: trace %s hit (%d/%d)  decrypt %s hit (%d/%d)\n",
-		hitRate(st.traceHits, st.traceMisses), st.traceHits, st.traceHits+st.traceMisses,
-		hitRate(st.decryptHits, st.decryptMisses), st.decryptHits, st.decryptHits+st.decryptMisses)
+	fmt.Fprintf(&sb, "  caches: trace %s hit (%d/%d)\n",
+		hitRate(st.traceHits, st.traceMisses), st.traceHits, st.traceHits+st.traceMisses)
 	io.WriteString(w, sb.String())
 }
 

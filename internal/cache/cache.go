@@ -1,17 +1,15 @@
-// Package cache provides the shared caching layer under the fleet-scale
-// fingerprinting paths: a sharded memo table for 64-bit window decryption
-// (the recognizer's hot loop decrypts the same loop-generated window
-// thousands of times per trace) and a content-addressed, singleflight
-// keyed cache for decoded trace bit-strings (corpus recognition matches
-// one suspect against many candidate keys, and every key sharing a secret
-// input can reuse the same trace).
+// Package cache provides the content-addressed caching layer under the
+// fleet-scale fingerprinting paths: a singleflight keyed cache for
+// decoded trace bit-strings (corpus recognition matches one suspect
+// against many candidate keys, and every key sharing a secret input can
+// reuse the same trace), and the SHA-256 digests that address it.
 //
-// Both caches are pure memo tables: GetOrCompute always returns exactly
-// what the compute function would return, whether or not the result was
-// (or could be) stored, so enabling a cache never changes results — only
-// how often the underlying function runs. Both are safe for concurrent
-// use and nil-safe (a nil cache degenerates to calling the function), so
-// call sites need no flags around them.
+// The keyed cache is a pure memo table: GetOrCompute always returns
+// exactly what the compute function would return, whether or not the
+// result was (or could be) stored, so enabling it never changes results
+// — only how often the underlying function runs. It is safe for
+// concurrent use and nil-safe (a nil cache degenerates to calling the
+// function), so call sites need no flags around it.
 package cache
 
 import (
@@ -23,16 +21,15 @@ import (
 
 // Stats is a point-in-time snapshot of a cache's traffic counters.
 type Stats struct {
-	// Hits counts lookups answered from the table (including lookups
-	// coalesced onto an in-flight computation, for the keyed cache).
+	// Hits counts lookups answered from the table, including lookups
+	// coalesced onto an in-flight computation.
 	Hits int64
 	// Misses counts lookups that ran the compute function and stored the
 	// result.
 	Misses int64
 	// Bypassed counts lookups that ran the compute function WITHOUT
-	// storing the result because the table was at capacity and held no
-	// evictable entry (for the keyed cache, every resident entry still
-	// in flight). A bypassed key may be computed again later; within
+	// storing the result because the table was at capacity and every
+	// resident entry was still in flight. A bypassed key may be computed again later; within
 	// capacity every distinct key is computed at most once.
 	Bypassed int64
 	// Evictions counts resident entries discarded to make room for a new
@@ -54,191 +51,6 @@ func (s Stats) Sub(prior Stats) Stats {
 		Misses:    s.Misses - prior.Misses,
 		Bypassed:  s.Bypassed - prior.Bypassed,
 		Evictions: s.Evictions - prior.Evictions,
-	}
-}
-
-// cache64Shards is the shard count of Cache64. Power of two so shard
-// selection is a mask; 128 shards keep lock contention negligible at any
-// realistic scan worker count.
-const cache64Shards = 128
-
-type cache64Shard struct {
-	mu sync.Mutex
-	m  map[uint64]uint64
-}
-
-// Cache64 is a bounded, sharded, concurrency-safe memo table from uint64
-// keys to uint64 values, built for the recognizer's per-key decrypt
-// cache: key = 64-bit trace window, value = its decryption.
-//
-// The compute function runs while the key's shard lock is held, so within
-// capacity each distinct key is computed AT MOST ONCE regardless of how
-// many workers look it up concurrently — the property that makes
-// "decrypts per distinct window" an invariant rather than a race. The
-// compute function must therefore be fast (a block-cipher call, not I/O)
-// and must not touch the cache reentrantly.
-type Cache64 struct {
-	shards      [cache64Shards]cache64Shard
-	maxPerShard int
-	hits        atomic.Int64
-	misses      atomic.Int64
-	bypassed    atomic.Int64
-	evictions   atomic.Int64
-}
-
-// NewCache64 returns a Cache64 holding at most maxEntries values
-// (rounded up to a multiple of the shard count); maxEntries <= 0 means
-// unbounded. Once a shard is full, inserting a new key evicts an
-// arbitrary resident entry (counted as an Eviction) — memory stays
-// bounded for arbitrarily long-lived caches, results stay correct, and
-// only the at-most-once guarantee is relinquished for keys that churn
-// past capacity.
-func NewCache64(maxEntries int) *Cache64 {
-	c := &Cache64{}
-	if maxEntries > 0 {
-		c.maxPerShard = (maxEntries + cache64Shards - 1) / cache64Shards
-	}
-	return c
-}
-
-// mix64 is the splitmix64 finalizer: trace windows are highly structured
-// (long runs, strided payloads), so shard selection needs real avalanche
-// to spread them across shards.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// GetOrCompute returns the cached value for k, computing and storing it
-// via f on a miss. On a nil receiver it simply returns f(k).
-func (c *Cache64) GetOrCompute(k uint64, f func(uint64) uint64) uint64 {
-	if c == nil {
-		return f(k)
-	}
-	s := &c.shards[mix64(k)&(cache64Shards-1)]
-	s.mu.Lock()
-	if v, ok := s.m[k]; ok {
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return v
-	}
-	// Compute under the shard lock: concurrent callers of the same key
-	// block here and then hit, so the key is computed exactly once.
-	v := f(k)
-	evicted := int64(0)
-	if c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
-		// Evict an arbitrary resident key (map iteration order) so the
-		// new, presumably hotter key gets cached. Loop in case the map
-		// somehow overshot the bound; normally one deletion suffices.
-		for victim := range s.m {
-			delete(s.m, victim)
-			evicted++
-			if len(s.m) < c.maxPerShard {
-				break
-			}
-		}
-	}
-	if s.m == nil {
-		s.m = make(map[uint64]uint64)
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-	c.misses.Add(1)
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
-	return v
-}
-
-// Peek returns the cached value for k without computing anything. A
-// found key counts as a Hit; an absent key counts nothing — the caller
-// is expected to follow up with Put after computing, which records the
-// Miss, so a Peek-miss/Put pair accounts exactly like one GetOrCompute
-// miss. Nil receivers never hold anything.
-//
-// Peek/Put exist for batch users (the block-decrypt scan kernel) that
-// want to gather all missing keys first and compute them in one
-// vectorized call instead of one compute closure per key.
-func (c *Cache64) Peek(k uint64) (uint64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	s := &c.shards[mix64(k)&(cache64Shards-1)]
-	s.mu.Lock()
-	v, ok := s.m[k]
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	}
-	return v, ok
-}
-
-// Put stores v for k, completing a Peek-miss. If the key is already
-// resident (another worker computed it between Peek and Put, or the
-// batch held a duplicate) the resident value is returned and the call
-// counts as a Hit — mirroring GetOrCompute, where the second caller of a
-// key hits; otherwise v is stored (evicting at capacity, like a miss in
-// GetOrCompute) and returned, counting as a Miss. On a nil receiver Put
-// just returns v.
-func (c *Cache64) Put(k, v uint64) uint64 {
-	if c == nil {
-		return v
-	}
-	s := &c.shards[mix64(k)&(cache64Shards-1)]
-	s.mu.Lock()
-	if resident, ok := s.m[k]; ok {
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return resident
-	}
-	evicted := int64(0)
-	if c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
-		for victim := range s.m {
-			delete(s.m, victim)
-			evicted++
-			if len(s.m) < c.maxPerShard {
-				break
-			}
-		}
-	}
-	if s.m == nil {
-		s.m = make(map[uint64]uint64)
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-	c.misses.Add(1)
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
-	return v
-}
-
-// Len returns the number of stored entries (0 on nil).
-func (c *Cache64) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// Stats snapshots the traffic counters (zero on nil).
-func (c *Cache64) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Bypassed: c.bypassed.Load(), Evictions: c.evictions.Load(),
 	}
 }
 

@@ -2,124 +2,10 @@ package cache
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-func TestCache64Memoizes(t *testing.T) {
-	c := NewCache64(0)
-	calls := 0
-	f := func(k uint64) uint64 { calls++; return k * 3 }
-	for i := 0; i < 4; i++ {
-		if v := c.GetOrCompute(7, f); v != 21 {
-			t.Fatalf("GetOrCompute(7) = %d, want 21", v)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("compute ran %d times, want 1", calls)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 3 || st.Bypassed != 0 {
-		t.Errorf("stats %+v, want 1 miss / 3 hits", st)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestCache64NilComputesDirectly(t *testing.T) {
-	var c *Cache64
-	calls := 0
-	f := func(k uint64) uint64 { calls++; return k + 1 }
-	if v := c.GetOrCompute(9, f); v != 10 {
-		t.Fatalf("nil cache returned %d, want 10", v)
-	}
-	c.GetOrCompute(9, f)
-	if calls != 2 {
-		t.Errorf("nil cache must compute every time, ran %d times", calls)
-	}
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
-		t.Error("nil cache must report empty state")
-	}
-}
-
-// TestCache64AtMostOncePerKey is the concurrency property the scan relies
-// on: hammering the same key set from many goroutines computes each
-// distinct key exactly once (within capacity).
-func TestCache64AtMostOncePerKey(t *testing.T) {
-	c := NewCache64(0)
-	var computes atomic.Int64
-	const keys = 512
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < 4; round++ {
-				for k := uint64(0); k < keys; k++ {
-					got := c.GetOrCompute(k, func(k uint64) uint64 {
-						computes.Add(1)
-						return k ^ 0xdeadbeef
-					})
-					if got != k^0xdeadbeef {
-						t.Errorf("worker %d: wrong value for %d", w, k)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := computes.Load(); n != keys {
-		t.Errorf("computed %d times for %d distinct keys", n, keys)
-	}
-	st := c.Stats()
-	if st.Misses != keys {
-		t.Errorf("misses %d, want %d", st.Misses, keys)
-	}
-	if st.Lookups() != keys*workers*4 {
-		t.Errorf("lookups %d, want %d", st.Lookups(), keys*workers*4)
-	}
-}
-
-// TestCache64BoundedEviction checks the capacity contract: results stay
-// correct beyond capacity, overflow inserts evict resident entries (and
-// are counted), and the table never exceeds its (shard-rounded) bound.
-func TestCache64BoundedEviction(t *testing.T) {
-	c := NewCache64(cache64Shards) // one entry per shard
-	const keys = 10_000
-	for k := uint64(0); k < keys; k++ {
-		if v := c.GetOrCompute(k, func(k uint64) uint64 { return k + 5 }); v != k+5 {
-			t.Fatalf("key %d: wrong value %d", k, v)
-		}
-	}
-	if c.Len() > cache64Shards {
-		t.Errorf("Len %d exceeds capacity %d", c.Len(), cache64Shards)
-	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Error("expected evictions beyond capacity")
-	}
-	// Every distinct key computes (and stores) exactly once on this pass.
-	if st.Misses != keys {
-		t.Errorf("misses = %d, want %d", st.Misses, keys)
-	}
-	if got := int64(c.Len()) + st.Evictions; got != keys {
-		t.Errorf("Len+Evictions = %d, want %d (every stored key is resident or evicted)", got, keys)
-	}
-	// Rereads still return the right value whether resident or evicted.
-	for k := uint64(0); k < keys; k++ {
-		if v := c.GetOrCompute(k, func(k uint64) uint64 { return k + 5 }); v != k+5 {
-			t.Fatalf("key %d: wrong value on reread: %d", k, v)
-		}
-	}
-	if c.Len() > cache64Shards {
-		t.Errorf("Len %d exceeds capacity %d after rereads", c.Len(), cache64Shards)
-	}
-}
 
 func TestKeyedSingleflight(t *testing.T) {
 	c := NewKeyed[string, int](0)
@@ -265,44 +151,4 @@ func TestDigests(t *testing.T) {
 	if DigestInt64s(nil) != DigestInt64s([]int64{}) {
 		t.Error("nil and empty input must digest identically")
 	}
-}
-
-func BenchmarkCache64Hit(b *testing.B) {
-	c := NewCache64(0)
-	f := func(k uint64) uint64 { return k * 2654435761 }
-	for k := uint64(0); k < 1024; k++ {
-		c.GetOrCompute(k, f)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		k := uint64(0)
-		for pb.Next() {
-			c.GetOrCompute(k&1023, f)
-			k++
-		}
-	})
-}
-
-func FuzzCache64Consistency(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint64(2))
-	f.Fuzz(func(t *testing.T, a, b, c uint64) {
-		cc := NewCache64(2)
-		fn := func(k uint64) uint64 { return mix64(k) }
-		for _, k := range []uint64{a, b, c, a, b, c} {
-			if got := cc.GetOrCompute(k, fn); got != mix64(k) {
-				t.Fatalf("key %d: got %d, want %d", k, got, mix64(k))
-			}
-		}
-	})
-}
-
-func ExampleCache64() {
-	c := NewCache64(1 << 20)
-	decrypts := 0
-	decrypt := func(w uint64) uint64 { decrypts++; return w ^ 0xf0f0f0f0 }
-	for _, w := range []uint64{1, 2, 1, 1, 2} {
-		c.GetOrCompute(w, decrypt)
-	}
-	fmt.Println(decrypts, "decrypts for 5 windows")
-	// Output: 2 decrypts for 5 windows
 }

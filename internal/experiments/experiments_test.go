@@ -186,7 +186,7 @@ func TestNativeAttacksTableMatchesPaper(t *testing.T) {
 // TestFleetIdentification checks the §1 fingerprinting experiment: every
 // leaked copy identifies as its own customer, the clean control stays
 // clean, suspects are traced once per input (not once per key), and a
-// warm corpus re-grade needs zero new decrypts.
+// warm corpus re-grade runs zero new traces.
 func TestFleetIdentification(t *testing.T) {
 	points, table := FleetIdentification(quick)
 	if len(points) == 0 {
@@ -202,11 +202,11 @@ func TestFleetIdentification(t *testing.T) {
 		if p.TracesRun >= p.Pairs {
 			t.Errorf("fleet %d: %d traces for %d pairs — no amortization", p.FleetSize, p.TracesRun, p.Pairs)
 		}
-		if p.WarmDecrypts != 0 {
-			t.Errorf("fleet %d: warm re-grade decrypted %d windows, want 0", p.FleetSize, p.WarmDecrypts)
+		if p.WarmTraces != 0 {
+			t.Errorf("fleet %d: warm re-grade ran %d traces, want 0", p.FleetSize, p.WarmTraces)
 		}
-		if p.ColdDecrypts == 0 {
-			t.Errorf("fleet %d: cold pass decrypted nothing", p.FleetSize)
+		if p.Decrypted == 0 {
+			t.Errorf("fleet %d: corpus decrypted nothing", p.FleetSize)
 		}
 	}
 	if !strings.Contains(table.Render(), "Fleet identification") {

@@ -480,7 +480,6 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 
 	M, K := len(j.spec.Suspects), len(j.spec.Keys)
 	traceBefore := j.caches.TraceStats()
-	decryptBefore := j.caches.DecryptStats()
 	reused := j.Reused()
 	opts.Obs.Counter("jobs.grades.total").Add(int64(M * K))
 	opts.Obs.Counter("jobs.resume.reused").Add(int64(reused))
@@ -582,7 +581,6 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 
 	res := j.assemble()
 	res.Corpus.TraceStats = j.caches.TraceStats().Sub(traceBefore)
-	res.Corpus.DecryptStats = j.caches.DecryptStats().Sub(decryptBefore)
 	opts.Obs.Counter("jobs.grades.failed").Add(int64(res.Failed))
 	j.trace.Event("job.done", map[string]int64{
 		"ran":           ran,
@@ -595,10 +593,8 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		// Cache occupancy is schedule-dependent (concurrent grades race
 		// for the same memo slots), so the deterministic stream omits it.
 		j.trace.Event("job.caches", map[string]int64{
-			"trace_hits":     res.Corpus.TraceStats.Hits,
-			"trace_misses":   res.Corpus.TraceStats.Misses,
-			"decrypt_hits":   res.Corpus.DecryptStats.Hits,
-			"decrypt_misses": res.Corpus.DecryptStats.Misses,
+			"trace_hits":   res.Corpus.TraceStats.Hits,
+			"trace_misses": res.Corpus.TraceStats.Misses,
 		}, nil)
 	}
 	span.Set("suspects", int64(M)).

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
-	"sync"
 
 	"pathmark/internal/bitstring"
 	"pathmark/internal/cache"
@@ -21,8 +20,8 @@ import (
 // copies against a whole fleet of candidate keys. Both directions amortize
 // the watermark-independent work — EmbedBatch runs the base trace and
 // insertion-site analysis once for N fingerprints, RecognizeCorpus traces
-// each suspect once per distinct secret input and shares one decrypt cache
-// per candidate key across all suspects.
+// each suspect once per distinct secret input and reuses that trace for
+// every candidate key sharing the input.
 
 // BatchOptions tunes EmbedBatch. The embedded EmbedOptions apply to every
 // copy, except that copy i uses Seed+int64(i) — each fingerprint gets its
@@ -145,50 +144,25 @@ type TraceKey struct {
 	Input   cache.Digest
 }
 
-// FleetCaches bundles the shared state of fleet-scale recognition: a
-// content-addressed trace cache (TraceKey -> decoded bit-string) and one
-// decrypt memo table per distinct cipher key. A long-lived FleetCaches can
-// span many RecognizeCorpus calls — entries never go stale because every
-// key is a content address. The zero value is not usable; a nil
-// *FleetCaches degrades every lookup to a direct computation.
+// FleetCaches is the shared state of fleet-scale recognition: a
+// content-addressed trace cache (TraceKey -> decoded bit-string). A
+// long-lived FleetCaches can span many RecognizeCorpus calls — entries
+// never go stale because every key is a content address. The zero value
+// is not usable; a nil *FleetCaches degrades every lookup to a direct
+// computation.
 type FleetCaches struct {
 	traces *cache.Keyed[TraceKey, *bitstring.Bits]
-
-	mu         sync.Mutex
-	decrypt    map[feistel.Key]*cache.Cache64
-	maxWindows int
 }
 
 // NewFleetCaches builds a FleetCaches holding at most maxTraces decoded
-// bit-strings and maxWindowsPerKey decrypt entries per distinct cipher key
-// (<= 0 = unbounded; beyond capacity lookups compute without storing).
-func NewFleetCaches(maxTraces, maxWindowsPerKey int) *FleetCaches {
-	return &FleetCaches{
-		traces:     cache.NewKeyed[TraceKey, *bitstring.Bits](maxTraces),
-		decrypt:    make(map[feistel.Key]*cache.Cache64),
-		maxWindows: maxWindowsPerKey,
-	}
+// bit-strings (<= 0 = unbounded). The second argument, the deleted
+// decrypt memo's bound, is ignored; ROADMAP item 1 removes it.
+func NewFleetCaches(maxTraces, _ int) *FleetCaches {
+	return &FleetCaches{traces: cache.NewKeyed[TraceKey, *bitstring.Bits](maxTraces)}
 }
 
-// DecryptCacheFor returns the decrypt memo table for one cipher key,
-// creating it on first use. Keys are the cipher key itself: decryption
-// depends on nothing else, so the table is safely shared by every
-// recognition using that key — across suspects, corpus calls, and scan
-// workers. Returns nil on a nil receiver (callers pass it straight to
-// RecognizeOpts.DecryptCache, which treats nil as "no cache").
-func (f *FleetCaches) DecryptCacheFor(k feistel.Key) *cache.Cache64 {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.decrypt[k]
-	if !ok {
-		c = cache.NewCache64(f.maxWindows)
-		f.decrypt[k] = c
-	}
-	return c
-}
+// DecryptCacheFor returns nil: perfbench-only, removed by ROADMAP item 1.
+func (f *FleetCaches) DecryptCacheFor(feistel.Key) *struct{} { return nil }
 
 // ForgetTrace drops one cached trace (value or memoized failure) so the
 // next grade of that (program, input) pair retraces, reporting whether an
@@ -210,24 +184,8 @@ func (f *FleetCaches) TraceStats() cache.Stats {
 	return f.traces.Stats()
 }
 
-// DecryptStats snapshots the summed traffic of every per-key decrypt
-// table (zero on nil).
-func (f *FleetCaches) DecryptStats() cache.Stats {
-	if f == nil {
-		return cache.Stats{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var s cache.Stats
-	for _, c := range f.decrypt {
-		cs := c.Stats()
-		s.Hits += cs.Hits
-		s.Misses += cs.Misses
-		s.Bypassed += cs.Bypassed
-		s.Evictions += cs.Evictions
-	}
-	return s
-}
+// DecryptStats returns zero stats: perfbench-only, removed by ROADMAP item 1.
+func (f *FleetCaches) DecryptStats() cache.Stats { return cache.Stats{} }
 
 // traceBits returns the decoded trace bit-string for (p, input), from the
 // cache when possible. Concurrent callers of the same TraceKey coalesce
@@ -252,8 +210,8 @@ func (f *FleetCaches) traceBits(p *vm.Program, k TraceKey, input []int64,
 
 // GradePair grades one (suspect, key) pair through the fleet caches: the
 // trace comes from (or lands in) fc's content-addressed trace cache and
-// the scan uses fc's per-cipher decrypt table. It is the unit of work of
-// RecognizeCorpus — the corpus call is exactly an M×K fan-out of
+// the scan batch-decrypts every surviving window. It is the unit of work
+// of RecognizeCorpus — the corpus call is exactly an M×K fan-out of
 // GradePair — exported so layers that schedule grades themselves (the
 // journaled jobs runner, which checkpoints after every grade) produce
 // Recognitions bit-identical to a RecognizeCorpus over the same matrix.
@@ -272,11 +230,7 @@ func GradePair(p *vm.Program, progDigest cache.Digest, key *Key, fc *FleetCaches
 	if scanWorkers <= 0 {
 		scanWorkers = 1
 	}
-	return RecognizeBits(b, key, RecognizeOpts{
-		Workers:      scanWorkers,
-		Ctx:          opts.Ctx,
-		DecryptCache: fc.DecryptCacheFor(key.Cipher),
-	})
+	return RecognizeBits(b, key, RecognizeOpts{Workers: scanWorkers, Ctx: opts.Ctx})
 }
 
 // CorpusOpts tunes RecognizeCorpus. Every pair scans with
@@ -297,14 +251,14 @@ type CorpusOpts struct {
 	// Ctx, when non-nil, cancels the corpus run.
 	Ctx context.Context
 	// Obs, when non-nil, receives the recognize.corpus span and
-	// corpus-level counters, including this call's cache-traffic deltas
-	// (cache.trace.* and cache.decrypt.*). Per-pair recognitions run
-	// without a registry: concurrent pairs would interleave their stage
-	// spans nondeterministically.
+	// corpus-level counters, including this call's trace-cache traffic
+	// deltas (cache.trace.*). Per-pair recognitions run without a
+	// registry: concurrent pairs would interleave their stage spans
+	// nondeterministically.
 	Obs *obs.Registry
-	// Caches, when non-nil, supplies long-lived shared caches so traces
-	// and decryptions persist across corpus calls. nil builds fresh
-	// caches scoped to this call (still shared across its pairs).
+	// Caches, when non-nil, supplies a long-lived trace cache so traces
+	// persist across corpus calls. nil builds a fresh cache scoped to
+	// this call (still shared across its pairs).
 	Caches *FleetCaches
 }
 
@@ -319,23 +273,18 @@ type CorpusResult struct {
 	// first StageError. A pair can have both a Recognition and an error —
 	// same contract as RecognizeWithOpts.
 	Errors [][]error
-	// TraceStats and DecryptStats are this call's cache-traffic deltas.
-	// With fresh caches, TraceStats.Misses is the number of distinct
-	// (suspect, input) traces run and DecryptStats.Misses the number of
-	// distinct (cipher key, window) decryptions — the amortization
-	// evidence.
-	TraceStats   cache.Stats
-	DecryptStats cache.Stats
+	// TraceStats is this call's trace-cache traffic delta. With a fresh
+	// cache, TraceStats.Misses is the number of distinct (suspect, input)
+	// traces run — the amortization evidence.
+	TraceStats cache.Stats
 }
 
 // RecognizeCorpus matches every suspect program against every candidate
 // key. Each suspect is traced once per distinct secret input — keys
 // sharing an input (the whole-fleet-one-input setup) reuse the decoded
-// bit-string — and each candidate key's decrypt cache is shared across
-// all suspects, so every distinct 64-bit window is run through that key's
-// cipher at most once per corpus (within cache capacity). Results are
-// bit-identical to calling RecognizeWithOpts per pair: the caches are
-// pure memo tables and the scan counters are shard sums.
+// bit-string. Results are bit-identical to calling RecognizeWithOpts per
+// pair: the trace cache is a pure memo table and the scan counters are
+// shard sums.
 //
 // Hard errors on one pair (a suspect whose trace dies) do not abort the
 // corpus; they land in the result's Errors matrix. The returned error is
@@ -357,7 +306,6 @@ func RecognizeCorpus(suspects []*vm.Program, keys []*Key, opts CorpusOpts) (*Cor
 		fc = NewFleetCaches(0, 0)
 	}
 	traceBefore := fc.TraceStats()
-	decryptBefore := fc.DecryptStats()
 
 	// Content addresses, computed once up front.
 	progDigests := make([]cache.Digest, len(suspects))
@@ -396,15 +344,10 @@ func RecognizeCorpus(suspects []*vm.Program, keys []*Key, opts CorpusOpts) (*Cor
 	}
 
 	res.TraceStats = fc.TraceStats().Sub(traceBefore)
-	res.DecryptStats = fc.DecryptStats().Sub(decryptBefore)
 	opts.Obs.Counter("recognize.corpus.pairs").Add(int64(len(pairs)))
 	opts.Obs.Counter("cache.trace.hits").Add(res.TraceStats.Hits)
 	opts.Obs.Counter("cache.trace.misses").Add(res.TraceStats.Misses)
 	opts.Obs.Counter("cache.trace.evictions").Add(res.TraceStats.Evictions)
-	opts.Obs.Counter("cache.decrypt.hits").Add(res.DecryptStats.Hits)
-	opts.Obs.Counter("cache.decrypt.misses").Add(res.DecryptStats.Misses)
-	opts.Obs.Counter("cache.decrypt.bypassed").Add(res.DecryptStats.Bypassed)
-	opts.Obs.Counter("cache.decrypt.evictions").Add(res.DecryptStats.Evictions)
 	total.Set("suspects", int64(len(suspects))).
 		Set("keys", int64(len(keys))).
 		Set("pairs", int64(len(pairs))).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pathmark/internal/bitstring"
-	"pathmark/internal/cache"
 	"pathmark/internal/feistel"
 	"pathmark/internal/vm"
 	"pathmark/internal/workloads"
@@ -62,18 +61,8 @@ func equivTraces(t testing.TB, key *Key) map[string]*bitstring.Bits {
 // strided window iterator over the raw string rather than packed. It
 // shares the filter statistics and the statement codec with production
 // but none of the kernel's restructuring — word screen, incremental
-// statistics, AVX2 gather, block decryption, batched framing check,
-// cache Peek/Put — which the equivalence tests below pin against it.
-
-// decryptOne decrypts one window: through the memo table when a cache is
-// configured (each distinct window runs the cipher at most once within
-// capacity), directly otherwise.
-func (env *scanEnv) decryptOne(w uint64) uint64 {
-	if env.cache != nil {
-		return env.cache.GetOrCompute(w, env.cipher.Decrypt)
-	}
-	return env.cipher.Decrypt(w)
-}
+// statistics, AVX2 gather, block decryption, batched framing check —
+// which the equivalence tests below pin against it.
 
 // decode runs the post-decrypt layers on one decrypted window: the
 // lossless framing check (structural reject, counted per layer) and the
@@ -107,7 +96,7 @@ func (a *scanAccum) scanRange(b *bitstring.Bits, stride, phase, lo, hi int, env 
 			a.rej.Phase++
 		default:
 			a.decrypted++
-			a.decode(env, env.decryptOne(w))
+			a.decode(env, env.cipher.Decrypt(w))
 		}
 		return true
 	}
@@ -121,12 +110,12 @@ func (a *scanAccum) scanRange(b *bitstring.Bits, stride, phase, lo, hi int, env 
 // referenceScan is scanBits with the scalar reference kernel: a serial
 // scan of the raw string and both stride-2 phases. filters nil means
 // DefaultFilters.
-func referenceScan(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.Cache64) *scanAccum {
+func referenceScan(b *bitstring.Bits, key *Key, filters *FilterStack) *scanAccum {
 	f := DefaultFilters
 	if filters != nil {
 		f = *filters
 	}
-	env := getScanEnv(key, scanConfig{filters: f, decryptCache: c})
+	env := getScanEnv(key, scanConfig{filters: f})
 	defer putScanEnv(env)
 	acc := newScanAccum()
 	acc.scanRange(b, 1, 0, 0, b.NumWindows64(), env)
@@ -140,8 +129,8 @@ func referenceScan(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.C
 
 // referenceRecognize is RecognizeBits with the scalar reference kernel:
 // referenceScan, then the production vote tail.
-func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack, c *cache.Cache64) *Recognition {
-	acc := referenceScan(b, key, filters, c)
+func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack) *Recognition {
+	acc := referenceScan(b, key, filters)
 	rec := acc.recognition(b.Len())
 	for st, n := range acc.counts {
 		acc.counts[st] = min(n, countCap)
@@ -154,10 +143,10 @@ func referenceRecognize(b *bitstring.Bits, key *Key, filters *FilterStack, c *ca
 
 // TestKernelEquivalence is the scan kernel's core property: the
 // production scan (packed strides, incremental filters, block
-// decryption, cache Peek/Put, sharded workers) produces a Recognition
-// bit-identical to the scalar reference kernel, for every trace shape,
-// filter configuration (including a popcount-only band and no filtering
-// at all), worker count, and cache mode.
+// decryption, sharded workers) produces a Recognition bit-identical to
+// the scalar reference kernel, for every trace shape, filter
+// configuration (including a popcount-only band and no filtering at
+// all), and worker count.
 func TestKernelEquivalence(t *testing.T) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 64)
 	if err != nil {
@@ -185,56 +174,24 @@ func TestKernelEquivalence(t *testing.T) {
 
 	for name, b := range traces {
 		for _, fc := range filterCases {
-			want := referenceRecognize(b, key, fc.filters, nil)
+			want := referenceRecognize(b, key, fc.filters)
 			for _, workers := range []int{1, 4, 8} {
-				for _, cached := range []bool{false, true} {
-					opts := RecognizeOpts{Workers: workers, Filters: fc.filters}
-					if cached {
-						opts.DecryptCache = cache.NewCache64(0)
-					}
-					got, err := RecognizeBits(b, key, opts)
-					if err != nil {
-						t.Fatalf("%s/%s workers=%d cached=%v: %v",
-							name, fc.name, workers, cached, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%s workers=%d cached=%v: Recognition diverged\n got %+v\nwant %+v",
-							name, fc.name, workers, cached, got, want)
-					}
+				got, err := RecognizeBits(b, key, RecognizeOpts{Workers: workers, Filters: fc.filters})
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", name, fc.name, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s workers=%d: Recognition diverged\n got %+v\nwant %+v",
+						name, fc.name, workers, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestKernelEquivalenceSharedCache runs the reference and the production
-// kernel against the same long-lived cache (the fleet topology: many
-// scans, one memo table per cipher) and checks results stay identical
-// when the table is already warm — the memoized decryptions must be
-// exactly what each kernel would compute.
-func TestKernelEquivalenceSharedCache(t *testing.T) {
-	key, err := NewKey(nil, feistel.KeyFromUint64(9, 2), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := equivTraces(t, key)
-	c := cache.NewCache64(0)
-	for name, b := range traces {
-		scalar := referenceRecognize(b, key, nil, c)
-		batched, err := RecognizeBits(b, key, RecognizeOpts{Workers: 2, DecryptCache: c})
-		if err != nil {
-			t.Fatalf("%s batched: %v", name, err)
-		}
-		if !reflect.DeepEqual(scalar, batched) {
-			t.Errorf("%s: warm-cache divergence\n scalar %+v\nbatched %+v", name, scalar, batched)
-		}
-	}
-}
-
-// TestKernelEquivalenceBounded exercises the eviction path: a cache far
-// smaller than the distinct-window count must still leave results
-// bit-identical across kernels and worker counts (the memo table is pure
-// amortization, never semantics).
+// TestKernelEquivalenceBounded scans a pseudorandom trace long enough to
+// span several chunks per source: results must stay bit-identical across
+// kernels and worker counts when workers split the chunk grid.
 func TestKernelEquivalenceBounded(t *testing.T) {
 	key, err := NewKey(nil, feistel.KeyFromUint64(5, 6), 64)
 	if err != nil {
@@ -249,19 +206,14 @@ func TestKernelEquivalenceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceRecognize(b, key, nil, nil)
-	if got := referenceRecognize(b, key, nil, cache.NewCache64(256)); !reflect.DeepEqual(got, want) {
-		t.Errorf("scalar reference with bounded cache: Recognition diverged")
-	}
+	want := referenceRecognize(b, key, nil)
 	for _, workers := range []int{1, 4} {
-		got, err := RecognizeBits(b, key, RecognizeOpts{
-			Workers: workers, DecryptCache: cache.NewCache64(256),
-		})
+		got, err := RecognizeBits(b, key, RecognizeOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d bounded cache: Recognition diverged", workers)
+			t.Errorf("workers=%d: Recognition diverged", workers)
 		}
 	}
 }
@@ -290,7 +242,7 @@ func TestEmbeddedPiecesSurviveFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := referenceRecognize(tr.DecodeBits(), key, nil, nil)
+	ref := referenceRecognize(tr.DecodeBits(), key, nil)
 	for name, r := range map[string]*Recognition{"production": rec, "reference": ref} {
 		if !r.Matches(w) {
 			t.Fatalf("%s: watermark not recovered: %+v", name, r)

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"pathmark/internal/bitstring"
-	"pathmark/internal/cache"
 	"pathmark/internal/crt"
 	"pathmark/internal/feistel"
 	"pathmark/internal/obs"
@@ -45,9 +44,7 @@ type Recognition struct {
 	RejectedByLayer LayerRejects
 	// Decrypted counts windows that survived every pre-decrypt filter
 	// and were submitted to the cipher — the denominator of the framing
-	// layer and the true unit of scan kernel work. (With a decrypt
-	// cache, repeats of a window are answered from the memo table; this
-	// counts submissions, not cipher executions.)
+	// layer and the true unit of scan kernel work.
 	Decrypted int
 
 	// Surviving holds the CRT statements that survived the vote and
@@ -95,15 +92,8 @@ type RecognizeOpts struct {
 	// Filters overrides the scan's lossy pre-decrypt filter stack
 	// (nil = DefaultFilters; NoFilters disables the lossy layers).
 	Filters *FilterStack
-	// DecryptCache, when non-nil, memoizes window decryption across the
-	// scan: each distinct 64-bit window is run through the cipher at most
-	// once (within the cache's capacity) and repeats are answered from the
-	// table. Real traces are loop-heavy and repeat identical windows
-	// thousands of times, so corpus recognition shares one cache per
-	// candidate key across suspects (see FleetCaches). The cache is a pure
-	// memo table — results are bit-identical with it on or off, at every
-	// worker count.
-	DecryptCache *cache.Cache64
+	// DecryptCache is ignored: perfbench-only, removed by ROADMAP item 1.
+	DecryptCache *struct{}
 	// Obs, when non-nil, receives per-stage spans (recognize.trace/scan/
 	// vote) and pipeline counters/histograms. All recorded metric values
 	// are input-derived — per-worker scan counters are summed over
@@ -224,7 +214,6 @@ func RecognizeBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*Recognitio
 
 	// Stage 2: scan.
 	span := opts.Obs.Start("recognize.scan")
-	cacheBefore := opts.DecryptCache.Stats()
 	acc, scanErrs, err := scanBits(b, key, opts)
 	if err != nil {
 		span.Finish()
@@ -245,18 +234,6 @@ func RecognizeBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*Recognitio
 	opts.Obs.Counter("scan.reject.phase").Add(int64(acc.rej.Phase))
 	opts.Obs.Counter("scan.reject.framing").Add(int64(acc.rej.Framing))
 	opts.Obs.Counter("scan.decrypted").Add(int64(acc.decrypted))
-	if opts.DecryptCache != nil {
-		// Delta, not absolute: the cache typically outlives one call. The
-		// hit/miss split is schedule-independent as long as the cache stays
-		// within capacity and is not shared with concurrent scans (misses =
-		// distinct windows, an input property); bypasses beyond capacity
-		// are the one schedule-dependent count.
-		d := opts.DecryptCache.Stats().Sub(cacheBefore)
-		opts.Obs.Counter("cache.decrypt.hits").Add(d.Hits)
-		opts.Obs.Counter("cache.decrypt.misses").Add(d.Misses)
-		opts.Obs.Counter("cache.decrypt.bypassed").Add(d.Bypassed)
-		opts.Obs.Counter("cache.decrypt.evictions").Add(d.Evictions)
-	}
 	if acc.windows > 0 {
 		// Valid-statement hit rate in parts per million: integer-valued,
 		// hence deterministic across worker counts and machines.
@@ -352,30 +329,25 @@ func (a *scanAccum) recognition(traceBits int) *Recognition {
 
 // scanConfig bundles the scan stage's per-call settings.
 type scanConfig struct {
-	hook         func(worker, chunk int)
-	filters      FilterStack
-	decryptCache *cache.Cache64
+	hook    func(worker, chunk int)
+	filters FilterStack
 }
 
 // scanEnv is one worker's scan state: its private cipher instance
-// (expanded subkeys), the shared read-only decode parameters, the
-// (shared, concurrency-safe) decrypt cache, and the kernel's reusable
-// gather buffers. Envs are pooled (scanEnvPool): the buffers total ~70KB
-// per worker, and fleet and stream callers run many scans per second,
-// so allocating (and zeroing) them per scan shows up. The buffers are
+// (expanded subkeys), the shared read-only decode parameters, and the
+// kernel's reusable gather buffers. Envs are pooled (scanEnvPool): the
+// buffers total ~40KB per worker, and fleet and stream callers run many
+// scans per second, so allocating (and zeroing) them per scan shows up. The buffers are
 // pure scratch — fully written before they are read within each chunk —
 // so reuse cannot leak state between scans, keys, or workers.
 type scanEnv struct {
 	cipher  *feistel.Cipher
 	params  *crt.Params
 	filters FilterStack
-	cache   *cache.Cache64
 	// Kernel scratch, sized to the chunk granularity and reused across
 	// chunks so the gather loop never allocates.
 	winBuf  []uint64 // filter survivors of the current chunk
 	decBuf  []uint64 // their decryptions, same indexing
-	missBuf []uint64 // cache misses, gathered contiguously
-	missIdx []int    // winBuf index of each cache miss
 	passBuf []int32  // indices passing the AVX2 framing check
 	// AVX2 gather dispatch: set when the CPU has the kernel and the
 	// stack's bands fit its byte arithmetic (see bandsPackable).
@@ -391,8 +363,6 @@ var scanEnvPool = sync.Pool{New: func() any {
 	return &scanEnv{
 		winBuf:  make([]uint64, 0, scanChunkWindows),
 		decBuf:  make([]uint64, scanChunkWindows),
-		missBuf: make([]uint64, 0, scanChunkWindows),
-		missIdx: make([]int, 0, scanChunkWindows),
 		passBuf: make([]int32, scanChunkWindows),
 	}
 }}
@@ -408,7 +378,6 @@ func getScanEnv(key *Key, cfg scanConfig) *scanEnv {
 	env.cipher = feistel.New(key.Cipher)
 	env.params = key.Params
 	env.filters = cfg.filters
-	env.cache = cfg.decryptCache
 	if env.useGather = gatherAvailable && bandsPackable(cfg.filters); env.useGather {
 		env.gatherBands = packBands(cfg.filters)
 	}
@@ -419,9 +388,9 @@ func getScanEnv(key *Key, cfg scanConfig) *scanEnv {
 }
 
 // putScanEnv returns an env to the pool, dropping its references to the
-// key and cache so a pooled env pins neither.
+// key so a pooled env pins neither cipher nor parameters.
 func putScanEnv(env *scanEnv) {
-	env.cipher, env.params, env.cache = nil, nil, nil
+	env.cipher, env.params = nil, nil
 	scanEnvPool.Put(env)
 }
 
@@ -519,7 +488,7 @@ func runScan(ctx context.Context, chunks []scanChunk, workers int, key *Key,
 }
 
 // scanBits runs the scan stage over the raw bit-string and its two
-// stride-2 phases with the worker count, filters, hook and cache opts
+// stride-2 phases with the worker count, filters and hook opts
 // selects — the one place RecognizeOpts becomes a scan configuration,
 // shared by RecognizeBits and ScanOnly. Results are as for runScan.
 func scanBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*scanAccum, []*StageError, error) {
@@ -527,7 +496,7 @@ func scanBits(b *bitstring.Bits, key *Key, opts RecognizeOpts) (*scanAccum, []*S
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cfg := scanConfig{hook: opts.ScanHook, filters: DefaultFilters, decryptCache: opts.DecryptCache}
+	cfg := scanConfig{hook: opts.ScanHook, filters: DefaultFilters}
 	if opts.Filters != nil {
 		cfg.filters = *opts.Filters
 	}
@@ -558,8 +527,8 @@ type ScanStats struct {
 // ScanOnly runs just the scan stage of RecognizeBits — the window
 // filter/decrypt/decode pipeline over the bit-string and its stride-2
 // phases — without the vote and CRT stages, so benchmarks can measure
-// kernel throughput in isolation. Worker count, filters, scan hook, and
-// cache come from opts exactly as in RecognizeBits.
+// kernel throughput in isolation. Worker count, filters and scan hook
+// come from opts exactly as in RecognizeBits.
 func ScanOnly(b *bitstring.Bits, key *Key, opts RecognizeOpts) (ScanStats, error) {
 	if err := b.Validate(); err != nil {
 		return ScanStats{}, err

@@ -16,14 +16,12 @@ import (
 //     position instead of three popcounts), and append survivors to a
 //     contiguous buffer;
 //  2. decrypt: run the whole survivor buffer through
-//     feistel.DecryptBlocks — with a decrypt cache, only the windows the
-//     cache cannot answer (gathered via Peek, stored via Put) reach the
-//     cipher;
+//     feistel.DecryptBlocks in one call;
 //  3. decode: apply the framing check and statement codec to each
 //     decrypted block.
 //
 // The passes preserve the naive per-window decisions exactly — same
-// filter order, same cache-accounting events, same decode — so a
+// filter order, same decode — so a
 // Recognition is bit-identical to the one-window-at-a-time scalar
 // reference kept in kernel_equiv_test.go; only the grouping of work
 // changes. Stride-2 phases arrive pre-packed (bitstring.PackStride2Into),
@@ -193,44 +191,13 @@ func (a *scanAccum) scanRangeBatched(src *bitstring.Bits, lo, hi int, env *scanE
 	// (the padding decryptions land beyond dec's live region and are
 	// never read). The chunk granularity is itself a multiple of 16, so
 	// padding always fits the scratch buffers.
-	dec := env.decBuf[:len(wins)]
-	if env.cache == nil {
-		padded := (len(wins) + 15) &^ 15
-		w := wins[:padded]
-		for i := len(wins); i < padded; i++ {
-			w[i] = 0
-		}
-		env.cipher.DecryptBlocks(env.decBuf[:padded], w)
-	} else {
-		// Split the batch into cache hits and misses; only misses run
-		// the cipher, and Put makes their results visible to other
-		// workers. Each window still produces exactly one accounting
-		// event (Peek-hit, or Put's miss/duplicate-hit), matching the
-		// traffic of one GetOrCompute per window.
-		miss := env.missIdx[:0]
-		missW := env.missBuf[:0]
-		for i, win := range wins {
-			if v, ok := env.cache.Peek(win); ok {
-				dec[i] = v
-			} else {
-				miss = append(miss, i)
-				missW = append(missW, win)
-			}
-		}
-		if len(miss) > 0 {
-			padded := (len(missW) + 15) &^ 15
-			mw := missW[:padded]
-			for i := len(missW); i < padded; i++ {
-				mw[i] = 0
-			}
-			env.cipher.DecryptBlocks(mw, mw)
-			for j, i := range miss {
-				dec[i] = env.cache.Put(wins[i], missW[j])
-			}
-		}
-		env.missIdx = miss[:0]
-		env.missBuf = missW[:0]
+	padded := (len(wins) + 15) &^ 15
+	w := wins[:padded]
+	for i := len(wins); i < padded; i++ {
+		w[i] = 0
 	}
+	env.cipher.DecryptBlocks(env.decBuf[:padded], w)
+	dec := env.decBuf[:len(wins)]
 
 	// Pass 3: decode. Same decisions as a per-window decode, with the
 	// framing rejections — the overwhelmingly common outcome for windows

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pathmark/internal/cache"
 	"pathmark/internal/feistel"
 	"pathmark/internal/vm"
 	"pathmark/internal/workloads"
@@ -54,58 +53,77 @@ func BenchmarkScanStage(b *testing.B) {
 	}
 }
 
-// BenchmarkScanCache measures the decrypt cache's effect on the scan
-// stage: off (every window decrypted), cold (fresh cache per scan — the
-// single-suspect case), and warm (cache reused across scans — the corpus
-// case, where repeats are answered from the table). EXPERIMENTS.md's
-// fleet amortization table quotes the off-vs-warm ratio.
-func BenchmarkScanCache(b *testing.B) {
-	key, err := NewKey(nil, feistel.KeyFromUint64(21, 34), 128)
+// gradeLeg is one suspect of the served-grade benchmarks.
+type gradeLeg struct {
+	name string
+	prog *vm.Program
+}
+
+// gradePairLegs builds the two suspects of a served grade under one
+// 128-bit key: a marked CaffeineMark-like copy in 64 pieces (long trace
+// over small, hot code) and a marked 60×150 Jess-like copy (short trace
+// over large code).
+func gradePairLegs(tb testing.TB) (*Key, []gradeLeg) {
+	tb.Helper()
+	key, err := NewKey(nil, feistel.KeyFromUint64(0x5eed, 0xfeed), 128)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	prog := workloads.JessLike(workloads.JessLikeOptions{Seed: 8, Methods: 60, BlockSize: 150})
-	w := RandomWatermark(128, 23)
-	marked, _, err := Embed(prog, w, key, EmbedOptions{Pieces: 128, Seed: 11, Policy: GenLoopOnly})
-	if err != nil {
-		b.Fatal(err)
+	mark := func(host *vm.Program, pieces int) *vm.Program {
+		marked, _, err := Embed(host, RandomWatermark(128, 7), key, EmbedOptions{Seed: 1, Pieces: pieces})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return marked
 	}
-	tr, _, err := vm.Collect(marked, key.Input, 1)
-	if err != nil {
-		b.Fatal(err)
+	return key, []gradeLeg{
+		{"MarkedCaffeineMark", mark(workloads.CaffeineMark(), 64)},
+		{"MarkedJessLike60x150", mark(workloads.JessLike(workloads.JessLikeOptions{Seed: 1, Methods: 60, BlockSize: 150}), 0)},
 	}
-	bits := tr.DecodeBits()
-	run := func(b *testing.B, c *cache.Cache64) {
-		b.Helper()
-		b.ReportAllocs()
-		var windows int
-		for i := 0; i < b.N; i++ {
-			acc, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1, DecryptCache: c})
-			if err != nil {
-				b.Fatal(err)
+}
+
+// BenchmarkGradePair times the unit of a served or journaled grade:
+// GradePair with a fresh FleetCaches per op, as jobs.Open builds one per
+// job, so every op traces, scans, votes and merges.
+func BenchmarkGradePair(b *testing.B) {
+	key, legs := gradePairLegs(b)
+	for _, leg := range legs {
+		digest := ProgramDigest(leg.prog)
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec, err := GradePair(leg.prog, digest, key, NewFleetCaches(0, 0), CorpusOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec.Watermark == nil {
+					b.Fatal("no watermark recovered")
+				}
 			}
-			windows = acc.windows
-		}
-		b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mwindows/s")
+		})
 	}
-	b.Run("cache=off", func(b *testing.B) { run(b, nil) })
-	b.Run("cache=cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := cache.NewCache64(0)
-			if _, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1, DecryptCache: c}); err != nil {
-				b.Fatal(err)
+}
+
+// TestGradePairAllocs bounds the allocations of one grade, so that a
+// per-window table cannot come back into the served path unnoticed. A
+// grade measured 1,439 (CaffeineMark-like) and 1,453 (Jess-like)
+// allocations when the bound was set; the bound leaves ~25 % headroom.
+// The per-cipher decrypt memo this path once scanned through cost
+// ~1,300 more per grade (2,861 and 2,748).
+func TestGradePairAllocs(t *testing.T) {
+	const maxAllocs = 1800
+	key, legs := gradePairLegs(t)
+	for _, leg := range legs {
+		digest := ProgramDigest(leg.prog)
+		a := testing.AllocsPerRun(5, func() {
+			if _, err := GradePair(leg.prog, digest, key, NewFleetCaches(0, 0), CorpusOpts{}); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if a > maxAllocs {
+			t.Errorf("%s: %.0f allocations per grade, want at most %d", leg.name, a, maxAllocs)
 		}
-	})
-	b.Run("cache=warm", func(b *testing.B) {
-		c := cache.NewCache64(0)
-		if _, _, err := scanBits(bits, key, RecognizeOpts{Workers: 1, DecryptCache: c}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		run(b, c)
-	})
+	}
 }
 
 func scanBenchWorkers() []int {

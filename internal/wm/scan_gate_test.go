@@ -86,7 +86,7 @@ func TestScanStageWork(t *testing.T) {
 			t.Errorf("workers=%d: scan stats\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
-	ref := referenceScan(bits, key, nil, nil)
+	ref := referenceScan(bits, key, nil)
 	got := ScanStats{Windows: ref.windows, Decrypted: ref.decrypted, Valid: ref.valid, Rejected: ref.rej}
 	if got != want {
 		t.Errorf("reference kernel: scan stats\n got %+v\nwant %+v", got, want)
@@ -128,7 +128,7 @@ func TestScanStageSpeed(t *testing.T) {
 	}
 	reference := func() time.Duration {
 		t0 := time.Now()
-		referenceScan(bits, key, nil, nil)
+		referenceScan(bits, key, nil)
 		return time.Since(t0)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
