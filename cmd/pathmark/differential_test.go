@@ -12,6 +12,7 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -326,7 +327,8 @@ func (g *diffGroup) jobSpec(workers int) jobs.Spec {
 // a random number of journaled grades (with a torn journal tail, if
 // torn) and resumed at another worker count. The resumed job publishes
 // the same result.json, runs each grade of the matrix exactly once and
-// traces only the grades it runs.
+// traces each suspect it still grades once: the group's keys share one
+// input and its suspects fit one breaker wave.
 func jobLegs(t *testing.T, g *diffGroup, rng *rand.Rand, torn bool) {
 	dir := t.TempDir()
 	res, err := jobs.Execute(context.Background(), dir, g.jobSpec(diffWorkers(rng)))
@@ -347,7 +349,12 @@ func jobLegs(t *testing.T, g *diffGroup, rng *rand.Rand, torn bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := g.jobSpec(w1)
+	var mu sync.Mutex
+	settled := make([]int, len(g.suspects)) // grades journaled per suspect
 	spec.Opts.OnEvent = func(ev jobs.GradeEvent) {
+		mu.Lock()
+		settled[ev.S]++
+		mu.Unlock()
 		if ev.Completed >= abortAt {
 			cancel()
 		}
@@ -374,10 +381,17 @@ func jobLegs(t *testing.T, g *diffGroup, rng *rand.Rand, torn bool) {
 			g.name, abortAt, err)
 	}
 	reused, ran := reg.Counter("jobs.resume.reused").Value(), reg.Counter("jobs.grades.run").Value()
+	pending := map[string]bool{} // program digests of the suspects left to grade
+	for s, p := range g.suspects {
+		if settled[s] < len(g.keys) {
+			d := wm.ProgramDigest(p)
+			pending[string(d[:])] = true
+		}
+	}
 	if reused < int64(abortAt) || reused+ran != int64(total) || int64(res.Reused) != reused ||
-		res.Corpus.TraceStats.Lookups() != ran {
-		t.Errorf("job-resume leg: %s (abort at %d): reused %d (result %d) + ran %d with %d trace lookups, want %d",
-			g.name, abortAt, reused, res.Reused, ran, res.Corpus.TraceStats.Lookups(), total)
+		res.Corpus.Traces != len(pending) {
+		t.Errorf("job-resume leg: %s (abort at %d): reused %d (result %d) + ran %d with %d traces, want %d grades and %d traces",
+			g.name, abortAt, reused, res.Reused, ran, res.Corpus.Traces, total, len(pending))
 	}
 }
 

@@ -255,7 +255,7 @@ func TestFleetDemoSmoke(t *testing.T) {
 			"embedded 4 fingerprinted",
 			"leaked copy identified as " + tc.leaked + " ",
 			"unmarked host matches no customer",
-			"caches",
+			"2 traces for 2 pairs",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("demo %v output missing %q:\n%s", tc.args, want, out)

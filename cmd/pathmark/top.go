@@ -16,7 +16,7 @@ import (
 // cmdTop tails a job's trace.jsonl event stream — from a job directory
 // on disk or over HTTP from a serve daemon's GET /jobs/{id}/trace — and
 // renders live throughput: grades and windows per second, the per-layer
-// reject breakdown, cache hit rates, and job progress. It is the
+// reject breakdown, and job progress. It is the
 // operator's view of a running grade; the stream itself is append-only
 // telemetry, so watching it perturbs nothing.
 //
@@ -90,8 +90,6 @@ type topStats struct {
 	decrypted int64
 	valid     int64
 	rej       [4]int64 // popcount, transitions, phase, framing
-
-	traceHits, traceMisses int64
 }
 
 func aggregateTrace(evs []obs.TraceEvent) topStats {
@@ -127,9 +125,6 @@ func aggregateTrace(evs []obs.TraceEvent) topStats {
 			st.rej[1] += ev.Attrs["reject_transitions"]
 			st.rej[2] += ev.Attrs["reject_phase"]
 			st.rej[3] += ev.Attrs["reject_framing"]
-		case "job.caches":
-			st.traceHits = ev.Attrs["trace_hits"]
-			st.traceMisses = ev.Attrs["trace_misses"]
 		}
 	}
 	// A resumed lifetime inherits journaled grades that re-emit nothing:
@@ -153,12 +148,6 @@ func renderTop(w io.Writer, st, prev topStats, elapsed time.Duration) {
 		}
 		return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(st.windows))
 	}
-	hitRate := func(hits, misses int64) string {
-		if hits+misses == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f%%", 100*float64(hits)/float64(hits+misses))
-	}
 	status := "running"
 	if st.dones > 0 {
 		status = "done"
@@ -171,8 +160,6 @@ func renderTop(w io.Writer, st, prev topStats, elapsed time.Duration) {
 		st.windows, rate(st.windows, prev.windows), st.decrypted, st.valid)
 	fmt.Fprintf(&sb, "  rejects: popcount %s  transitions %s  phase %s  framing %s\n",
 		pct(st.rej[0]), pct(st.rej[1]), pct(st.rej[2]), pct(st.rej[3]))
-	fmt.Fprintf(&sb, "  caches: trace %s hit (%d/%d)\n",
-		hitRate(st.traceHits, st.traceMisses), st.traceHits, st.traceHits+st.traceMisses)
 	io.WriteString(w, sb.String())
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // writeSyntheticTrace builds a small but complete trace stream — open,
-// two grade ladders (one clean, one retried-then-failed), cache stats —
-// for exercising the aggregator without running a real job.
+// two grade ladders (one clean, one retried-then-failed), done — for
+// exercising the aggregator without running a real job.
 func writeSyntheticTrace(t *testing.T, dir string, done bool) {
 	t.Helper()
 	tr, err := obs.OpenTraceFile(jobs.TracePath(dir), "feedc0de", false)
@@ -33,7 +33,6 @@ func writeSyntheticTrace(t *testing.T, dir string, done bool) {
 	tr.Event("grade.retry", map[string]int64{"s": 1, "k": 0, "attempt": 1}, map[string]string{"err": "transient"})
 	tr.Event("grade.done", map[string]int64{"s": 1, "k": 0, "attempts": 2, "failed": 1}, map[string]string{"err": "hard"})
 	if done {
-		tr.Event("job.caches", map[string]int64{"trace_hits": 1, "trace_misses": 2}, nil)
 		tr.Event("job.done", map[string]int64{"ran": 2, "reused": 0, "skipped": 0, "failed": 1, "breaker_trips": 0}, nil)
 	}
 	if tr.Err() != nil {
@@ -60,9 +59,6 @@ func TestAggregateTrace(t *testing.T) {
 	}
 	if st.rej != [4]int64{600, 200, 100, 60} {
 		t.Errorf("rejects = %v", st.rej)
-	}
-	if st.traceHits != 1 || st.traceMisses != 2 {
-		t.Errorf("caches = %+v", st)
 	}
 }
 
@@ -94,7 +90,6 @@ func TestTopRender(t *testing.T) {
 		"job feedc0de", "done", "grades 2/2", "1 failed", "1 retries",
 		"windows 1000", "decrypted 40", "valid 20",
 		"popcount 60.0%", "transitions 20.0%", "phase 10.0%", "framing 6.0%",
-		"trace 33% hit (1/3)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("top output missing %q:\n%s", want, out)

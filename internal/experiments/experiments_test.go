@@ -199,11 +199,10 @@ func TestFleetIdentification(t *testing.T) {
 		if !p.CleanOK {
 			t.Errorf("fleet %d: clean control matched a customer or a decoy key matched", p.FleetSize)
 		}
-		if p.TracesRun >= p.Pairs {
-			t.Errorf("fleet %d: %d traces for %d pairs — no amortization", p.FleetSize, p.TracesRun, p.Pairs)
-		}
-		if p.WarmTraces != 0 {
-			t.Errorf("fleet %d: warm re-grade ran %d traces, want 0", p.FleetSize, p.WarmTraces)
+		// Both keys share one input: one trace per suspect (the copies
+		// and the unmarked host).
+		if p.TracesRun != p.FleetSize+1 {
+			t.Errorf("fleet %d: %d traces for %d pairs, want %d", p.FleetSize, p.TracesRun, p.Pairs, p.FleetSize+1)
 		}
 		if p.Decrypted == 0 {
 			t.Errorf("fleet %d: corpus decrypted nothing", p.FleetSize)

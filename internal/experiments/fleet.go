@@ -23,9 +23,6 @@ type FleetPoint struct {
 	// Decrypted sums Recognition.Decrypted over the corpus: the windows
 	// that survived the pre-decrypt filters and went through the cipher.
 	Decrypted int
-	// WarmTraces counts the traces a full re-grade of the same corpus
-	// ran with the trace cache kept warm (0: re-grading costs only scans).
-	WarmTraces int
 }
 
 func fleetSizes(cfg Config) []int {
@@ -77,20 +74,9 @@ func FleetIdentification(cfg Config) ([]FleetPoint, *Table) {
 			panic(err)
 		}
 		keys := []*wm.Key{key, decoy}
-		caches := wm.NewFleetCaches(0, 0)
-		res, err := wm.RecognizeCorpus(suspects, keys, wm.CorpusOpts{
-			Caches: caches, Ctx: cfg.Ctx, Obs: cfg.Obs,
-		})
+		res, err := wm.RecognizeCorpus(suspects, keys, wm.CorpusOpts{Ctx: cfg.Ctx, Obs: cfg.Obs})
 		if err != nil {
 			panic(fmt.Sprintf("fleet %d corpus: %v", n, err))
-		}
-		// Re-grade the whole corpus with the caches warm — the "a new
-		// customer was added, re-check every suspect" operation.
-		warm, err := wm.RecognizeCorpus(suspects, keys, wm.CorpusOpts{
-			Caches: caches, Ctx: cfg.Ctx, Obs: cfg.Obs,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("fleet %d warm corpus: %v", n, err))
 		}
 
 		// A suspect identifies as customer i when its recognition under the
@@ -117,7 +103,7 @@ func FleetIdentification(cfg Config) ([]FleetPoint, *Table) {
 				}
 			}
 		}
-		p.TracesRun = int(res.TraceStats.Misses)
+		p.TracesRun = res.Traces
 		for _, row := range res.Recognitions {
 			for _, rec := range row {
 				if rec != nil {
@@ -125,19 +111,17 @@ func FleetIdentification(cfg Config) ([]FleetPoint, *Table) {
 				}
 			}
 		}
-		p.WarmTraces = int(warm.TraceStats.Misses)
 		points[si] = p
 	})
 
 	table := &Table{
 		Title: "Fleet identification: batch fingerprinting + corpus recognition (§1 scenario)",
 		Columns: []string{"fleet size", "identified", "clean control",
-			"traces run / pairs", "windows decrypted", "warm re-grade traces"},
+			"traces run / pairs", "windows decrypted"},
 		Notes: []string{
 			"each customer's leaked copy must be traced to exactly its own watermark",
 			"suspects are traced once per distinct (program, input), not once per key",
 			"windows decrypted = filter survivors batch-decrypted over the corpus",
-			"warm re-grade = full corpus re-scan with the trace cache kept (0 new traces)",
 		},
 	}
 	for _, p := range points {
@@ -147,7 +131,6 @@ func FleetIdentification(cfg Config) ([]FleetPoint, *Table) {
 			boolStr(p.CleanOK),
 			fmt.Sprintf("%d/%d", p.TracesRun, p.Pairs),
 			itoa(p.Decrypted),
-			itoa(p.WarmTraces),
 		})
 	}
 	return points, table

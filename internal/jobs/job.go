@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pathmark/internal/bitstring"
 	"pathmark/internal/cache"
 	"pathmark/internal/iofault"
 	"pathmark/internal/obs"
@@ -28,13 +29,14 @@ type Options struct {
 	// 0 picks runtime.GOMAXPROCS(0), 1 forces the serial path. Results
 	// are bit-identical at any worker count.
 	Workers int
-	// StepLimit and MaxHeap are passed through to every grade (see
+	// StepLimit and MaxHeap are passed through to every trace (see
 	// wm.CorpusOpts); every grade scans with wm.DefaultFilters. Each
-	// grade's scan runs serially unless a wave has fewer pending grades
-	// than Workers: then the idle worker tier is folded into each grade's
-	// scan fan-out (intra-suspect sharding), so a single huge suspect
-	// still uses the whole tier. Scan results are bit-identical at any
-	// scan worker count, so the adaptive fan-out never changes results.
+	// grade's scan runs serially unless a wave has fewer trace units
+	// (wm.TraceUnits) than Workers: then the idle worker tier is folded
+	// into each grade's scan fan-out (intra-suspect sharding), so a single
+	// huge suspect still uses the whole tier. Scan results are
+	// bit-identical at any scan worker count, so the adaptive fan-out
+	// never changes results.
 	StepLimit int64
 	MaxHeap   int64
 	// GradeTimeout, when > 0, deadlines each grade attempt. A timed-out
@@ -48,8 +50,7 @@ type Options struct {
 	// counters (grades, retries, breaker trips, journal traffic, resume
 	// savings).
 	Obs *obs.Registry
-	// Caches, when non-nil, supplies long-lived fleet caches shared
-	// across jobs; nil builds caches scoped to this job.
+	// Caches is ignored: perfbench-only, removed by ROADMAP item 1.
 	Caches *wm.FleetCaches
 	// NoSync skips the per-record fsync. Only for tests and throwaway
 	// jobs: without the sync, a crash can lose the last grades (never
@@ -72,8 +73,8 @@ type Options struct {
 	// reads fail on a seeded schedule.
 	FS iofault.FS
 	// DeterministicTrace omits the schedule-dependent stampings
-	// (sequence numbers, timestamps) and the cache-occupancy event from
-	// the job's trace.jsonl, leaving only input-derived event content:
+	// (sequence numbers, timestamps) from the job's trace.jsonl, leaving
+	// only input-derived event content:
 	// sorted trace lines are then byte-identical at any worker count.
 	DeterministicTrace bool
 
@@ -195,7 +196,6 @@ type Job struct {
 	spec    Spec
 	digest  cache.Digest
 	journal *WAL
-	caches  *wm.FleetCaches
 	trace   *obs.Trace // nil when trace.jsonl could not be opened
 
 	mu        sync.Mutex
@@ -224,13 +224,7 @@ func Open(dir string, spec Spec) (*Job, error) {
 		return nil, fmt.Errorf("jobs: create job dir: %w", err)
 	}
 
-	j := &Job{
-		dir: dir, spec: spec, digest: digest,
-		caches: spec.Opts.Caches,
-	}
-	if j.caches == nil {
-		j.caches = wm.NewFleetCaches(0, 0)
-	}
+	j := &Job{dir: dir, spec: spec, digest: digest}
 	j.outcomes = make([][]*outcome, len(spec.Suspects))
 	for s := range j.outcomes {
 		j.outcomes[s] = make([]*outcome, len(spec.Keys))
@@ -341,8 +335,8 @@ func (j *Job) settle(s, k int, o *outcome) error {
 
 // emitGradeEvents publishes one settled (suspect, key) outcome to the
 // trace stream (stage events traced → scanned → voted → done) and the
-// registry (scan-layer counters — wm.GradePair runs each scan without a
-// registry, so this is where per-layer rejects reach /metrics). Shared
+// registry (scan-layer counters — each grade scans without a registry,
+// so this is where per-layer rejects reach /metrics). Shared
 // by corpus jobs and stream jobs so both speak the same grade.* event
 // schema and any trace consumer (serve status aggregation, pathmark
 // top) reads either without caring which engine produced the stream.
@@ -400,12 +394,56 @@ func emitGradeEvents(trace *obs.Trace, reg *obs.Registry, s, k int, o *outcome) 
 	}
 }
 
+// unitTrace is one trace unit's latest trace outcome, value or failure,
+// shared by the unit's grades (see runUnit).
+type unitTrace struct {
+	p     *vm.Program
+	input []int64
+	bits  *bitstring.Bits
+	err   error
+	stale bool  // no outcome yet, or the last attempt produced no recognition
+	runs  int64 // tracing runs so far
+}
+
+func (u *unitTrace) get(opts wm.CorpusOpts) (*bitstring.Bits, error) {
+	if u.stale {
+		u.bits, u.err = wm.TraceBits(u.p, u.input, opts)
+		u.stale = false
+		u.runs++
+	}
+	return u.bits, u.err
+}
+
+// runUnit grades one trace unit's cells in order, each under the retry
+// policy and settled (journaled) on its own. A grade's first attempt
+// reuses the unit's latest trace outcome, so a suspect whose trace fails
+// deterministically costs one trace, not one per key; a retry after an
+// attempt that produced no recognition traces again, since the failure
+// may have been transient. It stops before a grade once stop reports a
+// journal failure or cancellation, and after an interrupted grade, which
+// stays unsettled and re-runs on resume.
+func (j *Job) runUnit(ctx context.Context, unit []wm.Cell, scanWorkers int, stop func() bool) (ran, traces int64, err error) {
+	ut := &unitTrace{p: j.spec.Suspects[unit[0].S], input: j.spec.Keys[unit[0].K].Input, stale: true}
+	for _, c := range unit {
+		if stop() {
+			break
+		}
+		o := j.runGrade(ctx, c, ut, scanWorkers)
+		if o == nil {
+			break
+		}
+		if err = j.settle(c.S, c.K, o); err != nil {
+			break
+		}
+		ran++
+	}
+	return ran, ut.runs, err
+}
+
 // runGrade executes one grade under the retry policy (RetryPolicy.Do),
-// invalidating a cached trace failure before each retry (otherwise a
-// retry would replay the memoized trace error instead of retracing).
-// Returns nil when the job context was cancelled mid-grade — the grade
-// is left unsettled and re-runs on resume.
-func (j *Job) runGrade(ctx context.Context, s, k, scanWorkers int) *outcome {
+// tracing through ut. Returns nil when the job context was cancelled
+// mid-grade — the grade is left unsettled and re-runs on resume.
+func (j *Job) runGrade(ctx context.Context, c wm.Cell, ut *unitTrace, scanWorkers int) *outcome {
 	opts := j.spec.Opts
 	var rec *wm.Recognition
 	attempt := func(n int) error {
@@ -415,28 +453,29 @@ func (j *Job) runGrade(ctx context.Context, s, k, scanWorkers int) *outcome {
 			gctx, cancel = context.WithTimeout(ctx, opts.GradeTimeout)
 			defer cancel()
 		}
+		rec = nil
 		if opts.gradeHook != nil {
-			if err := opts.gradeHook(s, k, n); err != nil {
-				rec = nil
+			if err := opts.gradeHook(c.S, c.K, n); err != nil {
 				return err
 			}
 		}
-		var err error
-		rec, err = j.gradeOnce(gctx, s, k, scanWorkers)
+		bits, err := ut.get(wm.CorpusOpts{StepLimit: opts.StepLimit, MaxHeap: opts.MaxHeap, Ctx: gctx})
+		if err != nil {
+			return err
+		}
+		rec, err = wm.RecognizeBits(bits, j.spec.Keys[c.K], wm.RecognizeOpts{Workers: scanWorkers, Ctx: gctx})
 		return err
 	}
 	onRetry := func(n int, err error) {
 		if rec == nil {
-			// The failure happened at (or before) the trace: drop the
-			// memoized failure so the retry actually retraces.
-			j.caches.ForgetTrace(j.traceKey(s, k))
+			ut.stale = true
 		}
 		opts.Obs.Counter("jobs.retries").Add(1)
 		j.trace.Event("grade.retry", map[string]int64{
-			"s": int64(s), "k": int64(k), "attempt": int64(n),
+			"s": int64(c.S), "k": int64(c.K), "attempt": int64(n),
 		}, map[string]string{"err": err.Error()})
 	}
-	n, interrupted, err := opts.Retry.Do(ctx, j.digest, s, k, attempt, onRetry)
+	n, interrupted, err := opts.Retry.Do(ctx, j.digest, c.S, c.K, attempt, onRetry)
 	if interrupted {
 		return nil // interruption, not failure
 	}
@@ -445,23 +484,6 @@ func (j *Job) runGrade(ctx context.Context, s, k, scanWorkers int) *outcome {
 		o.errStr = err.Error()
 	}
 	return o
-}
-
-func (j *Job) gradeOnce(ctx context.Context, s, k, scanWorkers int) (*wm.Recognition, error) {
-	opts := j.spec.Opts
-	return wm.GradePair(j.spec.Suspects[s], j.spec.progDigests[s], j.spec.Keys[k], j.caches, wm.CorpusOpts{
-		ScanWorkers: scanWorkers,
-		StepLimit:   opts.StepLimit,
-		MaxHeap:     opts.MaxHeap,
-		Ctx:         ctx,
-	})
-}
-
-func (j *Job) traceKey(s, k int) wm.TraceKey {
-	return wm.TraceKey{
-		Program: j.spec.progDigests[s],
-		Input:   cache.DigestInt64s(j.spec.Keys[k].Input),
-	}
 }
 
 // Run executes every grade the journal does not already hold and
@@ -479,7 +501,6 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	defer span.Finish()
 
 	M, K := len(j.spec.Suspects), len(j.spec.Keys)
-	traceBefore := j.caches.TraceStats()
 	reused := j.Reused()
 	opts.Obs.Counter("jobs.grades.total").Add(int64(M * K))
 	opts.Obs.Counter("jobs.resume.reused").Add(int64(reused))
@@ -495,13 +516,12 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 
 	br := newBreaker(K, opts.Breaker)
 	wave := opts.Breaker.wave()
-	var ran, skipped int64
+	var ran, skipped, traces int64
 
-	type cell struct{ s, k int }
 	// A journal failure stops every worker, not only the one whose settle
 	// hit it. The WAL counts the failure before it releases its lock, so
 	// a worker whose settle follows it (the WAL reopens itself) stops
-	// before taking another cell, even if the failing worker has not yet
+	// before its next grade, even if the failing worker has not yet
 	// recorded appendErr.
 	var appendErr error
 	var appendOnce sync.Once
@@ -520,7 +540,7 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		// walked in suspect order — deterministic at any worker count.
 		br.observe(j.outcomes, max(lo-wave, 0), lo)
 
-		var pending []cell
+		var pending []wm.Cell
 		for s := lo; s < hi; s++ {
 			for k := 0; k < K; k++ {
 				if j.outcomes[s][k] != nil {
@@ -534,37 +554,39 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 					skipped++
 					continue
 				}
-				pending = append(pending, cell{s, k})
+				pending = append(pending, wm.Cell{S: s, K: k})
 			}
 		}
 
+		// One trace per distinct (program, input) of the wave's pending
+		// grades.
+		units := wm.TraceUnits(j.spec.progDigests, j.spec.Keys, pending)
 		workers := opts.Workers
 		if workers <= 0 {
 			workers = defaultWorkers()
 		}
-		// Intra-suspect sharding: when the wave has fewer pending grades
-		// than workers, fold the idle tier into each grade's scan fan-out.
-		// A single huge suspect then shards its own window ranges across
+		// Intra-suspect sharding: when the wave has fewer units than
+		// workers, fold the idle tier into each grade's scan fan-out. A
+		// single huge suspect then shards its own window ranges across
 		// the whole tier instead of scanning on one goroutine while the
 		// rest idle. The boost uses the worker count before par.For clamps
-		// it to the pending count, and the scan's deterministic merge keeps
+		// it to the unit count, and the scan's deterministic merge keeps
 		// results bit-identical at every effective fan-out.
 		scanWorkers := 1
-		if n := len(pending); n > 0 && n < workers {
+		if n := len(units); n > 0 && n < workers {
 			scanWorkers = workers / n
 		}
-		var ranWave atomic.Int64
-		par.For(len(pending), workers, stop, func(_, i int) {
-			c := pending[i]
-			if o := j.runGrade(ctx, c.s, c.k, scanWorkers); o != nil {
-				if err := j.settle(c.s, c.k, o); err != nil {
-					fail(err)
-					return
-				}
-				ranWave.Add(1)
+		var ranWave, tracesWave atomic.Int64
+		par.For(len(units), workers, stop, func(_, i int) {
+			n, t, err := j.runUnit(ctx, units[i], scanWorkers, stop)
+			ranWave.Add(n)
+			tracesWave.Add(t)
+			if err != nil {
+				fail(err)
 			}
 		})
 		ran += ranWave.Load()
+		traces += tracesWave.Load()
 		if appendErr != nil {
 			return nil, appendErr
 		}
@@ -580,7 +602,7 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	opts.Obs.Counter("jobs.journal.records").Add(j.journal.Records())
 
 	res := j.assemble()
-	res.Corpus.TraceStats = j.caches.TraceStats().Sub(traceBefore)
+	res.Corpus.Traces = int(traces)
 	opts.Obs.Counter("jobs.grades.failed").Add(int64(res.Failed))
 	j.trace.Event("job.done", map[string]int64{
 		"ran":           ran,
@@ -589,14 +611,6 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		"failed":        int64(res.Failed),
 		"breaker_trips": int64(br.trips),
 	}, nil)
-	if !j.trace.Deterministic() {
-		// Cache occupancy is schedule-dependent (concurrent grades race
-		// for the same memo slots), so the deterministic stream omits it.
-		j.trace.Event("job.caches", map[string]int64{
-			"trace_hits":   res.Corpus.TraceStats.Hits,
-			"trace_misses": res.Corpus.TraceStats.Misses,
-		}, nil)
-	}
 	span.Set("suspects", int64(M)).
 		Set("keys", int64(K)).
 		Set("ran", ran).
@@ -618,9 +632,9 @@ type Result struct {
 	// Corpus carries the Recognitions/Errors matrices, bit-identical to
 	// a RecognizeCorpus over the same spec except that breaker-skipped
 	// cells hold a *BreakerOpenError, and cells restored from a journal
-	// carry string-rebuilt errors (message preserved, chain gone). The
-	// cache stats are this Run's deltas — on a resumed run they show
-	// only the traces actually re-run.
+	// carry string-rebuilt errors (message preserved, chain gone).
+	// Corpus.Traces counts this Run's tracing runs — on a resumed run
+	// only the traces of the grades it executed.
 	Corpus *wm.CorpusResult
 	// Attempts[s][k] is how many attempts the grade took (0 for skips).
 	Attempts [][]int
@@ -672,7 +686,7 @@ const resultFileVersion = 1
 
 // resultFile is the canonical serialized Result. It deliberately
 // excludes anything that may differ between an uninterrupted run and a
-// crash-resumed one (attempt counts, resume savings, cache stats): the
+// crash-resumed one (attempt counts, resume savings, trace counts): the
 // manifest is the artifact two such runs are byte-compared on.
 type resultFile struct {
 	Version  int           `json:"version"`

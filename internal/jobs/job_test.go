@@ -87,8 +87,8 @@ func TestJobResumeAfterCompletion(t *testing.T) {
 	if ran := reg.Counter("jobs.grades.run").Value(); ran != 0 {
 		t.Errorf("re-run executed %d grades, want 0", ran)
 	}
-	if res.Corpus.TraceStats.Lookups() != 0 {
-		t.Errorf("re-run touched the trace cache: %+v", res.Corpus.TraceStats)
+	if res.Corpus.Traces != 0 {
+		t.Errorf("re-run ran %d traces, want 0", res.Corpus.Traces)
 	}
 }
 

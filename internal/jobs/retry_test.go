@@ -119,13 +119,14 @@ func TestTerminalErrorsNotRetried(t *testing.T) {
 
 // TestRetryRetracesRealFailures drives a real resource failure (no
 // hook): with StepLimit 1 every trace dies, and each retry must actually
-// retrace — the cached failure is forgotten first — rather than replay
-// the memo. Trace-cache misses prove it.
+// retrace rather than replay the unit's failed trace, while a later key's
+// first attempt reuses it. The trace count proves both.
 func TestRetryRetracesRealFailures(t *testing.T) {
+	const attempts = 2
 	spec := baseSpec(t)
 	spec.Opts.StepLimit = 1
 	spec.Opts.Workers = 1
-	spec.Opts.Retry = RetryPolicy{MaxAttempts: 2}
+	spec.Opts.Retry = RetryPolicy{MaxAttempts: attempts}
 	spec.Opts.Breaker = BreakerPolicy{Threshold: -1}
 	res := mustExecute(t, t.TempDir(), spec)
 
@@ -135,20 +136,20 @@ func TestRetryRetracesRealFailures(t *testing.T) {
 	}
 	for s := 0; s < res.Suspects; s++ {
 		for k := 0; k < res.Keys; k++ {
-			if res.Attempts[s][k] != 2 {
-				t.Errorf("Attempts[%d][%d] = %d, want 2", s, k, res.Attempts[s][k])
+			if res.Attempts[s][k] != attempts {
+				t.Errorf("Attempts[%d][%d] = %d, want %d", s, k, res.Attempts[s][k], attempts)
 			}
 			if !errors.Is(res.Corpus.Errors[s][k], vm.ErrStepLimit) {
 				t.Errorf("cell (%d,%d): lost typed cause: %v", s, k, res.Corpus.Errors[s][k])
 			}
 		}
 	}
-	// Without ForgetTrace, misses would stop at the distinct (suspect,
-	// input) count; with it, every retry is a fresh trace. Exact count:
-	// each grade's final attempt recomputes (first attempts may hit the
-	// previous grade's memoized failure), so misses >= total.
-	if misses := res.Corpus.TraceStats.Misses; misses < int64(total) {
-		t.Errorf("trace misses = %d for %d grades with retries — retries replayed the memoized failure", misses, total)
+	// A unit of n keys traces 1 + n×(attempts−1) times: once for its
+	// first grade's first attempt, once per retry. Every suspect has a
+	// 2-key unit (the two keys without input) and a 1-key unit.
+	unit := func(n int) int { return 1 + n*(attempts-1) }
+	if want := res.Suspects * (unit(2) + unit(1)); res.Corpus.Traces != want {
+		t.Errorf("traces = %d, want %d", res.Corpus.Traces, want)
 	}
 }
 

@@ -96,10 +96,6 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Deterministic reports whether the stream omits schedule-dependent
-// stampings.
-func (t *Trace) Deterministic() bool { return t != nil && t.det }
-
 // Event appends one event. attrs and labels may be nil; both are
 // serialized with sorted keys. Events after a write failure are dropped.
 func (t *Trace) Event(name string, attrs map[string]int64, labels map[string]string) {

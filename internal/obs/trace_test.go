@@ -20,9 +20,6 @@ func TestTraceNil(t *testing.T) {
 	if tr.ID() != "" {
 		t.Errorf("nil ID = %q", tr.ID())
 	}
-	if tr.Deterministic() {
-		t.Error("nil Deterministic = true")
-	}
 	if err := tr.Err(); err != nil {
 		t.Errorf("nil Err = %v", err)
 	}

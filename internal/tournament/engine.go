@@ -126,7 +126,6 @@ type Campaign struct {
 	ws   []*big.Int
 
 	fleets     []*fleetState
-	caches     *wm.FleetCaches
 	cellSeeds  []int64
 	cellFleet  []int // cell index -> fleet/attack/strength coordinates
 	cellAttack []int
@@ -240,7 +239,6 @@ func (c *Campaign) indexCells() {
 	for fi := range c.fleets {
 		c.fleets[fi] = &fleetState{}
 	}
-	c.caches = wm.NewFleetCaches(0, 0)
 }
 
 // cellSeed mixes the campaign seed with the cell coordinates through the
@@ -375,7 +373,7 @@ func (c *Campaign) runCell(idx int) (cell CellResult, err error) {
 	}
 
 	res, err := wm.RecognizeCorpus([]*vm.Program{attacked}, []*wm.Key{c.key}, wm.CorpusOpts{
-		Workers: 1, Caches: c.caches, Ctx: c.opts.Ctx,
+		Workers: 1, Ctx: c.opts.Ctx,
 		StepLimit: gradeStepLimit,
 	})
 	if err != nil {

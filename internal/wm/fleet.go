@@ -134,132 +134,88 @@ func ProgramDigest(p *vm.Program) cache.Digest {
 	return cache.DigestBytes(vm.AppendDump(nil, p))
 }
 
-// TraceKey is the content address of a decoded trace bit-string: the
-// program and the secret input fully determine the trace, so two corpus
-// pairs whose keys share an input — the common fingerprinting setup, one
-// input for the whole fleet — hit the same entry. Invalidation is
-// automatic: any change to the program or input changes the key.
+// TraceKey is the content address of a trace: the program and the
+// secret input fully determine it (§3.1), so two corpus cells whose
+// suspects digest equal and whose keys share an input — the common
+// fingerprinting setup, one input for the whole fleet — need one trace.
 type TraceKey struct {
 	Program cache.Digest
 	Input   cache.Digest
 }
 
-// FleetCaches is the shared state of fleet-scale recognition: a
-// content-addressed trace cache (TraceKey -> decoded bit-string). A
-// long-lived FleetCaches can span many RecognizeCorpus calls — entries
-// never go stale because every key is a content address. The zero value
-// is not usable; a nil *FleetCaches degrades every lookup to a direct
-// computation.
-type FleetCaches struct {
-	traces *cache.Keyed[TraceKey, *bitstring.Bits]
+// Cell is one (suspect, key) grade of a corpus matrix, by index.
+type Cell struct{ S, K int }
+
+// TraceUnits groups cells by TraceKey{progDigests[S], the digest of
+// keys[K].Input}: each unit is the cells one trace serves, in the order
+// they appear in cells, and units come in the order of their first
+// cell. progDigests[s] must be ProgramDigest of suspect s. Grading a
+// unit is one TraceBits of its first cell's program and input followed
+// by RecognizeBits for each of its cells.
+func TraceUnits(progDigests []cache.Digest, keys []*Key, cells []Cell) [][]Cell {
+	inputs := make(map[int]cache.Digest, len(keys))
+	unitOf := make(map[TraceKey]int)
+	var units [][]Cell
+	for _, c := range cells {
+		in, ok := inputs[c.K]
+		if !ok {
+			in = cache.DigestInt64s(keys[c.K].Input)
+			inputs[c.K] = in
+		}
+		tk := TraceKey{Program: progDigests[c.S], Input: in}
+		u, ok := unitOf[tk]
+		if !ok {
+			u = len(units)
+			unitOf[tk] = u
+			units = append(units, nil)
+		}
+		units[u] = append(units[u], c)
+	}
+	return units
 }
 
-// NewFleetCaches builds a FleetCaches holding at most maxTraces decoded
-// bit-strings (<= 0 = unbounded). The second argument, the deleted
-// decrypt memo's bound, is ignored; ROADMAP item 1 removes it.
-func NewFleetCaches(maxTraces, _ int) *FleetCaches {
-	return &FleetCaches{traces: cache.NewKeyed[TraceKey, *bitstring.Bits](maxTraces)}
+// TraceBits runs p on input under opts' context, step and heap bounds
+// and returns the trace bit-string every key sharing the input scans. A
+// failure is a trace *StageError wrapping the run's error.
+func TraceBits(p *vm.Program, input []int64, opts CorpusOpts) (*bitstring.Bits, error) {
+	bits, _, err := collectBits(opts.Ctx, p, input, opts.StepLimit, opts.MaxHeap)
+	if err != nil {
+		return nil, &StageError{Stage: "trace", Worker: -1,
+			Cause: fmt.Errorf("corpus trace failed: %w", err)}
+	}
+	return bits, nil
 }
+
+// FleetCaches is empty: perfbench-only, removed by ROADMAP item 1.
+type FleetCaches struct{}
+
+// NewFleetCaches ignores its arguments: perfbench-only, removed by
+// ROADMAP item 1.
+func NewFleetCaches(_, _ int) *FleetCaches { return &FleetCaches{} }
 
 // DecryptCacheFor returns nil: perfbench-only, removed by ROADMAP item 1.
 func (f *FleetCaches) DecryptCacheFor(feistel.Key) *struct{} { return nil }
 
-// ForgetTrace drops one cached trace (value or memoized failure) so the
-// next grade of that (program, input) pair retraces, reporting whether an
-// entry was present. The retry layer calls it before re-attempting a
-// grade whose trace failed: without the invalidation a retry would only
-// replay the cached error.
-func (f *FleetCaches) ForgetTrace(k TraceKey) bool {
-	if f == nil {
-		return false
-	}
-	return f.traces.Forget(k)
-}
-
-// TraceStats snapshots the trace cache's traffic (zero on nil).
-func (f *FleetCaches) TraceStats() cache.Stats {
-	if f == nil {
-		return cache.Stats{}
-	}
-	return f.traces.Stats()
-}
-
 // DecryptStats returns zero stats: perfbench-only, removed by ROADMAP item 1.
 func (f *FleetCaches) DecryptStats() cache.Stats { return cache.Stats{} }
-
-// traceBits returns the decoded trace bit-string for (p, input), from the
-// cache when possible. Concurrent callers of the same TraceKey coalesce
-// onto one tracing run (singleflight); trace failures are cached too — a
-// suspect that exhausts its step budget does so deterministically, so
-// retrying per candidate key would only repeat the failure.
-func (f *FleetCaches) traceBits(p *vm.Program, k TraceKey, input []int64,
-	ctx context.Context, stepLimit, maxHeap int64) (*bitstring.Bits, error) {
-	compute := func() (*bitstring.Bits, error) {
-		bits, _, err := collectBits(ctx, p, input, stepLimit, maxHeap)
-		if err != nil {
-			return nil, &StageError{Stage: "trace", Worker: -1,
-				Cause: fmt.Errorf("corpus trace failed: %w", err)}
-		}
-		return bits, nil
-	}
-	if f == nil {
-		return compute()
-	}
-	return f.traces.GetOrCompute(k, compute)
-}
-
-// GradePair grades one (suspect, key) pair through the fleet caches: the
-// trace comes from (or lands in) fc's content-addressed trace cache and
-// the scan batch-decrypts every surviving window. It is the unit of work
-// of RecognizeCorpus — the corpus call is exactly an M×K fan-out of
-// GradePair — exported so layers that schedule grades themselves (the
-// journaled jobs runner, which checkpoints after every grade) produce
-// Recognitions bit-identical to a RecognizeCorpus over the same matrix.
-// progDigest must be ProgramDigest(p), hoisted out so callers grading one
-// suspect against many keys hash the program once. A nil fc degrades to
-// uncached computation; only the Workers/Obs fields of opts are ignored
-// (per-grade scheduling belongs to the caller).
-func GradePair(p *vm.Program, progDigest cache.Digest, key *Key, fc *FleetCaches, opts CorpusOpts) (*Recognition, error) {
-	b, err := fc.traceBits(p,
-		TraceKey{Program: progDigest, Input: cache.DigestInt64s(key.Input)},
-		key.Input, opts.Ctx, opts.StepLimit, opts.MaxHeap)
-	if err != nil {
-		return nil, err
-	}
-	scanWorkers := opts.ScanWorkers
-	if scanWorkers <= 0 {
-		scanWorkers = 1
-	}
-	return RecognizeBits(b, key, RecognizeOpts{Workers: scanWorkers, Ctx: opts.Ctx})
-}
 
 // CorpusOpts tunes RecognizeCorpus. Every pair scans with
 // DefaultFilters.
 type CorpusOpts struct {
-	// Workers bounds the goroutines processing (suspect, key) pairs:
-	// 0 picks runtime.GOMAXPROCS(0), 1 forces the serial path. Results are
+	// Workers bounds the goroutines processing trace units: 0 picks
+	// runtime.GOMAXPROCS(0), 1 forces the serial path. Results are
 	// identical at any worker count.
 	Workers int
-	// ScanWorkers is the per-pair scan fan-out (RecognizeOpts.Workers).
-	// 0 means 1: with many pairs in flight the corpus-level parallelism
-	// already saturates the machine, and nested fan-out only adds
-	// scheduling overhead.
-	ScanWorkers int
 	// StepLimit / MaxHeap bound each tracing run (0 = interpreter default).
 	StepLimit int64
 	MaxHeap   int64
 	// Ctx, when non-nil, cancels the corpus run.
 	Ctx context.Context
 	// Obs, when non-nil, receives the recognize.corpus span and
-	// corpus-level counters, including this call's trace-cache traffic
-	// deltas (cache.trace.*). Per-pair recognitions run without a
+	// corpus-level counters. Per-pair recognitions run without a
 	// registry: concurrent pairs would interleave their stage spans
 	// nondeterministically.
 	Obs *obs.Registry
-	// Caches, when non-nil, supplies a long-lived trace cache so traces
-	// persist across corpus calls. nil builds a fresh cache scoped to
-	// this call (still shared across its pairs).
-	Caches *FleetCaches
 }
 
 // CorpusResult is the M×K outcome matrix of a corpus recognition.
@@ -273,18 +229,17 @@ type CorpusResult struct {
 	// first StageError. A pair can have both a Recognition and an error —
 	// same contract as RecognizeWithOpts.
 	Errors [][]error
-	// TraceStats is this call's trace-cache traffic delta. With a fresh
-	// cache, TraceStats.Misses is the number of distinct (suspect, input)
-	// traces run — the amortization evidence.
-	TraceStats cache.Stats
+	// Traces is the number of tracing runs: one per distinct (suspect
+	// program, input), the amortization evidence.
+	Traces int
 }
 
 // RecognizeCorpus matches every suspect program against every candidate
-// key. Each suspect is traced once per distinct secret input — keys
-// sharing an input (the whole-fleet-one-input setup) reuse the decoded
+// key. The cells are grouped into TraceUnits and each unit traces once —
+// keys sharing an input (the whole-fleet-one-input setup) scan the same
 // bit-string. Results are bit-identical to calling RecognizeWithOpts per
-// pair: the trace cache is a pure memo table and the scan counters are
-// shard sums.
+// pair: the trace depends only on the program and the input, and the
+// scan counters are shard sums.
 //
 // Hard errors on one pair (a suspect whose trace dies) do not abort the
 // corpus; they land in the result's Errors matrix. The returned error is
@@ -301,56 +256,49 @@ func RecognizeCorpus(suspects []*vm.Program, keys []*Key, opts CorpusOpts) (*Cor
 	defer total.Finish()
 	opts.Obs.Counter("recognize.corpus.calls").Add(1)
 
-	fc := opts.Caches
-	if fc == nil {
-		fc = NewFleetCaches(0, 0)
-	}
-	traceBefore := fc.TraceStats()
-
-	// Content addresses, computed once up front.
-	progDigests := make([]cache.Digest, len(suspects))
-	for i, p := range suspects {
-		progDigests[i] = ProgramDigest(p)
-	}
-
 	res := &CorpusResult{
 		Recognitions: make([][]*Recognition, len(suspects)),
 		Errors:       make([][]error, len(suspects)),
 	}
-	for s := range suspects {
+	progDigests := make([]cache.Digest, len(suspects))
+	cells := make([]Cell, 0, len(suspects)*len(keys))
+	for s, p := range suspects {
+		progDigests[s] = ProgramDigest(p)
 		res.Recognitions[s] = make([]*Recognition, len(keys))
 		res.Errors[s] = make([]error, len(keys))
-	}
-
-	type pair struct{ s, k int }
-	pairs := make([]pair, 0, len(suspects)*len(keys))
-	for s := range suspects {
 		for k := range keys {
-			pairs = append(pairs, pair{s, k})
+			cells = append(cells, Cell{s, k})
 		}
 	}
+	units := TraceUnits(progDigests, keys, cells)
+
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	par.For(len(pairs), workers, func() bool { return ctxErr(opts.Ctx) != nil }, func(_, i int) {
-		pr := pairs[i]
-		rec, err := GradePair(suspects[pr.s], progDigests[pr.s], keys[pr.k], fc, opts)
-		res.Recognitions[pr.s][pr.k] = rec
-		res.Errors[pr.s][pr.k] = err
+	// Pairs scan serially: the parallelism is the units in flight.
+	scan := RecognizeOpts{Workers: 1, Ctx: opts.Ctx}
+	par.For(len(units), workers, func() bool { return ctxErr(opts.Ctx) != nil }, func(_, i int) {
+		unit := units[i]
+		bits, err := TraceBits(suspects[unit[0].S], keys[unit[0].K].Input, opts)
+		for _, c := range unit {
+			if err != nil {
+				res.Errors[c.S][c.K] = err
+				continue
+			}
+			res.Recognitions[c.S][c.K], res.Errors[c.S][c.K] = RecognizeBits(bits, keys[c.K], scan)
+		}
 	})
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, &StageError{Stage: "corpus", Worker: -1, Cause: err}
 	}
 
-	res.TraceStats = fc.TraceStats().Sub(traceBefore)
-	opts.Obs.Counter("recognize.corpus.pairs").Add(int64(len(pairs)))
-	opts.Obs.Counter("cache.trace.hits").Add(res.TraceStats.Hits)
-	opts.Obs.Counter("cache.trace.misses").Add(res.TraceStats.Misses)
-	opts.Obs.Counter("cache.trace.evictions").Add(res.TraceStats.Evictions)
+	res.Traces = len(units)
+	opts.Obs.Counter("recognize.corpus.pairs").Add(int64(len(cells)))
+	opts.Obs.Counter("recognize.corpus.traces").Add(int64(res.Traces))
 	total.Set("suspects", int64(len(suspects))).
 		Set("keys", int64(len(keys))).
-		Set("pairs", int64(len(pairs))).
-		Set("traces_run", int64(res.TraceStats.Misses))
+		Set("pairs", int64(len(cells))).
+		Set("traces_run", int64(res.Traces))
 	return res, nil
 }

@@ -82,17 +82,26 @@ func gradePairLegs(tb testing.TB) (*Key, []gradeLeg) {
 	}
 }
 
-// BenchmarkGradePair times the unit of a served or journaled grade:
-// GradePair with a fresh FleetCaches per op, as jobs.Open builds one per
-// job, so every op traces, scans, votes and merges.
+// gradeOnce is one served or journaled grade of a one-key job: one
+// TraceBits of the suspect on the key's input, then RecognizeBits, as
+// jobs.Job.Run grades a trace unit of one cell.
+func gradeOnce(p *vm.Program, key *Key) (*Recognition, error) {
+	bits, err := TraceBits(p, key.Input, CorpusOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return RecognizeBits(bits, key, RecognizeOpts{Workers: 1})
+}
+
+// BenchmarkGradePair times the unit of a served or journaled grade, so
+// every op traces, scans, votes and merges.
 func BenchmarkGradePair(b *testing.B) {
 	key, legs := gradePairLegs(b)
 	for _, leg := range legs {
-		digest := ProgramDigest(leg.prog)
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rec, err := GradePair(leg.prog, digest, key, NewFleetCaches(0, 0), CorpusOpts{})
+				rec, err := gradeOnce(leg.prog, key)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -114,9 +123,8 @@ func TestGradePairAllocs(t *testing.T) {
 	const maxAllocs = 1800
 	key, legs := gradePairLegs(t)
 	for _, leg := range legs {
-		digest := ProgramDigest(leg.prog)
 		a := testing.AllocsPerRun(5, func() {
-			if _, err := GradePair(leg.prog, digest, key, NewFleetCaches(0, 0), CorpusOpts{}); err != nil {
+			if _, err := gradeOnce(leg.prog, key); err != nil {
 				t.Fatal(err)
 			}
 		})
