@@ -569,7 +569,7 @@ func (s *server) submit(rawRequest []byte, spec jobs.Spec) (*serveJob, int, erro
 			fmt.Errorf("job table full (%d jobs); retry after some finish or restart with a fresh root", s.cfg.maxJobs)
 	}
 	dir := filepath.Join(s.cfg.root, id)
-	if err := s.cfg.fs().MkdirAll(dir, 0o755); err != nil {
+	if err := iofault.MkdirSynced(s.cfg.fs(), dir); err != nil {
 		if iofault.IsStorageFault(err) {
 			s.enterReadOnly(err)
 		}

@@ -128,6 +128,20 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 	return nil
 }
 
+// MkdirSynced creates dir and any missing parents, then fsyncs dir's
+// parent: a new directory's entry lives in its parent's blocks, and like
+// a rename it can vanish in a crash until the parent is synced. Job
+// directories are made this way before anything acknowledges them.
+func MkdirSynced(fs FS, dir string) error {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := fs.SyncDir(filepath.Dir(dir)); err != nil {
+		return fmt.Errorf("iofault: create %s: sync dir: %w", dir, err)
+	}
+	return nil
+}
+
 // IsStorageFault classifies an error as disk pressure or media failure —
 // the conditions the serve daemon degrades to read-only mode on, as
 // opposed to corruption (see IsCorrupt) or plain logic errors. Injected

@@ -220,7 +220,7 @@ func Open(dir string, spec Spec) (*Job, error) {
 		return nil, err
 	}
 	fs := spec.Opts.fs()
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	if err := iofault.MkdirSynced(fs, dir); err != nil {
 		return nil, fmt.Errorf("jobs: create job dir: %w", err)
 	}
 

@@ -171,7 +171,7 @@ func OpenStream(dir string, spec StreamSpec) (*StreamJob, error) {
 		return nil, err
 	}
 	fs := spec.Opts.fs()
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	if err := iofault.MkdirSynced(fs, dir); err != nil {
 		return nil, fmt.Errorf("jobs: create job dir: %w", err)
 	}
 	sj := &StreamJob{dir: dir, spec: spec, digest: digest}

@@ -41,7 +41,8 @@ type WAL struct {
 
 // CreateWAL starts a fresh log at path (which must not exist) whose first
 // line is header, synced before the first record can be appended — a log
-// on disk always identifies its owner.
+// on disk always identifies its owner — and then fsyncs the log's
+// directory, so a crash cannot lose the new file's entry.
 func CreateWAL(fs iofault.FS, path string, header any, syncEach bool) (*WAL, error) {
 	if fs == nil {
 		fs = iofault.OS
@@ -55,6 +56,11 @@ func CreateWAL(fs iofault.FS, path string, header any, syncEach bool) (*WAL, err
 		_ = f.Close()
 		_ = fs.Remove(path)
 		return nil, err
+	}
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+		_ = f.Close()
+		_ = fs.Remove(path)
+		return nil, fmt.Errorf("jobs: create journal: sync dir: %w", err)
 	}
 	w.records = 0 // the header is not a record
 	return w, nil

@@ -65,17 +65,3 @@ func (c *CFG) leader(pc int) bool {
 
 // NumBlocks returns the block count.
 func (c *CFG) NumBlocks() int { return len(c.Blocks) }
-
-// ProgramCFG caches the CFG of every method.
-type ProgramCFG struct {
-	Methods []*CFG
-}
-
-// BuildProgramCFG computes CFGs for every method of p.
-func BuildProgramCFG(p *Program) *ProgramCFG {
-	pc := &ProgramCFG{Methods: make([]*CFG, len(p.Methods))}
-	for i, m := range p.Methods {
-		pc.Methods[i] = BuildCFG(m)
-	}
-	return pc
-}

@@ -78,18 +78,20 @@ type RunOptions struct {
 	Ctx context.Context
 	// MaxDepth bounds the call stack (0 means the 10k default).
 	MaxDepth int
-	// Trace, when non-nil, receives block-entry and branch events.
+	// Trace, when non-nil, receives block-entry and branch events, and
+	// its Blocks is set to the run's block statistics.
 	Trace *Trace
 	// SnapshotLimit caps, per basic block, how many variable snapshots the
-	// trace stores (0 means the default of 2 — enough for the condition
-	// code generator's priming + first payload execution). Snapshots are
-	// only taken when Trace is non-nil.
+	// block statistics store (0 means the default of 2 — enough for the
+	// condition code generator's priming + first payload execution).
+	// Snapshots are only taken when the run traces (Trace or
+	// CollectBlocks).
 	SnapshotLimit int
-	// Profile, when non-nil, accumulates the dynamic opcode mix and
-	// per-block execution counts. Disabled (nil) it costs each
-	// instruction one test of a pointer the loop holds for the whole
-	// run. Enabled, it turns on block tracking like Trace does, and like
-	// every tracked run it dispatches plain, unfused ops.
+	// Profile, when non-nil, accumulates the dynamic opcode mix, and its
+	// Blocks is set to the run's block statistics. Disabled (nil) it
+	// costs each instruction one test of a pointer the loop holds for
+	// the whole run. Enabled, it turns on block tracking like Trace does,
+	// and like every tracked run it dispatches plain, unfused ops.
 	Profile *Profile
 }
 
@@ -169,11 +171,36 @@ func Run(p *Program, opts RunOptions) (*Result, error) {
 	return run(p, opts, nil)
 }
 
-// run is the interpreter behind Run, CollectWith and CollectBits. A
-// non-nil sink receives a bit for every conditional branch, decoded
-// inline from the pc it lands on. Block tracking (CFGs, block entries)
-// runs only when opts.Trace or opts.Profile asks for it; an untracked
-// run dispatches hot code on its decoded, fused ops (fuse.go).
+// trackBlocks returns the block record a run fills, nil for an
+// untracked run, and hands it to opts.Trace and opts.Profile. A traced
+// run keeps opts.SnapshotLimit snapshots per block (default 2), a
+// profiled one none.
+func trackBlocks(p *Program, opts RunOptions) *Blocks {
+	var blocks *Blocks
+	switch {
+	case opts.Trace != nil:
+		limit := opts.SnapshotLimit
+		if limit == 0 {
+			limit = 2
+		}
+		blocks = newBlocks(p, limit)
+		opts.Trace.Blocks = blocks
+	case opts.Profile != nil:
+		blocks = newBlocks(p, 0)
+	}
+	if opts.Profile != nil {
+		opts.Profile.Blocks = blocks
+	}
+	return blocks
+}
+
+// run is the interpreter behind Run, CollectWith, CollectBlocks and
+// CollectBits. A non-nil sink receives a bit for every conditional
+// branch, decoded inline from the pc it lands on. Block tracking (CFGs,
+// block statistics) runs only when opts.Trace or opts.Profile asks for
+// it: the run records every block entry in one dense record, which both
+// share, and a trace logs events too unless CollectBlocks made it. An
+// untracked run dispatches hot code on its decoded, fused ops (fuse.go).
 //
 // The dispatch loop holds the executing frame's code, pc, operand stack
 // and locals in registers. Whatever calls out of it (a call, a return,
@@ -203,28 +230,14 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	if maxDepth == 0 {
 		maxDepth = 10_000
 	}
-	snapLimit := opts.SnapshotLimit
-	if snapLimit == 0 {
-		snapLimit = 2
-	}
 	prof := opts.Profile
-	if prof != nil && prof.BlockCount == nil {
-		prof.BlockCount = make(map[BlockKey]int64)
-	}
-	tracking := opts.Trace != nil || prof != nil
-
-	var cfgs []*CFG
-	if tracking {
-		cfgs = make([]*CFG, len(p.Methods))
-	}
+	blocks := trackBlocks(p, opts)
+	tracking := blocks != nil
 	cfgOf := func(mi int) *CFG {
 		if !tracking {
 			return nil
 		}
-		if cfgs[mi] == nil {
-			cfgs[mi] = BuildCFG(p.Methods[mi])
-		}
-		return cfgs[mi]
+		return blocks.cfg(p, mi)
 	}
 
 	statics := make([]int64, p.NStatics)
@@ -292,11 +305,12 @@ func run(p *Program, opts RunOptions, sink *bitSink) (*Result, error) {
 	}
 
 	enterBlock := func(fr *frame, bi int) {
-		if prof != nil {
-			prof.enterBlock(fr.mi, bi)
+		if !tracking {
+			return
 		}
-		if opts.Trace != nil {
-			opts.Trace.addBlockEnter(fr.mi, bi, fr.locals, statics, snapLimit)
+		blocks.enter(fr.mi, bi, fr.locals, statics)
+		if opts.Trace != nil && !opts.Trace.blocksOnly {
+			opts.Trace.Events = append(opts.Trace.Events, Event{Kind: EvBlockEnter, Method: int32(fr.mi), Loc: int32(bi)})
 		}
 	}
 

@@ -16,8 +16,9 @@ type Profile struct {
 	Steps int64
 	// OpCount is the dynamic opcode mix, indexed by Op.
 	OpCount [opCount]int64
-	// BlockCount counts entries per basic block (the hot-block profile).
-	BlockCount map[BlockKey]int64
+	// Blocks is the run's block statistics, whose entry counts are the
+	// hot-block profile; the run sets it.
+	Blocks *Blocks
 	// Calls counts OpCall dispatches; MaxObservedDepth is the deepest
 	// call stack seen.
 	Calls            int64
@@ -26,11 +27,7 @@ type Profile struct {
 
 // NewProfile returns an empty profile ready to attach to RunOptions.
 func NewProfile() *Profile {
-	return &Profile{BlockCount: make(map[BlockKey]int64)}
-}
-
-func (p *Profile) enterBlock(mi, bi int) {
-	p.BlockCount[BlockKey{Method: mi, Block: bi}]++
+	return &Profile{}
 }
 
 // OpCountEntry is one row of the dynamic opcode mix.
@@ -70,12 +67,16 @@ type BlockCountEntry struct {
 // descending count (ties by method then block index, so the order is
 // deterministic).
 func (p *Profile) TopBlocks(n int) []BlockCountEntry {
-	if p == nil {
+	if p == nil || p.Blocks == nil {
 		return nil
 	}
-	out := make([]BlockCountEntry, 0, len(p.BlockCount))
-	for k, v := range p.BlockCount {
-		out = append(out, BlockCountEntry{Key: k, Count: v})
+	var out []BlockCountEntry
+	for mi, m := range p.Blocks.Methods {
+		for bi, c := range m.Count {
+			if c > 0 {
+				out = append(out, BlockCountEntry{Key: BlockKey{Method: mi, Block: bi}, Count: c})
+			}
+		}
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Count != out[b].Count {

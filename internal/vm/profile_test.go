@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -63,7 +64,7 @@ func TestProfileCounts(t *testing.T) {
 	if prof.MaxObservedDepth != 2 {
 		t.Errorf("MaxObservedDepth = %d, want 2", prof.MaxObservedDepth)
 	}
-	if len(prof.BlockCount) == 0 {
+	if len(prof.TopBlocks(-1)) == 0 {
 		t.Fatal("no blocks counted")
 	}
 
@@ -90,8 +91,8 @@ func TestProfileCounts(t *testing.T) {
 }
 
 // TestProfileDoesNotPerturb: attaching a profile must not change the run
-// result, and profiling alongside a trace must count the same block
-// entries the trace records.
+// result, and a profiled run must count the same block entries a traced
+// run records.
 func TestProfileDoesNotPerturb(t *testing.T) {
 	p, err := Assemble(profileTestSrc)
 	if err != nil {
@@ -102,20 +103,20 @@ func TestProfileDoesNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := NewProfile()
-	tr := NewTrace()
-	profiled, err := Run(p, RunOptions{Profile: prof, Trace: tr})
+	profiled, err := Run(p, RunOptions{Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !SameBehavior(plain, profiled) || plain.Steps != profiled.Steps {
 		t.Errorf("profile changed the run: %+v vs %+v", plain, profiled)
 	}
-	for k, c := range tr.BlockCount {
-		if prof.BlockCount[k] != c {
-			t.Errorf("block %v: profile %d vs trace %d", k, prof.BlockCount[k], c)
-		}
+	tr, _, err := CollectWith(p, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(prof.BlockCount) != len(tr.BlockCount) {
-		t.Errorf("profile has %d blocks, trace %d", len(prof.BlockCount), len(tr.BlockCount))
+	for mi, m := range tr.Blocks.Methods {
+		if got := prof.Blocks.Methods[mi].Count; !slices.Equal(got, m.Count) {
+			t.Errorf("method %d: profile counts %v vs trace %v", mi, got, m.Count)
+		}
 	}
 }

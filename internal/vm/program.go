@@ -144,6 +144,82 @@ func (m *Method) InsertAt(at int, instrs []Instr) {
 	m.Code = newCode
 }
 
+// Fragment is code to insert immediately before instruction PC of a
+// method, its branch targets relative to the method just after its own
+// insertion, as InsertAt takes them.
+type Fragment struct {
+	PC   int
+	Code []Instr
+}
+
+// Splice inserts every fragment in one pass. The fragments are in
+// application order, their pcs non-increasing, and the result is exactly
+// that of InsertAt(f.PC, f.Code) for each fragment in turn:
+//   - an original target t moves by the total length of the fragments
+//     placed at pcs below t;
+//   - a target u of fragment j moves by the total length of the
+//     fragments after j at pcs below u;
+//   - fragments that share a pc lie in reverse application order.
+//
+// Neither m's old code nor any fragment's Code is modified.
+func (m *Method) Splice(frags []Fragment) {
+	n := len(m.Code)
+	// below[q] is the total length of the fragments placed at pcs below
+	// q, for q in [0, n+1].
+	below := make([]int, n+2)
+	total, prev := 0, n
+	for _, f := range frags {
+		if f.PC < 0 || f.PC > prev {
+			panic(fmt.Sprintf("vm: Splice at pc %d out of range [0,%d] or above the previous fragment", f.PC, prev))
+		}
+		prev = f.PC
+		below[f.PC+1] += len(f.Code)
+		total += len(f.Code)
+	}
+	for q := 1; q <= n+1; q++ {
+		below[q] += below[q-1]
+	}
+	shift := func(t int) int {
+		switch {
+		case t <= 0:
+			return t
+		case t > n:
+			return t + total
+		}
+		return t + below[t]
+	}
+	code := make([]Instr, 0, n+total)
+	later := 0 // total length of the fragments after j
+	j := len(frags) - 1
+	for q := 0; q <= n; q++ {
+		for ; j >= 0 && frags[j].PC == q; j-- {
+			start := len(code)
+			code = append(code, frags[j].Code...)
+			for i := start; i < len(code); i++ {
+				if code[i].Op.IsBranch() {
+					// A target past q was past every later fragment's pc
+					// when that fragment went in; one at or below q moved
+					// as an original target does.
+					if u := code[i].Target; u > q {
+						code[i].Target = u + later
+					} else {
+						code[i].Target = shift(u)
+					}
+				}
+			}
+			later += len(frags[j].Code)
+		}
+		if q < n {
+			in := m.Code[q]
+			if in.Op.IsBranch() {
+				in.Target = shift(in.Target)
+			}
+			code = append(code, in)
+		}
+	}
+	m.Code = code
+}
+
 // InsertAfter splices instrs so they execute after instruction index `at`
 // on the fall-through path; branch targets equal to at+1 are redirected
 // past the insertion (they did not previously execute instruction at).

@@ -10,7 +10,7 @@ import (
 // with no preceding branch, and (when cut) trailing branches.
 func synthTrace(seed int64, n int) *Trace {
 	rng := rand.New(rand.NewSource(seed))
-	t := NewTrace()
+	t := &Trace{}
 	for i := 0; i < n; i++ {
 		switch rng.Intn(3) {
 		case 0:
@@ -48,7 +48,7 @@ func TestStreamDecoderMatchesBatchAtEveryCut(t *testing.T) {
 // the halves through two independent decoders (the old behavior) must
 // demonstrably lose the cut branch's bit.
 func TestStreamDecoderBranchThenCutContinuation(t *testing.T) {
-	tr := NewTrace()
+	tr := &Trace{}
 	ev := func(kind EventKind, m, loc int32) Event { return Event{Kind: kind, Method: m, Loc: loc} }
 	tr.Events = []Event{
 		ev(EvBlockEnter, 0, 0),
@@ -79,9 +79,9 @@ func TestStreamDecoderBranchThenCutContinuation(t *testing.T) {
 
 	// The broken shape: two independent decoders drop the cut branch's bit
 	// and re-seed the first-successor map in the second half.
-	half1 := NewTrace()
+	half1 := &Trace{}
 	half1.Events = tr.Events[:cut]
-	half2 := NewTrace()
+	half2 := &Trace{}
 	half2.Events = tr.Events[cut:]
 	if naive := half1.DecodeBits().String() + half2.DecodeBits().String(); naive == want {
 		t.Fatalf("independent per-chunk decode unexpectedly matched (%q); regression premise gone", naive)
@@ -92,7 +92,7 @@ func TestStreamDecoderBranchThenCutContinuation(t *testing.T) {
 // contract on truncated traces: a trailing branch with no successor
 // contributes no bit, and the decoder reports it as pending.
 func TestDecodeBitsTruncatedTraceDropsTrailingBranch(t *testing.T) {
-	tr := NewTrace()
+	tr := &Trace{}
 	tr.Events = []Event{
 		{Kind: EvBlockEnter, Method: 0, Loc: 0},
 		{Kind: EvBranchExec, Method: 0, Loc: 3},

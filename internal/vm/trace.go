@@ -52,36 +52,18 @@ type Snapshot struct {
 // Trace accumulates the dynamic behavior of one run on the secret input.
 type Trace struct {
 	Events []Event
-	// BlockCount is the execution frequency of each block, used for the
-	// inverse-frequency insertion weighting of §3.2.
-	BlockCount map[BlockKey]int64
-	// Snapshots stores up to the per-run snapshot limit of environments
-	// per block, in execution order (index 0 = first execution).
-	Snapshots map[BlockKey][]Snapshot
-}
-
-// NewTrace returns an empty trace.
-func NewTrace() *Trace {
-	return &Trace{
-		BlockCount: make(map[BlockKey]int64),
-		Snapshots:  make(map[BlockKey][]Snapshot),
-	}
-}
-
-func (t *Trace) addBlockEnter(mi, bi int, locals, statics []int64, snapLimit int) {
-	t.Events = append(t.Events, Event{Kind: EvBlockEnter, Method: int32(mi), Loc: int32(bi)})
-	k := BlockKey{Method: mi, Block: bi}
-	t.BlockCount[k]++
-	if len(t.Snapshots[k]) < snapLimit {
-		t.Snapshots[k] = append(t.Snapshots[k], Snapshot{
-			Locals:  append([]int64(nil), locals...),
-			Statics: append([]int64(nil), statics...),
-		})
-	}
+	// Blocks is the run's block statistics: per-block entry counts, used
+	// for the inverse-frequency insertion weighting of §3.2, and the
+	// first snapshots of every block.
+	Blocks *Blocks
+	// blocksOnly (CollectBlocks) records Blocks and logs no events.
+	blocksOnly bool
 }
 
 func (t *Trace) addBranchExec(mi, pc int, taken bool) {
-	t.Events = append(t.Events, Event{Kind: EvBranchExec, Taken: taken, Method: int32(mi), Loc: int32(pc)})
+	if !t.blocksOnly {
+		t.Events = append(t.Events, Event{Kind: EvBranchExec, Taken: taken, Method: int32(mi), Loc: int32(pc)})
+	}
 }
 
 // NumBranchExecs counts dynamic conditional-branch executions.
@@ -90,6 +72,104 @@ func (t *Trace) NumBranchExecs() int {
 	for _, e := range t.Events {
 		if e.Kind == EvBranchExec {
 			n++
+		}
+	}
+	return n
+}
+
+// Blocks is the dense block record of one tracked run. Methods[mi] is
+// method mi's part, sized from its CFG when the run first enters the
+// method; a method the run never entered keeps a zero part.
+type Blocks struct {
+	Methods []MethodBlocks
+	limit   int     // snapshots kept per block
+	slab    []int64 // the snapshots' values are cut from here
+}
+
+// MethodBlocks is one method's part of a Blocks record. Count and the
+// snapshots are indexed by the CFG's block index.
+type MethodBlocks struct {
+	CFG   *CFG    // nil when the run never entered the method
+	Count []int64 // entries per block
+	snaps []Snapshot
+	code  []Instr // the method's code, whose blocks CFG holds
+}
+
+// newBlocks returns an empty record for p that keeps up to limit
+// snapshots per block.
+func newBlocks(p *Program, limit int) *Blocks {
+	return &Blocks{Methods: make([]MethodBlocks, len(p.Methods)), limit: limit}
+}
+
+// cfg returns method mi's CFG, building it and sizing the method's part
+// on the first call.
+func (b *Blocks) cfg(p *Program, mi int) *CFG {
+	m := &b.Methods[mi]
+	if m.CFG == nil {
+		m.code = p.Methods[mi].Code
+		m.CFG = BuildCFG(p.Methods[mi])
+		n := m.CFG.NumBlocks()
+		m.Count = make([]int64, n)
+		if b.limit > 0 {
+			m.snaps = make([]Snapshot, n*b.limit)
+		}
+	}
+	return m.CFG
+}
+
+// enter records an entry into block bi of method mi, whose part cfg has
+// sized, with the environment it enters with.
+func (b *Blocks) enter(mi, bi int, locals, statics []int64) {
+	m := &b.Methods[mi]
+	if uint(bi) >= uint(len(m.Count)) {
+		return // an empty method has no block 0
+	}
+	c := m.Count[bi]
+	m.Count[bi] = c + 1
+	if c < int64(b.limit) {
+		m.snaps[bi*b.limit+int(c)] = Snapshot{Locals: b.carve(locals), Statics: b.carve(statics)}
+	}
+}
+
+// carve copies v into a fresh capped stretch of the slab (nil when v is
+// empty, as append([]int64(nil), v...) gives).
+func (b *Blocks) carve(v []int64) []int64 {
+	if len(v) == 0 {
+		return nil
+	}
+	if len(v) > len(b.slab) {
+		b.slab = make([]int64, max(len(v), 4096))
+	}
+	s := b.slab[:len(v):len(v)]
+	b.slab = b.slab[len(v):]
+	copy(s, v)
+	return s
+}
+
+// Snapshots returns block bi's snapshots in execution order (index 0 =
+// first entry), up to the record's limit.
+func (m *MethodBlocks) Snapshots(bi int) []Snapshot {
+	if len(m.snaps) == 0 {
+		return nil
+	}
+	limit := len(m.snaps) / len(m.Count)
+	n := int(min(m.Count[bi], int64(limit)))
+	return m.snaps[bi*limit : bi*limit+n : bi*limit+n]
+}
+
+// Events is the number of events a CollectWith of the same completed
+// run logs: one per block entry and one per conditional branch. Every
+// conditional branch ends its block, and in a run that completes every
+// block entry runs on to the block's end (a call inside the block
+// returns into it), so a block ending in one executes it once per entry.
+func (b *Blocks) Events() int64 {
+	var n int64
+	for _, m := range b.Methods {
+		for bi, c := range m.Count {
+			n += c
+			if m.code[m.CFG.Blocks[bi].End-1].Op.IsCondBranch() {
+				n += c
+			}
 		}
 	}
 	return n
@@ -106,9 +186,10 @@ func Collect(p *Program, input []int64, snapshotLimit int) (*Trace, *Result, err
 // context (opts.Trace is overwritten with a fresh trace). A *ResourceError
 // from the run propagates unwrapped-able through the returned error so
 // callers can distinguish fuel exhaustion from a genuinely faulting
-// program.
+// program. It keeps the event log for event-level tools; the embedder
+// runs CollectBlocks.
 func CollectWith(p *Program, opts RunOptions) (*Trace, *Result, error) {
-	tr := NewTrace()
+	tr := &Trace{}
 	opts.Trace = tr
 	res, err := Run(p, opts)
 	if err != nil {
@@ -117,13 +198,28 @@ func CollectWith(p *Program, opts RunOptions) (*Trace, *Result, error) {
 	return tr, res, nil
 }
 
+// CollectBlocks runs p like CollectWith and returns only the trace's
+// block statistics, without logging events: the embedder's tracing
+// phase (§3.1), which needs block counts and snapshots but never reads
+// the log. opts.Trace is ignored. Results, steps, errors, counts and
+// snapshots are exactly CollectWith's, and Blocks.Events is the length
+// of its log.
+func CollectBlocks(p *Program, opts RunOptions) (*Blocks, *Result, error) {
+	tr := &Trace{blocksOnly: true}
+	opts.Trace = tr
+	res, err := Run(p, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("vm: tracing run failed: %w", err)
+	}
+	return tr.Blocks, res, nil
+}
+
 // CollectBits runs p like CollectWith and returns the bit-string
 // DecodeBits would decode from its trace, without recording the trace: a
 // bit sink decodes each conditional branch where it executes, since the
 // pc it lands on already names its successor block. It is recognition's
-// run mode; Collect and CollectWith stay for the embedder, which needs
-// block counts and snapshots, and for event-level tools. opts.Trace is
-// ignored. Results, steps and errors are exactly CollectWith's.
+// run mode; CollectBlocks is the embedder's, and Collect and
+// CollectWith stay for event-level tools. opts.Trace is ignored. Results, steps and errors are exactly CollectWith's.
 func CollectBits(p *Program, opts RunOptions) (*bitstring.Bits, *Result, error) {
 	opts.Trace = nil
 	sink := newBitSink(p)

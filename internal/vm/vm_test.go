@@ -538,9 +538,9 @@ func TestTraceBlockEventsAndCounts(t *testing.T) {
 	}
 	// Loop head must be counted more than once.
 	maxCount := int64(0)
-	for _, c := range tr.BlockCount {
-		if c > maxCount {
-			maxCount = c
+	for _, m := range tr.Blocks.Methods {
+		for _, c := range m.Count {
+			maxCount = max(maxCount, c)
 		}
 	}
 	if maxCount < 2 {
@@ -554,13 +554,16 @@ func TestTraceSnapshotLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, snaps := range tr.Snapshots {
-		if len(snaps) > 2 {
-			t.Errorf("block %+v has %d snapshots, want <= 2", k, len(snaps))
-		}
-		for _, s := range snaps {
-			if len(s.Locals) != p.Methods[k.Method].NLocals {
-				t.Errorf("snapshot locals len %d, want %d", len(s.Locals), p.Methods[k.Method].NLocals)
+	for mi, m := range tr.Blocks.Methods {
+		for bi := range m.Count {
+			snaps := m.Snapshots(bi)
+			if len(snaps) > 2 {
+				t.Errorf("block %d/%d has %d snapshots, want <= 2", mi, bi, len(snaps))
+			}
+			for _, s := range snaps {
+				if len(s.Locals) != p.Methods[mi].NLocals {
+					t.Errorf("snapshot locals len %d, want %d", len(s.Locals), p.Methods[mi].NLocals)
+				}
 			}
 		}
 	}

@@ -186,7 +186,8 @@ func genLoopPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm.Instr
 	s := int64(env.method.AllocLocal())
 	j := int64(env.method.AllocLocal())
 
-	var code []vm.Instr
+	// Sized for the 64 unrolled bit tests and what surrounds them.
+	code := make([]vm.Instr, 0, 64*12+64)
 	emit := func(ins ...vm.Instr) { code = append(code, ins...) }
 
 	// v = 0; s = 0

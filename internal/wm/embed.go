@@ -175,7 +175,7 @@ func analyzeHost(p *vm.Program, key *Key, opts EmbedOptions) (*hostAnalysis, err
 	// a typed StageError instead of consuming the default 100M-step
 	// budget.
 	span := opts.Obs.Start("embed.trace")
-	tr, _, err := vm.CollectWith(p, vm.RunOptions{
+	blocks, _, err := vm.CollectBlocks(p, vm.RunOptions{
 		Input: key.Input, SnapshotLimit: 2,
 		Ctx: opts.Ctx, StepLimit: opts.StepLimit,
 	})
@@ -184,31 +184,29 @@ func analyzeHost(p *vm.Program, key *Key, opts EmbedOptions) (*hostAnalysis, err
 		return nil, &StageError{Stage: "trace", Worker: -1,
 			Cause: fmt.Errorf("tracing phase: %w", err)}
 	}
-	span.Set("trace_events", int64(len(tr.Events))).Finish()
+	traceEvents := blocks.Events()
+	span.Set("trace_events", traceEvents).Finish()
 
-	// Candidate sites: every traced block, weighted 1/frequency.
+	// Candidate sites: every traced block, weighted 1/frequency, in
+	// (method, pc) order: blocks are numbered in pc order.
 	span = opts.Obs.Start("embed.sites")
-	cfgs := vm.BuildProgramCFG(p)
 	var sites []site
-	for bk, count := range tr.BlockCount {
-		blk := cfgs.Methods[bk.Method].Blocks[bk.Block]
-		sites = append(sites, site{
-			method: bk.Method,
-			pc:     blk.Start,
-			count:  count,
-			snaps:  tr.Snapshots[bk],
-		})
+	for mi, m := range blocks.Methods {
+		for bi, count := range m.Count {
+			if count > 0 {
+				sites = append(sites, site{
+					method: mi,
+					pc:     m.CFG.Blocks[bi].Start,
+					count:  count,
+					snaps:  m.Snapshots(bi),
+				})
+			}
+		}
 	}
 	if len(sites) == 0 {
 		span.Finish()
 		return nil, errors.New("wm: trace visited no blocks")
 	}
-	sort.Slice(sites, func(a, b int) bool {
-		if sites[a].method != sites[b].method {
-			return sites[a].method < sites[b].method
-		}
-		return sites[a].pc < sites[b].pc
-	})
 	var condSites []int
 	for i, s := range sites {
 		if s.count >= 2 {
@@ -253,7 +251,7 @@ func analyzeHost(p *vm.Program, key *Key, opts EmbedOptions) (*hostAnalysis, err
 		condTotal:   condTotal,
 		origLocals:  origLocals,
 		origStatics: p.NStatics,
-		traceEvents: len(tr.Events),
+		traceEvents: int(traceEvents),
 	}, nil
 }
 
@@ -431,9 +429,14 @@ func embedOne(p *vm.Program, ha *hostAnalysis, w *big.Int, key *Key, opts EmbedO
 		return nil, nil, &StageError{Stage: "apply", Worker: -1, Cause: err}
 	}
 
-	// Apply insertions in descending pc order per method. Insertions that
-	// share a pc are applied in reverse decision order, which keeps each
-	// generated fragment contiguous.
+	// Apply each method's insertions in one splice, in descending pc
+	// order. Insertions that share a pc go in decision order, so they
+	// lie in reverse decision order, each fragment contiguous. Each
+	// fragment's internal branch targets were computed relative to its
+	// decided pc, and descending order keeps them valid: later fragments
+	// go in at pcs <= this one and shift only targets strictly greater
+	// than their pc, including targets inside fragments already in,
+	// which all lie past their own leader pc.
 	span = opts.Obs.Start("embed.apply")
 	sort.SliceStable(insertions, func(a, b int) bool {
 		if insertions[a].method != insertions[b].method {
@@ -441,14 +444,17 @@ func embedOne(p *vm.Program, ha *hostAnalysis, w *big.Int, key *Key, opts EmbedO
 		}
 		return insertions[a].pc > insertions[b].pc
 	})
-	for _, ins := range insertions {
-		// Each fragment's internal branch targets were computed relative
-		// to its decided pc. Applying in descending pc order keeps them
-		// valid: later applications happen at pcs <= this one, and
-		// InsertAt shifts every target strictly greater than the
-		// insertion point — including targets inside already-applied
-		// fragments, which all lie past their own leader pc.
-		out.Methods[ins.method].InsertAt(ins.pc, ins.code)
+	frags := make([]vm.Fragment, len(insertions))
+	for i, ins := range insertions {
+		frags[i] = vm.Fragment{PC: ins.pc, Code: ins.code}
+	}
+	for lo := 0; lo < len(insertions); {
+		hi := lo + 1
+		for hi < len(insertions) && insertions[hi].method == insertions[lo].method {
+			hi++
+		}
+		out.Methods[insertions[lo].method].Splice(frags[lo:hi])
+		lo = hi
 	}
 
 	report.EmbeddedSize = out.CodeSize()
