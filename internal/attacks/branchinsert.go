@@ -73,8 +73,8 @@ func attackSnippet(x int64, at int) []vm.Instr {
 		{Op: vm.OpAdd},
 		{Op: vm.OpStore, A: x},
 	}
-	seq[7].Target = at + 9  // DO
-	seq[8].Target = at + 13 // END = one past the snippet
+	seq[7].Target = int32(at + 9)  // DO
+	seq[8].Target = int32(at + 13) // END = one past the snippet
 	return seq
 }
 

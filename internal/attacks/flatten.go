@@ -66,13 +66,13 @@ func flattenMethod(m *vm.Method, rng *rand.Rand) bool {
 		code = append(code, vm.Instr{Op: vm.OpIfCmpEq})
 	}
 	// Fallback (unreachable in practice): spin on the dispatcher.
-	code = append(code, vm.Instr{Op: vm.OpGoto, Target: dispatch})
+	code = append(code, vm.Instr{Op: vm.OpGoto, Target: int32(dispatch)})
 
 	setStateAndDispatch := func(next int) []vm.Instr {
 		return []vm.Instr{
 			{Op: vm.OpConst, A: int64(next)},
 			{Op: vm.OpStore, A: state},
-			{Op: vm.OpGoto, Target: dispatch},
+			{Op: vm.OpGoto, Target: int32(dispatch)},
 		}
 	}
 
@@ -92,20 +92,20 @@ func flattenMethod(m *vm.Method, rng *rand.Rand) bool {
 		case last.Op == vm.OpRet:
 			// Emitted with the body; blocks ending in ret need no rewrite.
 		case last.Op == vm.OpGoto:
-			code = append(code, setStateAndDispatch(cfg.BlockOf(last.Target))...)
+			code = append(code, setStateAndDispatch(cfg.BlockOf(int(last.Target)))...)
 		case last.Op.IsCondBranch():
 			c := last
 			takenPos := len(code) + 1 + 3 // cond, then 3-instr fallthrough arm
-			c.Target = takenPos
+			c.Target = int32(takenPos)
 			code = append(code, c)
 			code = append(code, setStateAndDispatch(cfg.BlockOf(b.End))...)
-			code = append(code, setStateAndDispatch(cfg.BlockOf(last.Target))...)
+			code = append(code, setStateAndDispatch(cfg.BlockOf(int(last.Target)))...)
 		default:
 			code = append(code, setStateAndDispatch(cfg.BlockOf(b.End))...)
 		}
 	}
 	for _, pt := range patches {
-		code[pt.pos].Target = blockStart[pt.block]
+		code[pt.pos].Target = int32(blockStart[pt.block])
 	}
 	m.Code = code
 	return true

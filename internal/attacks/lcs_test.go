@@ -19,7 +19,7 @@ func randInstrs(rng *rand.Rand, n int) []vm.Instr {
 		case in.Op == vm.OpConst || in.Op == vm.OpLoad:
 			in.A = int64(rng.Intn(4))
 		case in.Op.IsBranch():
-			in.Target = rng.Intn(8) // ignored by instrMatch, on purpose
+			in.Target = int32(rng.Intn(8)) // ignored by instrMatch, on purpose
 		}
 		out[i] = in
 	}

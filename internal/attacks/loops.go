@@ -40,7 +40,7 @@ func peelMethodLoops(m *vm.Method, rng *rand.Rand, maxPeels int) {
 		if back < 0 {
 			return
 		}
-		head := m.Code[back].Target
+		head := int(m.Code[back].Target)
 		region := append([]vm.Instr(nil), m.Code[head:back+1]...)
 		n := len(region)
 		// Remap the copy's targets: intra-region targets move with the
@@ -52,17 +52,17 @@ func peelMethodLoops(m *vm.Method, rng *rand.Rand, maxPeels int) {
 			if !region[i].Op.IsBranch() {
 				continue
 			}
-			t := region[i].Target
+			t := int(region[i].Target)
 			switch {
 			case i == n-1: // the backedge: continue with the original loop
-				region[i].Target = head + n
+				region[i].Target = int32(head + n)
 			case t >= head && t <= back:
-				region[i].Target = t - head + head // same offset within the copy
+				region[i].Target = int32(t - head + head) // same offset within the copy
 			default:
 				// Exit target: will be shifted by InsertAt along with the
 				// original; compensate by pre-shifting when past head.
 				if t > head {
-					region[i].Target = t + n
+					region[i].Target = int32(t + n)
 				}
 			}
 		}
@@ -75,10 +75,10 @@ func peelMethodLoops(m *vm.Method, rng *rand.Rand, maxPeels int) {
 func findPeelableLoop(m *vm.Method, rng *rand.Rand) int {
 	var cands []int
 	for back, in := range m.Code {
-		if in.Op != vm.OpGoto || in.Target >= back {
+		if in.Op != vm.OpGoto || int(in.Target) >= back {
 			continue
 		}
-		head := in.Target
+		head := int(in.Target)
 		if back-head > 400 || back-head < 2 {
 			continue
 		}
@@ -96,7 +96,7 @@ func findPeelableLoop(m *vm.Method, rng *rand.Rand) int {
 			if !other.Op.IsBranch() || (pc >= head && pc <= back) {
 				continue
 			}
-			if other.Target > head && other.Target <= back {
+			if int(other.Target) > head && int(other.Target) <= back {
 				ok = false
 			}
 		}
@@ -146,7 +146,7 @@ func removeNops(m *vm.Method) {
 // past pc shift down; targets at pc move to the following instruction.
 func deleteInstr(m *vm.Method, pc int) {
 	for i := range m.Code {
-		if m.Code[i].Op.IsBranch() && m.Code[i].Target > pc {
+		if m.Code[i].Op.IsBranch() && int(m.Code[i].Target) > pc {
 			m.Code[i].Target--
 		}
 	}
@@ -193,7 +193,7 @@ func foldConstants(m *vm.Method) {
 
 func branchTargetsInto(m *vm.Method, lo, hi int) bool {
 	for _, in := range m.Code {
-		if in.Op.IsBranch() && in.Target >= lo && in.Target <= hi {
+		if in.Op.IsBranch() && int(in.Target) >= lo && int(in.Target) <= hi {
 			return true
 		}
 	}

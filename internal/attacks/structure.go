@@ -118,9 +118,9 @@ func retHeightsUniform(p *vm.Program, m *vm.Method) bool {
 				return false
 			}
 		case in.Op == vm.OpGoto:
-			push(in.Target, next)
+			push(int(in.Target), next)
 		case in.Op.IsCondBranch():
-			push(in.Target, next)
+			push(int(in.Target), next)
 			if it.pc+1 < len(m.Code) {
 				push(it.pc+1, next)
 			}
@@ -175,10 +175,10 @@ func methodInlining(p *vm.Program, rng *rand.Rand) *vm.Program {
 					c.A += base
 				case vm.OpRet:
 					// Return value stays on the stack; jump to the end.
-					c = vm.Instr{Op: vm.OpGoto, Target: endTarget}
+					c = vm.Instr{Op: vm.OpGoto, Target: int32(endTarget)}
 				default:
 					if c.Op.IsBranch() {
-						c.Target += bodyStart
+						c.Target += int32(bodyStart)
 					}
 				}
 				seq = append(seq, c)
@@ -234,7 +234,7 @@ func methodMerging(p *vm.Program, rng *rand.Rand) *vm.Program {
 	}
 	aStart := len(prologue)
 	bStart := aStart + len(a.Code)
-	prologue[1].Target = bStart
+	prologue[1].Target = int32(bStart)
 	merged.Code = append(merged.Code, prologue...)
 	for _, in := range a.Code {
 		c := in
@@ -242,7 +242,7 @@ func methodMerging(p *vm.Program, rng *rand.Rand) *vm.Program {
 			c.A = remap(c.A, a.NArgs, 0)
 		}
 		if c.Op.IsBranch() {
-			c.Target += aStart
+			c.Target += int32(aStart)
 		}
 		merged.Code = append(merged.Code, c)
 	}
@@ -252,7 +252,7 @@ func methodMerging(p *vm.Program, rng *rand.Rand) *vm.Program {
 			c.A = remap(c.A, b.NArgs, aExtra)
 		}
 		if c.Op.IsBranch() {
-			c.Target += bStart
+			c.Target += int32(bStart)
 		}
 		merged.Code = append(merged.Code, c)
 	}

@@ -12,8 +12,8 @@ import (
 func replaceInstrAt(m *vm.Method, pc int, seq []vm.Instr) {
 	delta := len(seq) - 1
 	for i := range m.Code {
-		if m.Code[i].Op.IsBranch() && m.Code[i].Target > pc {
-			m.Code[i].Target += delta
+		if m.Code[i].Op.IsBranch() && int(m.Code[i].Target) > pc {
+			m.Code[i].Target += int32(delta)
 		}
 	}
 	newCode := make([]vm.Instr, 0, len(m.Code)+delta)
@@ -82,7 +82,7 @@ func blockSplit(p *vm.Program, rng *rand.Rand) *vm.Program {
 			pc := positions[i]
 			// goto pc+1, where pc+1 is the original instruction at pc
 			// after insertion.
-			m.InsertAt(pc, []vm.Instr{{Op: vm.OpGoto, Target: pc + 1}})
+			m.InsertAt(pc, []vm.Instr{{Op: vm.OpGoto, Target: int32(pc + 1)}})
 		}
 	}
 	return mustVerify(q)
@@ -101,7 +101,7 @@ func gotoChaining(p *vm.Program, rng *rand.Rand) *vm.Program {
 			}
 			tramp := len(m.Code)
 			m.Code = append(m.Code, vm.Instr{Op: vm.OpGoto, Target: in.Target})
-			m.Code[pc].Target = tramp
+			m.Code[pc].Target = int32(tramp)
 		}
 	}
 	return mustVerify(q)
@@ -124,7 +124,7 @@ func branchSenseInversion(p *vm.Program, rng *rand.Rand) *vm.Program {
 			t := m.Code[pc].Target                                    // already adjusted by InsertAfter
 			m.Code[pc+1].Target = t
 			m.Code[pc].Op = vm.NegateCond(m.Code[pc].Op)
-			m.Code[pc].Target = pc + 2
+			m.Code[pc].Target = int32(pc + 2)
 		}
 	}
 	return mustVerify(q)
@@ -163,7 +163,7 @@ func reorderBlocks(m *vm.Method, rng *rand.Rand) {
 		for pc := b.Start; pc < b.End; pc++ {
 			in := m.Code[pc]
 			if in.Op.IsBranch() {
-				fixes = append(fixes, fix{pos: len(newCode), oldTgt: in.Target, tgtBlock: -1})
+				fixes = append(fixes, fix{pos: len(newCode), oldTgt: int(in.Target), tgtBlock: -1})
 			}
 			newCode = append(newCode, in)
 		}
@@ -184,7 +184,7 @@ func reorderBlocks(m *vm.Method, rng *rand.Rand) {
 		if tb < 0 {
 			tb = cfg.BlockOf(f.oldTgt)
 		}
-		newCode[f.pos].Target = newStart[tb]
+		newCode[f.pos].Target = int32(newStart[tb])
 	}
 	m.Code = newCode
 }
@@ -208,7 +208,7 @@ func blockCopying(p *vm.Program, rng *rand.Rand) *vm.Program {
 			// Find branches targeting the block leader.
 			var preds []int
 			for pc, in := range m.Code {
-				if in.Op.IsBranch() && in.Target == b.Start {
+				if in.Op.IsBranch() && int(in.Target) == b.Start {
 					preds = append(preds, pc)
 				}
 			}
@@ -222,10 +222,10 @@ func blockCopying(p *vm.Program, rng *rand.Rand) *vm.Program {
 			last := m.Code[len(m.Code)-1]
 			if last.Op != vm.OpGoto && last.Op != vm.OpRet {
 				// Restore the fall-through edge (also for cond branches).
-				m.Code = append(m.Code, vm.Instr{Op: vm.OpGoto, Target: b.End})
+				m.Code = append(m.Code, vm.Instr{Op: vm.OpGoto, Target: int32(b.End)})
 			}
 			// Redirect one predecessor to the copy.
-			m.Code[preds[rng.Intn(len(preds))]].Target = copyStart
+			m.Code[preds[rng.Intn(len(preds))]].Target = int32(copyStart)
 			cfg = vm.BuildCFG(m)
 		}
 	}
@@ -256,7 +256,7 @@ func sameBlock(cfg *vm.CFG, a, b int) bool { return cfg.BlockOf(a) == cfg.BlockO
 
 func noBranchInto(m *vm.Method, lo, hi int) bool {
 	for _, in := range m.Code {
-		if in.Op.IsBranch() && in.Target > lo && in.Target <= hi {
+		if in.Op.IsBranch() && int(in.Target) > lo && int(in.Target) <= hi {
 			return false
 		}
 	}

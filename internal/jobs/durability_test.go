@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,7 +13,7 @@ import (
 )
 
 // dirOpsFS logs the operations that make or persist directory entries:
-// directory creation, file creation and directory fsyncs. A SyncDir of
+// directory creation, file creation, renames and directory fsyncs. A SyncDir of
 // failSync fails once with an injected EIO.
 type dirOpsFS struct {
 	iofault.FS
@@ -37,6 +38,11 @@ func (r *dirOpsFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.Fi
 		r.log("create:" + name)
 	}
 	return r.FS.OpenFile(name, flag, perm)
+}
+
+func (r *dirOpsFS) Rename(oldpath, newpath string) error {
+	r.log("rename:" + newpath)
+	return r.FS.Rename(oldpath, newpath)
 }
 
 func (r *dirOpsFS) SyncDir(dir string) error {
@@ -133,6 +139,46 @@ func TestOpenSyncDirFaultSurfaces(t *testing.T) {
 				if _, err := os.Stat(p); !os.IsNotExist(err) {
 					t.Errorf("%s: %s left behind after a failed fsync of the %s directory", name, filepath.Base(p), site)
 				}
+			}
+		}
+	}
+}
+
+// TestQuarantineSyncsBothEnds: quarantining makes the quarantine area
+// durable before moving a job into it, and after the move fsyncs both the
+// job's old parent and the quarantine area. A failed fsync of either
+// surfaces as a storage fault.
+func TestQuarantineSyncsBothEnds(t *testing.T) {
+	for _, site := range []string{"", "root", "quarantine"} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "job")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		qdir := QuarantineDir(root)
+		rec := &dirOpsFS{FS: iofault.OS}
+		switch site {
+		case "root":
+			rec.failSync = root
+		case "quarantine":
+			rec.failSync = qdir
+		}
+		dst, err := Quarantine(rec, root, dir, errors.New("corrupt journal"))
+		if site != "" {
+			if !iofault.IsStorageFault(err) {
+				t.Errorf("failed fsync of the %s directory: %v is not a storage fault", site, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.follows("mkdir:"+qdir, "syncdir:"+root) || !rec.follows("syncdir:"+root, "rename:"+dst) {
+			t.Errorf("quarantine area not made durable before the move: %v", rec.ops)
+		}
+		for _, d := range []string{root, qdir} {
+			if !rec.follows("rename:"+dst, "syncdir:"+d) {
+				t.Errorf("no fsync of %s after the move: %v", d, rec.ops)
 			}
 		}
 	}

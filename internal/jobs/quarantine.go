@@ -28,15 +28,16 @@ type quarantineReason struct {
 }
 
 // Quarantine moves dir into root's quarantine area with a reason record
-// and returns the destination. The move is a rename (same filesystem, so
-// atomic) followed by a parent-dir fsync on both ends; name collisions
+// and returns the destination. The quarantine area is made durably
+// (iofault.MkdirSynced); the move is a rename (same filesystem, so
+// atomic) followed by a parent-dir fsync on both ends. Name collisions
 // from repeated quarantines of same-named jobs get a numeric suffix.
 func Quarantine(fs iofault.FS, root, dir string, reason error) (string, error) {
 	if fs == nil {
 		fs = iofault.OS
 	}
 	qdir := QuarantineDir(root)
-	if err := fs.MkdirAll(qdir, 0o755); err != nil {
+	if err := iofault.MkdirSynced(fs, qdir); err != nil {
 		return "", fmt.Errorf("jobs: create quarantine dir: %w", err)
 	}
 	base := filepath.Base(dir)
@@ -50,8 +51,10 @@ func Quarantine(fs iofault.FS, root, dir string, reason error) (string, error) {
 	if err := fs.Rename(dir, dst); err != nil {
 		return "", fmt.Errorf("jobs: quarantine %s: %w", dir, err)
 	}
-	if err := fs.SyncDir(filepath.Dir(dir)); err != nil {
-		return dst, fmt.Errorf("jobs: quarantine %s: sync dir: %w", dir, err)
+	for _, d := range []string{filepath.Dir(dir), qdir} {
+		if err := fs.SyncDir(d); err != nil {
+			return dst, fmt.Errorf("jobs: quarantine %s: sync dir: %w", dir, err)
+		}
 	}
 	msg := ""
 	if reason != nil {

@@ -161,7 +161,7 @@ func Open(dir string, m *Manifest, opts Options) (*Campaign, error) {
 	if fs == nil {
 		fs = iofault.OS
 	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	if err := iofault.MkdirSynced(fs, dir); err != nil {
 		return nil, fmt.Errorf("tournament: create campaign dir: %w", err)
 	}
 

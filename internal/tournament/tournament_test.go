@@ -6,13 +6,36 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"pathmark/internal/iofault"
 	"pathmark/internal/jobs"
 )
+
+// dirSyncFS logs directory creations and directory fsyncs; a SyncDir of
+// failSync fails with an injected EIO.
+type dirSyncFS struct {
+	iofault.FS
+	ops      []string
+	failSync string
+}
+
+func (r *dirSyncFS) MkdirAll(path string, perm os.FileMode) error {
+	r.ops = append(r.ops, "mkdir:"+path)
+	return r.FS.MkdirAll(path, perm)
+}
+
+func (r *dirSyncFS) SyncDir(dir string) error {
+	r.ops = append(r.ops, "syncdir:"+dir)
+	if dir == r.failSync {
+		return &iofault.InjectedError{Op: "syncdir", Path: dir, Err: syscall.EIO}
+	}
+	return r.FS.SyncDir(dir)
+}
 
 // testManifest is the demo grid — small enough for unit tests, complete
 // enough to cover catalog, composed and collusion attacks on baseline and
@@ -327,5 +350,31 @@ func TestRunHaltsOnJournalFailure(t *testing.T) {
 	if n := settled.Load(); n > 2+(workers-1) {
 		t.Fatalf("%d cells settled, want at most %d: workers kept grading after the journal failed",
 			n, 2+(workers-1))
+	}
+}
+
+// TestOpenSyncsCampaignDir: opening a campaign fsyncs the parent after
+// making the campaign directory, and a failed fsync fails the open with a
+// storage fault.
+func TestOpenSyncsCampaignDir(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "campaign")
+	rec := &dirSyncFS{FS: iofault.OS}
+	c, err := Open(dir, testManifest(), Options{NoSync: true, FS: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.Index(rec.ops, "mkdir:"+dir); i < 0 || !slices.Contains(rec.ops[i+1:], "syncdir:"+parent) {
+		t.Errorf("no fsync of the parent after making the campaign directory: %v", rec.ops)
+	}
+
+	parent = t.TempDir()
+	_, err = Open(filepath.Join(parent, "campaign"), testManifest(),
+		Options{NoSync: true, FS: &dirSyncFS{FS: iofault.OS, failSync: parent}})
+	if !iofault.IsStorageFault(err) {
+		t.Errorf("failed fsync of the parent: %v is not a storage fault", err)
 	}
 }

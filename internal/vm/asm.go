@@ -61,7 +61,7 @@ func Assemble(src string) (*Program, error) {
 			if !ok {
 				return fmt.Errorf("line %d: undefined label %q in method %s", fx.line, fx.label, cur.Name)
 			}
-			code[fx.pc].Target = t
+			code[fx.pc].Target = int32(t)
 		}
 		if len(code) > 0 {
 			cur.Code = code[:len(code):len(code)]
@@ -109,7 +109,9 @@ func Assemble(src string) (*Program, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("line %d: bad method header", lineNo)
 			}
-			cur = &Method{Name: arg, NArgs: int(nargs), NLocals: int(nlocals)}
+			// The name is copied out of src: a substring would keep the
+			// whole source text alive as long as the program.
+			cur = &Method{Name: strings.Clone(arg), NArgs: int(nargs), NLocals: int(nlocals)}
 			if _, dup := methods[cur.Name]; !dup {
 				methods[cur.Name] = len(p.Methods)
 			}
@@ -469,7 +471,7 @@ func AppendDump(dst []byte, p *Program) []byte {
 		isTarget = slices.Grow(isTarget[:0], len(m.Code))[:len(m.Code)]
 		clear(isTarget)
 		for _, in := range m.Code {
-			if in.Op.IsBranch() && in.Target >= 0 && in.Target < len(m.Code) {
+			if in.Op.IsBranch() && in.Target >= 0 && int(in.Target) < len(m.Code) {
 				isTarget[in.Target] = true
 			}
 		}

@@ -39,7 +39,7 @@ func referenceAssemble(src string) (*Program, error) {
 			if !ok {
 				return fmt.Errorf("line %d: undefined label %q in method %s", fx.line, fx.label, fx.method.Name)
 			}
-			code[fx.pc].Target = t
+			code[fx.pc].Target = int32(t)
 		}
 		cur.Code = append([]Instr(nil), code...)
 		code = code[:0]

@@ -29,7 +29,7 @@ func BuildCFG(m *Method) *CFG {
 	}
 	for pc, in := range m.Code {
 		if in.Op.IsBranch() {
-			if in.Target >= 0 && in.Target < n {
+			if in.Target >= 0 && int(in.Target) < n {
 				leader[in.Target] = true
 			}
 		}

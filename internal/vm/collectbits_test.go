@@ -269,7 +269,7 @@ func fuzzProgram(data []byte) *vm.Program {
 				ops = []vm.Op{vm.Op(next())}
 			}
 			for _, op := range ops[:min(len(ops), n-len(m.Code))] {
-				in := vm.Instr{Op: op, A: int64(next()%8) - 2, Target: next()%(n+2) - 1}
+				in := vm.Instr{Op: op, A: int64(next()%8) - 2, Target: int32(next()%(n+2) - 1)}
 				if in.Op == vm.OpCall {
 					in.A = int64(next() % (nMethods + 1))
 				}
@@ -306,7 +306,7 @@ func fuzzBytes(methods ...*vm.Method) []byte {
 // and back into it, a backward jump, before body's first instruction
 // runs. Body's pcs start at 1.
 func hotMain(body ...vm.Instr) *vm.Method {
-	code := append([]vm.Instr{{Op: vm.OpGoto, Target: len(body) + 1}}, body...)
+	code := append([]vm.Instr{{Op: vm.OpGoto, Target: int32(len(body) + 1)}}, body...)
 	return &vm.Method{Name: "main", NLocals: 3, Code: append(code, vm.Instr{Op: vm.OpGoto, Target: 1})}
 }
 

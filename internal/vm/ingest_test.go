@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pathmark/internal/cache"
 	"pathmark/internal/feistel"
@@ -61,6 +62,28 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(5, func() { wm.ProgramDigest(p) }); a > 8 {
 		t.Errorf("ProgramDigest: %.0f allocations, want at most 8", a)
+	}
+}
+
+// TestAssembleDoesNotPinSource checks that no method name of an assembled
+// program points into the source text, so a program kept for a job's
+// lifetime does not keep its whole source alive with it.
+func TestAssembleDoesNotPinSource(t *testing.T) {
+	src := caffeineCopySource(t)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	for _, m := range vm.MustAssemble(src).Methods {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(m.Name))); at >= lo && at < hi {
+			t.Errorf("method %s: name points into the source text at offset %d", m.Name, at-lo)
+		}
+	}
+}
+
+// TestInstrLayout pins an instruction at 16 bytes: every program's code is
+// an array of them, so a field added later would grow every program.
+func TestInstrLayout(t *testing.T) {
+	if n := unsafe.Sizeof(vm.Instr{}); n != 16 {
+		t.Errorf("vm.Instr is %d bytes, want 16", n)
 	}
 }
 

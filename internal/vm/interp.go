@@ -354,7 +354,7 @@ load:
 				continue load
 			}
 			left--
-			in := code[pc]
+			in := &code[pc]
 			d := in.Op // undecoded: a raw byte past the ISA faults in any arm
 			if pc < len(ops) {
 				d = ops[pc]
@@ -502,12 +502,12 @@ load:
 					f.pc = pc
 					return nil, f.fault("branch to pc %d outside method [0,%d)", in.Target, len(code))
 				}
-				if tracking || in.Target <= pc && ops == nil {
-					f.pc, f.stack, b.left = in.Target, stack, left
-					heat(f.mi, in.Target, pc)
+				if tracking || int(in.Target) <= pc && ops == nil {
+					f.pc, f.stack, b.left = int(in.Target), stack, left
+					heat(f.mi, int(in.Target), pc)
 					break dispatch
 				}
-				pc = in.Target
+				pc = int(in.Target)
 				continue
 			case OpCall:
 				f.pc = pc
@@ -666,7 +666,7 @@ load:
 				left--
 				locals[in.A] = stack[n]
 				stack = stack[:n]
-				pc = code[pc+1].Target
+				pc = int(code[pc+1].Target)
 				continue
 			case opAddStore:
 				if ops == nil || left < 1 || n < 1 || uint64(code[pc+1].A) >= uint64(len(locals)) {
@@ -752,7 +752,7 @@ load:
 			{
 				to := pc + 1
 				if taken {
-					to = code[pc].Target
+					to = int(code[pc].Target)
 				}
 				if sink != nil {
 					// §3.1 at the branch: 0 when it lands where its

@@ -7,11 +7,13 @@ import (
 
 // Instr is a single instruction. A carries the immediate operand (constant
 // value, local index, static index, or callee method index); Target is the
-// branch destination as an instruction index within the same method.
+// branch destination as an instruction index within the same method. The
+// int32 target packs an Instr into 16 bytes (DESIGN.md "Instruction
+// layout").
 type Instr struct {
 	Op     Op
+	Target int32
 	A      int64
-	Target int
 }
 
 func (in Instr) String() string {
@@ -85,7 +87,7 @@ func (p *Program) MethodByName(name string) *Method {
 
 // CodeSize returns the total instruction count across all methods — the
 // program-size metric used by the Figure 8(b) experiment. One instruction
-// is the unit; DESIGN.md documents the bytes-per-instruction convention.
+// is the unit; DESIGN.md "Instruction layout" gives its size in memory.
 func (p *Program) CodeSize() int {
 	n := 0
 	for _, m := range p.Methods {
@@ -133,8 +135,8 @@ func (m *Method) InsertAt(at int, instrs []Instr) {
 		// Targets strictly past the insertion point shift; targets equal
 		// to `at` keep pointing at the insertion so the inserted prologue
 		// runs on every entry (loops re-execute it each iteration).
-		if m.Code[i].Op.IsBranch() && m.Code[i].Target > at {
-			m.Code[i].Target += n
+		if m.Code[i].Op.IsBranch() && int(m.Code[i].Target) > at {
+			m.Code[i].Target += int32(n)
 		}
 	}
 	newCode := make([]Instr, 0, len(m.Code)+n)
@@ -200,10 +202,10 @@ func (m *Method) Splice(frags []Fragment) {
 					// A target past q was past every later fragment's pc
 					// when that fragment went in; one at or below q moved
 					// as an original target does.
-					if u := code[i].Target; u > q {
-						code[i].Target = u + later
+					if u := int(code[i].Target); u > q {
+						code[i].Target = int32(u + later)
 					} else {
-						code[i].Target = shift(u)
+						code[i].Target = int32(shift(u))
 					}
 				}
 			}
@@ -212,7 +214,7 @@ func (m *Method) Splice(frags []Fragment) {
 		if q < n {
 			in := m.Code[q]
 			if in.Op.IsBranch() {
-				in.Target = shift(in.Target)
+				in.Target = int32(shift(int(in.Target)))
 			}
 			code = append(code, in)
 		}
@@ -230,8 +232,8 @@ func (m *Method) InsertAfter(at int, instrs []Instr) {
 	}
 	n := len(instrs)
 	for i := range m.Code {
-		if m.Code[i].Op.IsBranch() && m.Code[i].Target >= pos {
-			m.Code[i].Target += n
+		if m.Code[i].Op.IsBranch() && int(m.Code[i].Target) >= pos {
+			m.Code[i].Target += int32(n)
 		}
 	}
 	newCode := make([]Instr, 0, len(m.Code)+n)

@@ -19,11 +19,11 @@ func spliceCase(seed int64, n, k, tie int) (*Method, []Fragment) {
 	instr := func(lo, hi int) Instr {
 		switch rng.Intn(3) {
 		case 0:
-			return Instr{Op: OpGoto, Target: lo + rng.Intn(hi-lo+1)}
+			return Instr{Op: OpGoto, Target: int32(lo + rng.Intn(hi-lo+1))}
 		case 1:
-			return Instr{Op: OpIfCmpLt, Target: lo + rng.Intn(hi-lo+1)}
+			return Instr{Op: OpIfCmpLt, Target: int32(lo + rng.Intn(hi-lo+1))}
 		}
-		return Instr{Op: OpConst, A: rng.Int63n(100), Target: rng.Intn(50) - 25}
+		return Instr{Op: OpConst, A: rng.Int63n(100), Target: int32(rng.Intn(50) - 25)}
 	}
 	m := &Method{Name: "m"}
 	for range n {

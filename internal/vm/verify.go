@@ -87,7 +87,7 @@ func (sv *stackVerifier) verifyMethod(p *Program, m *Method) error {
 				return fmt.Errorf("pc %d: callee %d out of range", pc, in.A)
 			}
 		}
-		if in.Op.IsBranch() && (in.Target < 0 || in.Target >= n) {
+		if in.Op.IsBranch() && (in.Target < 0 || int(in.Target) >= n) {
 			return fmt.Errorf("pc %d: branch target %d out of range [0,%d)", pc, in.Target, n)
 		}
 	}
@@ -131,11 +131,11 @@ func (sv *stackVerifier) verifyStack(p *Program, m *Method) error {
 			// next is the height after consuming the return value; any
 			// residue is tolerated (like the JVM, we allow dead operands).
 		case in.Op == OpGoto:
-			if err := sv.push(in.Target, next); err != nil {
+			if err := sv.push(int(in.Target), next); err != nil {
 				return err
 			}
 		case in.Op.IsCondBranch():
-			if err := sv.push(in.Target, next); err != nil {
+			if err := sv.push(int(in.Target), next); err != nil {
 				return err
 			}
 			if pc+1 < n {

@@ -128,7 +128,7 @@ func genRolledLoopPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm
 	emit(vm.Instr{Op: vm.OpLoad, A: v},
 		vm.Instr{Op: vm.OpConst, A: 1},
 		vm.Instr{Op: vm.OpAnd},
-		vm.Instr{Op: vm.OpIfEq, Target: skip},
+		vm.Instr{Op: vm.OpIfEq, Target: int32(skip)},
 		vm.Instr{Op: vm.OpLoad, A: j},
 		vm.Instr{Op: vm.OpConst, A: 1},
 		vm.Instr{Op: vm.OpAdd},
@@ -145,7 +145,7 @@ func genRolledLoopPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm
 	// if i < 64 goto L
 	emit(vm.Instr{Op: vm.OpLoad, A: i},
 		vm.Instr{Op: vm.OpConst, A: 64},
-		vm.Instr{Op: vm.OpIfCmpLt, Target: loopHead})
+		vm.Instr{Op: vm.OpIfCmpLt, Target: int32(loopHead)})
 	// v = piece; i = 0; s++
 	emit(vm.Instr{Op: vm.OpConst, A: int64(piece)}, vm.Instr{Op: vm.OpStore, A: v})
 	emit(vm.Instr{Op: vm.OpConst, A: 0}, vm.Instr{Op: vm.OpStore, A: i})
@@ -156,7 +156,7 @@ func genRolledLoopPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm
 	// if s < 2 goto L
 	emit(vm.Instr{Op: vm.OpLoad, A: s},
 		vm.Instr{Op: vm.OpConst, A: 2},
-		vm.Instr{Op: vm.OpIfCmpLt, Target: loopHead})
+		vm.Instr{Op: vm.OpIfCmpLt, Target: int32(loopHead)})
 
 	guarded := pickLiveTarget(rng, env, []vm.Instr{{Op: vm.OpLoad, A: j}})
 	code = append(code, OpaqueFalseGuard(rng, at+len(code), opaqueSrc(rng, env), guarded)...)
@@ -201,7 +201,7 @@ func genLoopPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm.Instr
 		emit(vm.Instr{Op: vm.OpLoad, A: v},
 			vm.Instr{Op: vm.OpConst, A: 1},
 			vm.Instr{Op: vm.OpAnd},
-			vm.Instr{Op: vm.OpIfEq, Target: skip})
+			vm.Instr{Op: vm.OpIfEq, Target: int32(skip)})
 		emit(vm.Instr{Op: vm.OpLoad, A: j},
 			vm.Instr{Op: vm.OpConst, A: 1},
 			vm.Instr{Op: vm.OpAdd},
@@ -220,7 +220,7 @@ func genLoopPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm.Instr
 		vm.Instr{Op: vm.OpStore, A: s})
 	emit(vm.Instr{Op: vm.OpLoad, A: s},
 		vm.Instr{Op: vm.OpConst, A: 2},
-		vm.Instr{Op: vm.OpIfCmpLt, Target: loopHead})
+		vm.Instr{Op: vm.OpIfCmpLt, Target: int32(loopHead)})
 
 	guarded := pickLiveTarget(rng, env, []vm.Instr{{Op: vm.OpLoad, A: j}})
 	code = append(code, OpaqueFalseGuard(rng, at+len(code), opaqueSrc(rng, env), guarded)...)
@@ -297,7 +297,7 @@ func genConditionPiece(rng *rand.Rand, env *hostEnv, at int, piece uint64) []vm.
 		}
 		// Layout: <pred branch -> skip>  tmp++  skip:
 		branchAt := at + len(code) + len(pred) - 1
-		pred[len(pred)-1].Target = branchAt + 1 + 4
+		pred[len(pred)-1].Target = int32(branchAt + 1 + 4)
 		emit(pred...)
 		emit(vm.Instr{Op: vm.OpLoad, A: tmp},
 			vm.Instr{Op: vm.OpConst, A: 1},

@@ -110,7 +110,7 @@ func OpaqueFalseGuard(rng *rand.Rand, at int, src, guarded []vm.Instr) []vm.Inst
 	pred := tmpl.gen(src)
 	out := append([]vm.Instr{}, pred...)
 	end := at + len(pred) + 1 + len(guarded)
-	out = append(out, vm.Instr{Op: vm.OpIfEq, Target: end})
+	out = append(out, vm.Instr{Op: vm.OpIfEq, Target: int32(end)})
 	out = append(out, guarded...)
 	return out
 }
