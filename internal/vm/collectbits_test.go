@@ -184,11 +184,12 @@ func TestCollectBitsErrorsMatch(t *testing.T) {
 
 // BenchmarkTraceBits compares recognition's two ways from a program to
 // its §3.1 bits on CaffeineMark: recording the trace and decoding it,
-// and sinking the bits as branches execute. Two more CollectBits legs
-// run the hosts of the recognize workload's extremes: a marked
-// CaffeineMark-like copy (long trace over small, hot code) and an
-// unmarked 60×150 Jess-like host (short trace over large code that
-// mostly runs once, where decoding hot methods must not cost).
+// and sinking the bits as branches execute. Three more CollectBits legs
+// run the hosts of the recognize workload: a marked CaffeineMark-like
+// copy (long trace over small, hot code), a marked 60×150 Jess-like
+// copy (128 pieces in large methods that mostly run once) and the
+// unmarked Jess-like host (short trace over large code that mostly runs
+// once, where decoding hot methods must not cost).
 func BenchmarkTraceBits(b *testing.B) {
 	key, err := wm.NewKey(nil, feistel.KeyFromUint64(0x5eed, 0xfeed), 128)
 	if err != nil {
@@ -196,6 +197,12 @@ func BenchmarkTraceBits(b *testing.B) {
 	}
 	marked, _, err := wm.Embed(workloads.CaffeineMark(), wm.RandomWatermark(128, 1), key,
 		wm.EmbedOptions{Pieces: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	jess := workloads.JessLike(workloads.JessLikeOptions{Seed: 1, Methods: 60, BlockSize: 150})
+	markedJess, _, err := wm.Embed(jess, wm.RandomWatermark(128, 1), key,
+		wm.EmbedOptions{Pieces: 128, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,8 +236,8 @@ func BenchmarkTraceBits(b *testing.B) {
 	}
 	b.Run("CollectBits", collectBits(prog))
 	b.Run("CollectBitsMarkedCaffeineMark", collectBits(marked))
-	b.Run("CollectBitsJessLike60x150", collectBits(workloads.JessLike(
-		workloads.JessLikeOptions{Seed: 1, Methods: 60, BlockSize: 150})))
+	b.Run("CollectBitsMarkedJessLike60x150", collectBits(markedJess))
+	b.Run("CollectBitsJessLike60x150", collectBits(jess))
 }
 
 // fuzzProgram decodes fuzz bytes into an unverified program: one to three
@@ -345,6 +352,81 @@ var (
 	}})
 )
 
+// The piece idioms' fused windows, each in a hot method: a seed that
+// runs the window, then one that meets a reason to fall back. The input
+// is 3, -1; constants stay in fuzzBytes' [-2, 5]. Body pcs start at 1
+// (hotMain).
+var (
+	// load 1; const 1; and; ifeq: the bit test of x = 5.
+	seedBitTest = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpConst, A: 5}, vm.Instr{Op: vm.OpStore, A: 1}, vm.Instr{Op: vm.OpNop},
+		vm.Instr{Op: vm.OpLoad, A: 1}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpAnd}, vm.Instr{Op: vm.OpIfEq, Target: 9},
+		vm.Instr{Op: vm.OpIn}, vm.Instr{Op: vm.OpLoad, A: 1}, vm.Instr{Op: vm.OpRet}))
+	// The bit test's load out of range.
+	seedBitTestLoadOutOfRange = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpLoad, A: 5}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpAnd}, vm.Instr{Op: vm.OpIfEq, Target: 5},
+		vm.Instr{Op: vm.OpIn}, vm.Instr{Op: vm.OpRet}))
+	// load 1; const 1; shr; store 2: the arithmetic shift of x = -2.
+	seedShift = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpConst, A: -2}, vm.Instr{Op: vm.OpStore, A: 1}, vm.Instr{Op: vm.OpNop},
+		vm.Instr{Op: vm.OpLoad, A: 1}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpShr}, vm.Instr{Op: vm.OpStore, A: 2},
+		vm.Instr{Op: vm.OpLoad, A: 2}, vm.Instr{Op: vm.OpRet}))
+	// The shift's store, its last instruction, out of range.
+	seedShiftStoreOutOfRange = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpLoad, A: 1}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpShr}, vm.Instr{Op: vm.OpStore, A: 5},
+		vm.Instr{Op: vm.OpIn}, vm.Instr{Op: vm.OpRet}))
+	// A counted loop whose step and back-edge is one window:
+	// i = 3; while i > 0 { i = i + -1 }.
+	seedStepBackEdge = fuzzBytes(hotMain(stepLoop(4)...))
+	// The back-edge's target one past the method's end.
+	seedStepGotoOutOfRange = fuzzBytes(hotMain(stepLoop(14)...))
+	// in; const 3; ifcmplt: the loop exit test at its bound, 3 < 3.
+	seedExitTest = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpIn}, vm.Instr{Op: vm.OpConst, A: 3}, vm.Instr{Op: vm.OpIfCmpLt, Target: 6},
+		vm.Instr{Op: vm.OpConst, A: 0}, vm.Instr{Op: vm.OpRet}, vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpRet}))
+	// const; ifcmplt on an empty stack: the branch underflows at its pc.
+	seedExitTestUnderflow = fuzzBytes(hotMain(
+		vm.Instr{Op: vm.OpConst, A: 5}, vm.Instr{Op: vm.OpIfCmpLt, Target: 4},
+		vm.Instr{Op: vm.OpConst, A: 0}, vm.Instr{Op: vm.OpRet}))
+	// load 0; mul; add; store 1 under 3, -1: x1 = 3 + -1·5.
+	seedMulAdd = fuzzBytes(hotMain(mulAdd(true, 1)...))
+	// The same window with one operand on the stack: add underflows.
+	seedMulAddOneOperand = fuzzBytes(hotMain(mulAdd(false, 1)...))
+	// Its store, its last instruction, out of range.
+	seedMulAddStoreOutOfRange = fuzzBytes(hotMain(mulAdd(true, 5)...))
+)
+
+// stepLoop is a hotMain body, pcs 1-12, counting local 2 down from 3
+// with the window load 2; const -1; add; store 2; goto target at pcs
+// 6-10 (target 4 closes the loop).
+func stepLoop(target int32) []vm.Instr {
+	return []vm.Instr{
+		{Op: vm.OpConst, A: 3}, {Op: vm.OpStore, A: 2}, {Op: vm.OpNop},
+		{Op: vm.OpLoad, A: 2}, {Op: vm.OpIfLe, Target: 11},
+		{Op: vm.OpLoad, A: 2}, {Op: vm.OpConst, A: -1}, {Op: vm.OpAdd}, {Op: vm.OpStore, A: 2}, {Op: vm.OpGoto, Target: target},
+		{Op: vm.OpLoad, A: 2}, {Op: vm.OpRet},
+	}
+}
+
+// mulAdd is a hotMain body that sets local 0 to 5, pushes the input's
+// values (both, or only the first) and runs load 0; mul; add; store b.
+func mulAdd(twoOperands bool, b int64) []vm.Instr {
+	body := []vm.Instr{{Op: vm.OpConst, A: 5}, {Op: vm.OpStore}, {Op: vm.OpIn}}
+	if twoOperands {
+		body = append(body, vm.Instr{Op: vm.OpIn})
+	}
+	return append(body, vm.Instr{Op: vm.OpLoad}, vm.Instr{Op: vm.OpMul}, vm.Instr{Op: vm.OpAdd},
+		vm.Instr{Op: vm.OpStore, A: b}, vm.Instr{Op: vm.OpLoad, A: 1}, vm.Instr{Op: vm.OpRet})
+}
+
+// pieceSeeds are the piece idioms' seeds that run their window whole,
+// fallbackSeeds those that meet a reason to fall back.
+var (
+	pieceSeeds    = [][]byte{seedBitTest, seedShift, seedStepBackEdge, seedExitTest, seedMulAdd}
+	fallbackSeeds = [][]byte{seedBitTestLoadOutOfRange, seedShiftStoreOutOfRange, seedStepGotoOutOfRange,
+		seedExitTestUnderflow, seedMulAddOneOperand, seedMulAddStoreOutOfRange}
+)
+
 // FuzzCollectBits requires the bit-sink run mode to agree with
 // CollectWith + DecodeBits on every generated program, trapping ones
 // included, and the untraced Run to fail or succeed the same way.
@@ -354,6 +436,9 @@ func FuzzCollectBits(f *testing.F) {
 	f.Add([]byte("a counted loop? no: just bytes, decoded as code"))
 	for _, seed := range [][]byte{seedLoadOutOfRange, seedStoreOutOfRange, seedConstAddUnderflow,
 		seedStoreLoadUnderflow, seedBranchOutOfRange, seedHotLoopColdCall} {
+		f.Add(seed)
+	}
+	for _, seed := range append(pieceSeeds, fallbackSeeds...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -395,6 +480,16 @@ func FuzzRunStepLimit(f *testing.F) {
 	}
 	f.Add(seedHotLoopColdCall, uint16(4096))
 	f.Add(seedBranchOutOfRange, uint16(4))
+	// Every budget through each piece idiom's run, so that one stops
+	// before, inside and after each window, and each fallback's fault.
+	for _, seed := range pieceSeeds {
+		for k := uint16(1); k <= 24; k++ {
+			f.Add(seed, k)
+		}
+	}
+	for _, seed := range fallbackSeeds {
+		f.Add(seed, uint16(4096))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
 		if k == 0 {
 			return // the 100M default budget

@@ -13,6 +13,14 @@ var FusedWindows = func() (ws [][]Op) {
 // replaced.
 var ReferenceAssemble = referenceAssemble
 
+// ReferenceVerify and ReferenceVerifyMethod are Verify and VerifyMethod
+// with the stack walk that queued every successor; VerifyRejects are
+// TestVerifyRejects' programs.
+var (
+	ReferenceVerify, ReferenceVerifyMethod = referenceVerify, referenceVerifyMethod
+	VerifyRejects                          = verifyRejects
+)
+
 // AssembleCaseSources are TestAssembleErrors' sources.
 func AssembleCaseSources() []string {
 	srcs := make([]string, len(assembleCases))

@@ -11,24 +11,30 @@ package vm
 // Dispatch bytes past the ISA. In a Method's code they can only be
 // invalid opcodes.
 const (
-	opInvalid           Op = opCount + iota // every raw byte outside the ISA
-	opPlain                                 // not decoded yet: dispatch the raw op
-	opLoadConst                             // load a; const c
-	opLoadLoad                              // load a; load b
-	opStoreLoad                             // store a; load b
-	opStoreGoto                             // store a; goto t
-	opAddStore                              // add; store a
-	opConstAdd                              // const c; add
-	opConstAnd                              // const c; and
-	opConstShr                              // const c; shr
-	opConstAndIfEq                          // const c; and; ifeq t
-	opLoadConstIfCmpLt                      // load a; const c; ifcmplt t
-	opLoadConstIfCmpGe                      // load a; const c; ifcmpge t
-	opLoadConstAddStore                     // load a; const c; add; store b
+	opInvalid               Op = opCount + iota // every raw byte outside the ISA
+	opPlain                                     // not decoded yet: dispatch the raw op
+	opLoadConst                                 // load a; const c
+	opLoadLoad                                  // load a; load b
+	opStoreLoad                                 // store a; load b
+	opStoreGoto                                 // store a; goto t
+	opAddStore                                  // add; store a
+	opConstAdd                                  // const c; add
+	opConstAnd                                  // const c; and
+	opConstShr                                  // const c; shr
+	opConstAndIfEq                              // const c; and; ifeq t
+	opLoadConstIfCmpLt                          // load a; const c; ifcmplt t
+	opLoadConstIfCmpGe                          // load a; const c; ifcmpge t
+	opLoadConstAddStore                         // load a; const c; add; store b
+	opLoadConstAndIfEq                          // load a; const c; and; ifeq t
+	opLoadConstShrStore                         // load a; const c; shr; store b
+	opLoadConstAddStoreGoto                     // load a; const c; add; store b; goto t
+	opConstIfCmpLt                              // const c; ifcmplt t
+	opLoadMulAddStore                           // load a; mul; add; store b
 )
 
 // fusedWindows is the fused set: the most frequent instruction windows
-// recognition executes (DESIGN.md, "Two run modes").
+// recognition executes, then the embedder's piece idioms among the plain
+// dispatches those left (DESIGN.md, "Three run modes", "Fused dispatch").
 var fusedWindows = map[Op][]Op{
 	opLoadConst:         {OpLoad, OpConst},
 	opLoadLoad:          {OpLoad, OpLoad},
@@ -42,10 +48,16 @@ var fusedWindows = map[Op][]Op{
 	opLoadConstIfCmpLt:  {OpLoad, OpConst, OpIfCmpLt},
 	opLoadConstIfCmpGe:  {OpLoad, OpConst, OpIfCmpGe},
 	opLoadConstAddStore: {OpLoad, OpConst, OpAdd, OpStore},
+
+	opLoadConstAndIfEq:      {OpLoad, OpConst, OpAnd, OpIfEq},
+	opLoadConstShrStore:     {OpLoad, OpConst, OpShr, OpStore},
+	opLoadConstAddStoreGoto: {OpLoad, OpConst, OpAdd, OpStore, OpGoto},
+	opConstIfCmpLt:          {OpConst, OpIfCmpLt},
+	opLoadMulAddStore:       {OpLoad, OpMul, OpAdd, OpStore},
 }
 
 // maxWindow is the longest window in fusedWindows.
-const maxWindow = 4
+const maxWindow = 5
 
 // fuseTrie spells the fused windows over raw opcode bytes: state 0 is
 // the root, and a 0 transition means no window continues that way.

@@ -6,9 +6,10 @@ import (
 )
 
 // TestDecodeTable pins the decoder's dispatch byte at every pc of
-// hand-built methods: the longest window starting at each pc, windows
-// cut off by the method end, nop and invalid raw bytes breaking windows,
-// every raw byte outside the ISA mapped to one invalid code, and ranges.
+// hand-built methods: the longest window starting at each pc (a 5-window
+// over its 4-window prefix), every window cut off by the method end, nop
+// and invalid raw bytes breaking windows, every raw byte outside the ISA
+// mapped to one invalid code, and ranges.
 func TestDecodeTable(t *testing.T) {
 	ld := func(a int64) Instr { return Instr{Op: OpLoad, A: a} }
 	st := func(a int64) Instr { return Instr{Op: OpStore, A: a} }
@@ -25,13 +26,39 @@ func TestDecodeTable(t *testing.T) {
 			[]Op{opLoadConst, opConstAdd, OpAdd}},
 		{"cut to one", []Instr{ld(1)}, []Op{OpLoad}},
 		{"compare and branch", []Instr{ld(0), k(9), op(OpIfCmpLt), ld(0), k(9), op(OpIfCmpGe)},
-			[]Op{opLoadConstIfCmpLt, OpConst, OpIfCmpLt, opLoadConstIfCmpGe, OpConst, OpIfCmpGe}},
+			[]Op{opLoadConstIfCmpLt, opConstIfCmpLt, OpIfCmpLt, opLoadConstIfCmpGe, OpConst, OpIfCmpGe}},
 		{"other compare", []Instr{ld(0), k(9), op(OpIfCmpGt)},
 			[]Op{opLoadConst, OpConst, OpIfCmpGt}},
 		{"mask test", []Instr{k(4), op(OpAnd), op(OpIfEq), k(4), op(OpAnd), op(OpIfNe)},
 			[]Op{opConstAndIfEq, OpAnd, OpIfEq, opConstAnd, OpAnd, OpIfNe}},
 		{"pairs", []Instr{ld(0), ld(1), st(2), ld(2), k(1), op(OpShr), st(0), op(OpGoto)},
-			[]Op{opLoadLoad, OpLoad, opStoreLoad, opLoadConst, opConstShr, OpShr, opStoreGoto, OpGoto}},
+			[]Op{opLoadLoad, OpLoad, opStoreLoad, opLoadConstShrStore, opConstShr, OpShr, opStoreGoto, OpGoto}},
+		// The piece idioms: the bit test, the shift, the counted loop's
+		// step and back-edge, its exit test, and the multiply-accumulate.
+		{"bit test", []Instr{ld(1), k(1), op(OpAnd), op(OpIfEq)},
+			[]Op{opLoadConstAndIfEq, opConstAndIfEq, OpAnd, OpIfEq}},
+		{"bit test cut by the end", []Instr{ld(1), k(1), op(OpAnd)},
+			[]Op{opLoadConst, opConstAnd, OpAnd}},
+		{"other bit test", []Instr{ld(1), k(1), op(OpAnd), op(OpIfNe)},
+			[]Op{opLoadConst, opConstAnd, OpAnd, OpIfNe}},
+		{"shift", []Instr{ld(1), k(1), op(OpShr), st(1)},
+			[]Op{opLoadConstShrStore, opConstShr, OpShr, OpStore}},
+		{"shift cut by the end", []Instr{ld(1), k(1), op(OpShr)},
+			[]Op{opLoadConst, opConstShr, OpShr}},
+		{"step and back-edge", []Instr{ld(2), k(1), op(OpAdd), st(2), op(OpGoto)},
+			[]Op{opLoadConstAddStoreGoto, opConstAdd, opAddStore, opStoreGoto, OpGoto}},
+		{"step cut before its back-edge", []Instr{ld(2), k(1), op(OpAdd), st(2)},
+			[]Op{opLoadConstAddStore, opConstAdd, opAddStore, OpStore}},
+		{"step then no back-edge", []Instr{ld(2), k(1), op(OpAdd), st(2), op(OpRet)},
+			[]Op{opLoadConstAddStore, opConstAdd, opAddStore, OpStore, OpRet}},
+		{"loop exit test", []Instr{k(8), op(OpIfCmpLt), k(8), op(OpIfCmpGe)},
+			[]Op{opConstIfCmpLt, OpIfCmpLt, OpConst, OpIfCmpGe}},
+		{"loop exit test cut by the end", []Instr{op(OpAdd), k(8)},
+			[]Op{OpAdd, OpConst}},
+		{"multiply-accumulate", []Instr{ld(0), op(OpMul), op(OpAdd), st(0)},
+			[]Op{opLoadMulAddStore, OpMul, opAddStore, OpStore}},
+		{"multiply-accumulate cut by the end", []Instr{ld(0), op(OpMul), op(OpAdd)},
+			[]Op{OpLoad, OpMul, OpAdd}},
 		{"nop breaks a window", []Instr{ld(0), op(OpNop), k(1), op(OpAdd), op(OpNop)},
 			[]Op{OpLoad, OpNop, opConstAdd, OpAdd, OpNop}},
 		{"invalid bytes", []Instr{op(opCount), op(opLoadConst), op(64), op(127), op(128), op(255)},

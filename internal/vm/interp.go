@@ -734,6 +734,50 @@ load:
 				locals[code[pc+3].A] = locals[in.A] + code[pc+1].A
 				pc += 4
 				continue
+			case opLoadConstAndIfEq:
+				if ops == nil || left < 3 || uint64(in.A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left -= 3
+				taken = locals[in.A]&code[pc+1].A == 0
+				pc += 3
+				goto cond
+			case opLoadConstShrStore:
+				if ops == nil || left < 3 || uint64(in.A) >= uint64(len(locals)) ||
+					uint64(code[pc+3].A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left -= 3
+				locals[code[pc+3].A] = locals[in.A] >> (uint64(code[pc+1].A) & 63)
+				pc += 4
+				continue
+			case opLoadConstAddStoreGoto:
+				if ops == nil || left < 4 || uint64(in.A) >= uint64(len(locals)) ||
+					uint64(code[pc+3].A) >= uint64(len(locals)) || uint(code[pc+4].Target) >= uint(len(code)) {
+					goto unfuse
+				}
+				left -= 4
+				locals[code[pc+3].A] = locals[in.A] + code[pc+1].A
+				pc = int(code[pc+4].Target)
+				continue
+			case opConstIfCmpLt:
+				if ops == nil || left < 1 || n < 0 {
+					goto unfuse
+				}
+				left--
+				taken, stack = stack[n] < in.A, stack[:n]
+				pc++
+				goto cond
+			case opLoadMulAddStore:
+				if ops == nil || left < 3 || n < 1 || uint64(in.A) >= uint64(len(locals)) ||
+					uint64(code[pc+3].A) >= uint64(len(locals)) {
+					goto unfuse
+				}
+				left -= 3
+				locals[code[pc+3].A] = stack[n-1] + stack[n]*locals[in.A]
+				stack = stack[:n-1]
+				pc += 4
+				continue
 
 			default:
 				f.pc = pc

@@ -62,6 +62,16 @@ type stackItem struct{ pc, h int32 }
 const unknownHeight = -1
 
 func (sv *stackVerifier) verifyMethod(p *Program, m *Method) error {
+	if err := checkCode(p, m); err != nil {
+		return err
+	}
+	return sv.verifyStack(p, m)
+}
+
+// checkCode checks a method's header and each instruction on its own:
+// opcodes, operand indices and branch targets in range, and a last
+// instruction that cannot fall off the end.
+func checkCode(p *Program, m *Method) error {
 	n := len(m.Code)
 	if n == 0 {
 		return fmt.Errorf("empty code")
@@ -95,13 +105,29 @@ func (sv *stackVerifier) verifyMethod(p *Program, m *Method) error {
 	if last != OpRet && last != OpGoto {
 		return fmt.Errorf("pc %d: method may fall off the end (last op %v)", n-1, last)
 	}
-	return sv.verifyStack(p, m)
+	return nil
 }
 
+// opEffect is every opcode's stack effect, from stackEffect. OpCall's
+// pops are its callee's NArgs.
+var opEffect = func() (t [opCount]struct{ pops, pushes int8 }) {
+	for o := Op(0); o < opCount; o++ {
+		pops, pushes := StackEffect(o)
+		t[o].pops, t[o].pushes = int8(pops), int8(pushes)
+	}
+	return t
+}()
+
 // verifyStack abstractly interprets the method, assigning each reachable
-// pc a stack height and rejecting inconsistencies and underflow.
+// pc a stack height and rejecting inconsistencies and underflow. The
+// walk goes on inline to the next pc, or a goto's target, when it
+// reaches that pc first; only conditional branches' targets wait on the
+// work list, and the walk takes the last one queued when it stops. That
+// visits pcs in the order of a walk that queued every successor and took
+// the last queued, so the first error found is the same.
 func (sv *stackVerifier) verifyStack(p *Program, m *Method) error {
-	n := len(m.Code)
+	code := m.Code
+	n := len(code)
 	if cap(sv.height) < n {
 		sv.height = make([]int32, n)
 	}
@@ -110,63 +136,67 @@ func (sv *stackVerifier) verifyStack(p *Program, m *Method) error {
 		sv.height[i] = unknownHeight
 	}
 	sv.height[0] = 0
-	sv.work = append(sv.work[:0], stackItem{0, 0})
-	for len(sv.work) > 0 {
-		item := sv.work[len(sv.work)-1]
-		sv.work = sv.work[:len(sv.work)-1]
-		pc, h := int(item.pc), int(item.h)
-		in := m.Code[pc]
-		var pops, pushes int
+	sv.work = sv.work[:0]
+	pc, h := 0, 0
+	for {
+		in := &code[pc]
+		e := opEffect[in.Op]
+		pops := int(e.pops)
 		if in.Op == OpCall {
-			pops, pushes = p.Methods[in.A].NArgs, 1
-		} else {
-			pops, pushes = stackEffect(in.Op)
+			pops = p.Methods[in.A].NArgs
 		}
 		if h < pops {
 			return fmt.Errorf("pc %d: stack underflow (%v needs %d, has %d)", pc, in.Op, pops, h)
 		}
-		next := h - pops + pushes
+		h += int(e.pushes) - pops
+		next := pc + 1 // the pc the walk goes on to, if it reaches it first
 		switch {
 		case in.Op == OpRet:
-			// next is the height after consuming the return value; any
+			// h is the height after consuming the return value; any
 			// residue is tolerated (like the JVM, we allow dead operands).
+			next = n
 		case in.Op == OpGoto:
-			if err := sv.push(int(in.Target), next); err != nil {
-				return err
-			}
+			next = int(in.Target)
 		case in.Op.IsCondBranch():
-			if err := sv.push(int(in.Target), next); err != nil {
+			first, err := sv.reach(int(in.Target), h)
+			if err != nil {
 				return err
 			}
-			if pc+1 < n {
-				if err := sv.push(pc+1, next); err != nil {
-					return err
-				}
-			}
-		default:
-			if pc+1 < n {
-				if err := sv.push(pc+1, next); err != nil {
-					return err
-				}
+			if first {
+				sv.work = append(sv.work, stackItem{in.Target, int32(h)})
 			}
 		}
+		if next < n {
+			first, err := sv.reach(next, h)
+			if err != nil {
+				return err
+			}
+			if first {
+				pc = next
+				continue
+			}
+		}
+		if len(sv.work) == 0 {
+			return nil
+		}
+		item := sv.work[len(sv.work)-1]
+		sv.work = sv.work[:len(sv.work)-1]
+		pc, h = int(item.pc), int(item.h)
 	}
-	return nil
 }
 
-// push records height h at pc and queues pc the first time it is reached,
-// rejecting a second arrival at a different height.
-func (sv *stackVerifier) push(pc, h int) error {
+// reach records height h at pc and reports whether pc was reached for
+// the first time, rejecting a second arrival at a different height.
+func (sv *stackVerifier) reach(pc, h int) (first bool, err error) {
 	if h > 4096 {
-		return fmt.Errorf("pc %d: operand stack exceeds limit", pc)
+		return false, fmt.Errorf("pc %d: operand stack exceeds limit", pc)
 	}
 	if sv.height[pc] == unknownHeight {
 		sv.height[pc] = int32(h)
-		sv.work = append(sv.work, stackItem{int32(pc), int32(h)})
-		return nil
+		return true, nil
 	}
 	if sv.height[pc] != int32(h) {
-		return fmt.Errorf("pc %d: inconsistent stack height %d vs %d", pc, sv.height[pc], h)
+		return false, fmt.Errorf("pc %d: inconsistent stack height %d vs %d", pc, sv.height[pc], h)
 	}
-	return nil
+	return false, nil
 }

@@ -370,19 +370,25 @@ method main 0 0
 	}
 }
 
+// verifyRejects are programs Verify must reject, one reason each; the
+// last is TestVerifyInconsistentStackHeights' source, built by hand since
+// the assembler verifies what it builds.
+var verifyRejects = []*Program{
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpRet}}}}},                                                                        // ret underflow? ret pops 1 from empty
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpConst}, {Op: OpRet}}}}, Entry: 5},                                               // bad entry
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpLoad, A: 3}, {Op: OpRet}}}}},                                                    // local oob
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpConst}, {Op: OpGoto, Target: 9}}}}},                                             // target oob
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpConst}}}}},                                                                      // falls off end
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpGetStatic, A: 0}, {Op: OpRet}}}}},                                               // static oob
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpCall, A: 4}, {Op: OpRet}}}}},                                                    // callee oob
+	{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpAdd}, {Op: OpConst}, {Op: OpRet}}}}},                                            // add underflow
+	{Methods: []*Method{{Name: "a", Code: []Instr{{Op: OpConst}, {Op: OpRet}}}, {Name: "a", Code: []Instr{{Op: OpConst}, {Op: OpRet}}}}}, // dup name
+	{Methods: []*Method{{Name: "main", Code: []Instr{ // inconsistent heights
+		{Op: OpConst, A: 1}, {Op: OpIfEq, Target: 3}, {Op: OpConst, A: 9}, {Op: OpConst}, {Op: OpRet}}}}},
+}
+
 func TestVerifyRejects(t *testing.T) {
-	bad := []*Program{
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpRet}}}}},                                                                        // ret underflow? ret pops 1 from empty
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpConst}, {Op: OpRet}}}}, Entry: 5},                                               // bad entry
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpLoad, A: 3}, {Op: OpRet}}}}},                                                    // local oob
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpConst}, {Op: OpGoto, Target: 9}}}}},                                             // target oob
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpConst}}}}},                                                                      // falls off end
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpGetStatic, A: 0}, {Op: OpRet}}}}},                                               // static oob
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpCall, A: 4}, {Op: OpRet}}}}},                                                    // callee oob
-		{Methods: []*Method{{Name: "m", Code: []Instr{{Op: OpAdd}, {Op: OpConst}, {Op: OpRet}}}}},                                            // add underflow
-		{Methods: []*Method{{Name: "a", Code: []Instr{{Op: OpConst}, {Op: OpRet}}}, {Name: "a", Code: []Instr{{Op: OpConst}, {Op: OpRet}}}}}, // dup name
-	}
-	for i, p := range bad {
+	for i, p := range verifyRejects {
 		if err := Verify(p); err == nil {
 			t.Errorf("case %d: Verify accepted invalid program", i)
 		}
