@@ -42,7 +42,7 @@ func cmdFleetGrade(args []string) int {
 	noVerify := fs.Bool("no-verify", false, "skip the manifest-vs-file program digest check")
 	noSync := fs.Bool("no-sync", false, "skip the per-record fsync (faster, loses tail grades on a crash)")
 	progress := fs.Bool("progress", false, "print grade progress to stderr as the job runs")
-	traceDet := fs.Bool("trace-deterministic", false, "omit seq/timestamps/cache events from trace.jsonl (byte-stable across worker counts)")
+	traceDet := fs.Bool("trace-deterministic", false, "omit seq numbers and timestamps from trace.jsonl (sorted lines identical across worker counts)")
 	fs.Parse(args)
 	if *manifest == "" {
 		fatal(fmt.Errorf("missing -manifest"))

@@ -405,33 +405,60 @@ func (s *server) writeRequestFile(dir string, rawRequest []byte) error {
 	return nil
 }
 
-// buildSpec turns a request into a jobs.Spec, validating programs and
-// keys. Errors are client errors (bad request).
-func (s *server) buildSpec(req *serveRequest) (jobs.Spec, error) {
-	if len(req.Suspects) == 0 || len(req.Keys) == 0 {
-		return jobs.Spec{}, fmt.Errorf("need at least one suspect and one key")
+// admit admits one job, by one path whether it is new or resumed. With
+// resume == "" it is a POST /jobs submission; at startup resume is the
+// name of an unfinished job's directory. It builds the spec from the
+// request (a client error is 400), takes its ID (the spec's content
+// digest, so re-posting a tracked job answers 200 with it), opens the
+// job directory, persists request.json and registers the job, then
+// starts its runner or, for a stream whose final marker is already
+// journaled, seals it. Only submissions meet the -max-jobs cap: a job
+// that is resumed was accepted before the restart.
+func (s *server) admit(raw []byte, req *serveRequest, resume string) (*serveJob, int, error) {
+	switch {
+	case req.Stream && len(req.Suspects) != 0:
+		return nil, http.StatusBadRequest, errors.New("a stream job takes no suspects: the trace is uploaded in chunks")
+	case req.Stream && len(req.Keys) == 0:
+		return nil, http.StatusBadRequest, errors.New("need at least one key")
+	case !req.Stream && (len(req.Suspects) == 0 || len(req.Keys) == 0):
+		return nil, http.StatusBadRequest, errors.New("need at least one suspect and one key")
 	}
-	progs := make([]*vm.Program, len(req.Suspects))
+	var progs []*vm.Program
 	for i, src := range req.Suspects {
 		p, err := vm.Assemble(src)
 		if err != nil {
-			return jobs.Spec{}, fmt.Errorf("suspect %d: %w", i, err)
+			return nil, http.StatusBadRequest, fmt.Errorf("suspect %d: %w", i, err)
 		}
-		progs[i] = p
+		progs = append(progs, p)
 	}
 	keys := make([]*wm.Key, len(req.Keys))
 	for i, doc := range req.Keys {
 		k, err := wm.LoadKey(strings.NewReader(doc))
 		if err != nil {
-			return jobs.Spec{}, fmt.Errorf("key %d: %w", i, err)
+			return nil, http.StatusBadRequest, fmt.Errorf("key %d: %w", i, err)
 		}
 		keys[i] = k
 	}
-	o := req.Options
-	return jobs.Spec{
-		Suspects: progs,
-		Keys:     keys,
-		Opts: jobs.Options{
+	// Nothing below reads req, so its decoded program texts are garbage
+	// while the job directory is synced and request.json written.
+	o, stream := req.Options, req.Stream
+	var spec jobs.Spec
+	var sspec jobs.StreamSpec
+	var id string
+	var err error
+	if stream {
+		sspec = jobs.StreamSpec{Keys: keys, Opts: jobs.StreamOptions{
+			Workers:       o.Workers,
+			CheckEvery:    o.CheckEvery,
+			SettleChecks:  o.SettleChecks,
+			MinConfidence: o.MinConfidence,
+			NoSync:        s.cfg.noSync,
+			Obs:           s.cfg.reg,
+			FS:            s.cfg.fsys,
+		}}
+		id, err = jobs.StreamSpecID(sspec)
+	} else {
+		spec = jobs.Spec{Suspects: progs, Keys: keys, Opts: jobs.Options{
 			Workers:      o.Workers,
 			StepLimit:    o.StepLimit,
 			GradeTimeout: time.Duration(o.GradeTimeoutMS) * time.Millisecond,
@@ -443,68 +470,44 @@ func (s *server) buildSpec(req *serveRequest) (jobs.Spec, error) {
 			Obs:     s.cfg.reg,
 			NoSync:  s.cfg.noSync,
 			FS:      s.cfg.fsys,
-		},
-	}, nil
-}
-
-// buildStreamSpec turns a stream request into a jobs.StreamSpec. Errors
-// are client errors (bad request).
-func (s *server) buildStreamSpec(req *serveRequest) (jobs.StreamSpec, error) {
-	if len(req.Suspects) != 0 {
-		return jobs.StreamSpec{}, fmt.Errorf("a stream job takes no suspects: the trace is uploaded in chunks")
+		}}
+		id, err = spec.ID() // keeps the suspect digests for the runner's Open
 	}
-	if len(req.Keys) == 0 {
-		return jobs.StreamSpec{}, fmt.Errorf("need at least one key")
-	}
-	keys := make([]*wm.Key, len(req.Keys))
-	for i, doc := range req.Keys {
-		k, err := wm.LoadKey(strings.NewReader(doc))
-		if err != nil {
-			return jobs.StreamSpec{}, fmt.Errorf("key %d: %w", i, err)
-		}
-		keys[i] = k
-	}
-	o := req.Options
-	return jobs.StreamSpec{
-		Keys: keys,
-		Opts: jobs.StreamOptions{
-			Workers:       o.Workers,
-			CheckEvery:    o.CheckEvery,
-			SettleChecks:  o.SettleChecks,
-			MinConfidence: o.MinConfidence,
-			NoSync:        s.cfg.noSync,
-			Obs:           s.cfg.reg,
-			FS:            s.cfg.fsys,
-		},
-	}, nil
-}
-
-// submitStream registers a stream job: the directory and chunk journal
-// are created (or replayed, resuming at the committed offset) before the
-// submission is acknowledged, so the committed offset in the response is
-// already durable. Idempotent like corpus submission: the ID is the
-// spec's content digest.
-func (s *server) submitStream(rawRequest []byte, spec jobs.StreamSpec) (*serveJob, int, error) {
-	id, err := jobs.StreamSpecID(spec)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	if resume != "" && id != resume {
+		return nil, http.StatusBadRequest, errors.New("request does not digest to its directory name")
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
 		return j, http.StatusOK, nil
 	}
-	if len(s.jobs) >= s.cfg.maxJobs {
+	if resume == "" && len(s.jobs) >= s.cfg.maxJobs {
 		return nil, http.StatusTooManyRequests,
 			fmt.Errorf("job table full (%d jobs); retry after some finish or restart with a fresh root", s.cfg.maxJobs)
 	}
 	dir := filepath.Join(s.cfg.root, id)
-	sj, err := jobs.OpenStream(dir, spec)
-	if iofault.IsCorrupt(err) {
-		// The directory's old journal is proven corrupt mid-log: move it
-		// aside as evidence and accept the submission into a fresh one.
-		s.quarantineDir(id, dir, err)
-		sj, err = jobs.OpenStream(dir, spec)
+	j := &serveJob{id: id, dir: dir, done: make(chan struct{})}
+	if stream {
+		// Opening replays the chunk journal, so the committed offset in
+		// the answer is already durable.
+		j.stream, err = jobs.OpenStream(dir, sspec)
+		if iofault.IsCorrupt(err) {
+			// The old journal is proven corrupt mid-log: move it aside as
+			// evidence. A submission is accepted into a fresh one; a resume
+			// has no client to hand it to and is skipped.
+			s.quarantineDir(id, dir, err)
+			if resume == "" {
+				j.stream, err = jobs.OpenStream(dir, sspec)
+			}
+		}
+		j.total, j.status = len(keys), "streaming"
+	} else {
+		err = iofault.MkdirSynced(s.cfg.fs(), dir)
+		j.total, j.status = len(progs)*len(keys), "queued"
 	}
 	if err != nil {
 		if iofault.IsStorageFault(err) {
@@ -512,22 +515,29 @@ func (s *server) submitStream(rawRequest []byte, spec jobs.StreamSpec) (*serveJo
 		}
 		return nil, http.StatusInternalServerError, err
 	}
-	if err := s.writeRequestFile(dir, rawRequest); err != nil {
-		sj.Close()
+	// Persist the request before acknowledging it: a daemon restart
+	// rebuilds the spec from this file and resumes the journal.
+	if err := s.writeRequestFile(dir, raw); err != nil {
+		if j.stream != nil {
+			j.stream.Close()
+		}
 		return nil, http.StatusInternalServerError, err
 	}
-	j := &serveJob{
-		id: id, dir: dir, stream: sj,
-		total:  len(spec.Keys),
-		done:   make(chan struct{}),
-		status: "streaming",
-	}
 	s.jobs[id] = j
-	s.cfg.reg.Counter("serve.jobs.submitted").Add(1)
-	// A journal whose final marker was already written (daemon died between
-	// Finish's journal append and its result write, or the result was
-	// deleted) finishes immediately on resume.
-	if sj.Finished() {
+	if resume == "" {
+		s.cfg.reg.Counter("serve.jobs.submitted").Add(1)
+	} else {
+		s.cfg.reg.Counter("serve.jobs.resumed").Add(1)
+	}
+	switch {
+	case j.stream == nil:
+		spec.Opts.OnEvent = j.observe
+		s.wg.Add(1)
+		go s.runJob(j, spec)
+	case j.stream.Finished():
+		// The final marker outlived the result file (a crash between
+		// Finish's journal append and the manifest write, or the result
+		// was deleted): seal the stream now.
 		if err := s.finishStream(j); err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
@@ -548,57 +558,6 @@ func (s *server) finishStream(j *serveJob) error {
 	}
 	j.finishOnce.Do(func() { close(j.done) })
 	return err
-}
-
-// submit registers a job for a validated spec and starts its runner.
-// Submission is idempotent: the job ID is the spec's content digest, so
-// re-POSTing the same corpus returns the existing job (finished or not)
-// instead of re-grading it.
-func (s *server) submit(rawRequest []byte, spec jobs.Spec) (*serveJob, int, error) {
-	id, err := spec.ID() // keeps the suspect digests for the runner's Open
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		return j, http.StatusOK, nil
-	}
-	if len(s.jobs) >= s.cfg.maxJobs {
-		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("job table full (%d jobs); retry after some finish or restart with a fresh root", s.cfg.maxJobs)
-	}
-	dir := filepath.Join(s.cfg.root, id)
-	if err := iofault.MkdirSynced(s.cfg.fs(), dir); err != nil {
-		if iofault.IsStorageFault(err) {
-			s.enterReadOnly(err)
-		}
-		return nil, http.StatusInternalServerError, err
-	}
-	// Persist the request before acknowledging it: a daemon restart
-	// rebuilds the spec from this file and resumes the journal.
-	if err := s.writeRequestFile(dir, rawRequest); err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	j := s.startLocked(id, dir, spec)
-	s.cfg.reg.Counter("serve.jobs.submitted").Add(1)
-	return j, http.StatusAccepted, nil
-}
-
-// startLocked creates the tracked job and launches its runner; the
-// caller holds s.mu.
-func (s *server) startLocked(id, dir string, spec jobs.Spec) *serveJob {
-	j := &serveJob{
-		id: id, dir: dir,
-		total:  len(spec.Suspects) * len(spec.Keys),
-		done:   make(chan struct{}),
-		status: "queued",
-	}
-	spec.Opts.OnEvent = j.observe
-	s.jobs[id] = j
-	s.wg.Add(1)
-	go s.runJob(j, spec)
-	return j
 }
 
 func (s *server) runJob(j *serveJob, spec jobs.Spec) {
@@ -644,8 +603,8 @@ func (s *server) runJob(j *serveJob, spec jobs.Spec) {
 
 // resumePending walks the job root at startup: directories with a
 // result.json register as finished (results stay fetchable across
-// restarts), directories with only a request.json are re-submitted and
-// resume from their journal.
+// restarts), directories with only a request.json go through admit, the
+// path a submission takes, and resume from their journal.
 func (s *server) resumePending() error {
 	entries, err := os.ReadDir(s.cfg.root)
 	if err != nil {
@@ -690,51 +649,9 @@ func (s *server) resumePending() error {
 			s.quarantineDir(id, dir, fmt.Errorf("unreadable request.json: %w", err))
 			continue
 		}
-		if req.Stream {
-			// An unfinished stream job: replay the chunk journal so the
-			// uploader can resume from the committed offset it last saw.
-			spec, err := s.buildStreamSpec(&req)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: stale stream request: %v\n", id, err)
-				continue
-			}
-			if got, err := jobs.StreamSpecID(spec); err != nil || got != id {
-				fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: request does not digest to its directory name; skipping\n", id)
-				continue
-			}
-			sj, err := jobs.OpenStream(dir, spec)
-			if err != nil {
-				if iofault.IsCorrupt(err) {
-					s.quarantineDir(id, dir, err)
-				} else {
-					fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: stream resume: %v\n", id, err)
-				}
-				continue
-			}
-			j := &serveJob{id: id, dir: dir, stream: sj,
-				total: len(spec.Keys), done: make(chan struct{}), status: "streaming"}
-			s.jobs[id] = j
-			if sj.Finished() {
-				// The final marker outlived the result file (a crash between
-				// Finish's journal append and the manifest write): re-flush.
-				if err := s.finishStream(j); err != nil {
-					fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: stream finish: %v\n", id, err)
-				}
-			}
-			s.cfg.reg.Counter("serve.jobs.resumed").Add(1)
-			continue
+		if _, _, err := s.admit(raw, &req, id); err != nil {
+			fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: resume: %v\n", id, err)
 		}
-		spec, err := s.buildSpec(&req)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: stale request: %v\n", id, err)
-			continue
-		}
-		if got, err := spec.ID(); err != nil || got != id {
-			fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: request does not digest to its directory name; skipping\n", id)
-			continue
-		}
-		s.startLocked(id, dir, spec)
-		s.cfg.reg.Counter("serve.jobs.resumed").Add(1)
 	}
 	return nil
 }
@@ -813,30 +730,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var j *serveJob
-	var code int
-	if req.Stream {
-		spec, err := s.buildStreamSpec(&req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		j, code, err = s.submitStream(raw, spec)
-		if err != nil {
-			writeError(w, code, err)
-			return
-		}
-	} else {
-		spec, err := s.buildSpec(&req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		j, code, err = s.submit(raw, spec)
-		if err != nil {
-			writeError(w, code, err)
-			return
-		}
+	j, code, err := s.admit(raw, &req, "")
+	if err != nil {
+		writeError(w, code, err)
+		return
 	}
 	if code == http.StatusAccepted {
 		// Stitch the HTTP request into the job's trace stream: the

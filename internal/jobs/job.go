@@ -128,41 +128,57 @@ func SpecID(spec Spec) (string, error) { return spec.ID() }
 // resume over a journal from a different job is refused.
 func (sp *Spec) digest() (cache.Digest, error) {
 	// v2: the prefilter band ints were replaced by the six ints of the
-	// filter stack (popcount, transitions, phase bands). The stack is
-	// always wm.DefaultFilters now, but its ints stay in the digest so
-	// every persisted job ID is unchanged.
-	parts := [][]byte{[]byte("pathmark.job.v2")}
-	num := func(v int64) { parts = append(parts, strconv.AppendInt(nil, v, 10)) }
-	num(int64(len(sp.Suspects)))
-	num(int64(len(sp.Keys)))
+	// filter stack (popcount, transitions, phase bands).
+	d := digestParts{[]byte("pathmark.job.v2")}
+	d.num(int64(len(sp.Suspects)))
+	d.num(int64(len(sp.Keys)))
 	if len(sp.progDigests) != len(sp.Suspects) {
 		sp.progDigests = make([]cache.Digest, len(sp.Suspects))
 		for i, p := range sp.Suspects {
 			sp.progDigests[i] = wm.ProgramDigest(p)
 		}
 	}
-	for _, d := range sp.progDigests {
-		parts = append(parts, append([]byte(nil), d[:]...))
+	for _, pd := range sp.progDigests {
+		d = append(d, append([]byte(nil), pd[:]...))
 	}
-	for i, k := range sp.Keys {
+	if err := d.keys(sp.Keys, "key"); err != nil {
+		return cache.Digest{}, err
+	}
+	d.num(sp.Opts.StepLimit)
+	d.num(sp.Opts.MaxHeap)
+	d.filters()
+	d.num(int64(sp.Opts.Breaker.threshold()))
+	d.num(int64(sp.Opts.Breaker.wave()))
+	return cache.DigestBytes(d...), nil
+}
+
+// digestParts collects the byte strings a job or stream spec's content
+// digest covers, in order.
+type digestParts [][]byte
+
+func (d *digestParts) num(v int64) { *d = append(*d, strconv.AppendInt(nil, v, 10)) }
+
+// keys appends each key's saved keyfile document; what names the key in
+// an error.
+func (d *digestParts) keys(keys []*wm.Key, what string) error {
+	for i, k := range keys {
 		var buf bytes.Buffer
 		if err := wm.SaveKey(&buf, k); err != nil {
-			return cache.Digest{}, fmt.Errorf("jobs: digesting key %d: %w", i, err)
+			return fmt.Errorf("jobs: digesting %s %d: %w", what, i, err)
 		}
-		parts = append(parts, buf.Bytes())
+		*d = append(*d, buf.Bytes())
 	}
-	num(sp.Opts.StepLimit)
-	num(sp.Opts.MaxHeap)
+	return nil
+}
+
+// filters appends the six ints of the filter stack. The stack is always
+// wm.DefaultFilters now, but its ints stay in the digests so every
+// persisted job ID is unchanged.
+func (d *digestParts) filters() {
 	f := wm.DefaultFilters
-	num(int64(f.Popcount.Lo))
-	num(int64(f.Popcount.Hi))
-	num(int64(f.Transitions.Lo))
-	num(int64(f.Transitions.Hi))
-	num(int64(f.Phase.Lo))
-	num(int64(f.Phase.Hi))
-	num(int64(sp.Opts.Breaker.threshold()))
-	num(int64(sp.Opts.Breaker.wave()))
-	return cache.DigestBytes(parts...), nil
+	for _, v := range []int{f.Popcount.Lo, f.Popcount.Hi, f.Transitions.Lo, f.Transitions.Hi, f.Phase.Lo, f.Phase.Hi} {
+		d.num(int64(v))
+	}
 }
 
 // GradeEvent is the telemetry payload delivered to Options.OnEvent when

@@ -1,12 +1,10 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"pathmark/internal/bitstring"
@@ -74,29 +72,16 @@ type StreamSpec struct {
 // cadence and settle rule are included because they determine when and
 // whether an early verdict latches.
 func (sp *StreamSpec) digest() (cache.Digest, error) {
-	parts := [][]byte{[]byte("pathmark.stream.v1")}
-	num := func(v int64) { parts = append(parts, strconv.AppendInt(nil, v, 10)) }
-	num(int64(len(sp.Keys)))
-	for i, k := range sp.Keys {
-		var buf bytes.Buffer
-		if err := wm.SaveKey(&buf, k); err != nil {
-			return cache.Digest{}, fmt.Errorf("jobs: digesting stream key %d: %w", i, err)
-		}
-		parts = append(parts, buf.Bytes())
+	d := digestParts{[]byte("pathmark.stream.v1")}
+	d.num(int64(len(sp.Keys)))
+	if err := d.keys(sp.Keys, "stream key"); err != nil {
+		return cache.Digest{}, err
 	}
-	// The filter stack is always wm.DefaultFilters; its six ints stay in
-	// the digest so every persisted stream job ID is unchanged.
-	f := wm.DefaultFilters
-	num(int64(f.Popcount.Lo))
-	num(int64(f.Popcount.Hi))
-	num(int64(f.Transitions.Lo))
-	num(int64(f.Transitions.Hi))
-	num(int64(f.Phase.Lo))
-	num(int64(f.Phase.Hi))
-	num(int64(sp.Opts.CheckEvery))
-	num(int64(sp.Opts.SettleChecks))
-	num(int64(sp.Opts.MinConfidence * 10_000)) // basis points
-	return cache.DigestBytes(parts...), nil
+	d.filters()
+	d.num(int64(sp.Opts.CheckEvery))
+	d.num(int64(sp.Opts.SettleChecks))
+	d.num(int64(sp.Opts.MinConfidence * 10_000)) // basis points
+	return cache.DigestBytes(d...), nil
 }
 
 // StreamSpecID returns the job ID a StreamSpec would get from OpenStream,

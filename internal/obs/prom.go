@@ -116,7 +116,7 @@ func (r *Registry) WritePrometheus(w io.Writer, namespace string) error {
 	if r == nil {
 		return nil
 	}
-	snap := r.Snapshot()
+	snap := r.snapshot(false)
 	var sb strings.Builder
 	for _, c := range snap.Counters {
 		n := promName(namespace, c.Name)

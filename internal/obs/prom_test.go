@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -160,6 +161,30 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if !strings.Contains(out, "# TYPE pathmark_trace_bits histogram") {
 		t.Errorf("missing histogram TYPE line:\n%s", out)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestWritePrometheusSpanFree: a scrape's cost does not grow with the
+// spans the registry holds. A daemon opens a span per job and never drops
+// one, so a page that copied them would cost more with every job served.
+func TestWritePrometheusSpanFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := func(spans int) float64 {
+		r := NewRegistry()
+		r.Counter("serve.jobs.completed").Add(1)
+		r.TimingHistogram("http.duration_us").Observe(250)
+		for i := 0; i < spans; i++ {
+			r.Start("jobs.run").Set("grades", 4).Finish()
+		}
+		return testing.AllocsPerRun(20, func() { r.WritePrometheus(io.Discard, "pathmark") })
+	}
+	if few, many := allocs(10), allocs(10_000); few != many {
+		t.Errorf("WritePrometheus allocates %v times per call with 10 finished spans, %v with 10,000", few, many)
 	}
 }
 

@@ -45,20 +45,28 @@ type Snapshot struct {
 }
 
 // Snapshot copies the registry's current contents. Unfinished spans are
-// included with WallNS 0 so that a mid-run snapshot (e.g. a live /metrics scrape)
-// still shows what is in flight.
-func (r *Registry) Snapshot() Snapshot {
+// included with WallNS 0 so that a mid-run snapshot still shows what is
+// in flight.
+func (r *Registry) Snapshot() Snapshot { return r.snapshot(true) }
+
+// snapshot copies the counters and histograms, and the spans too when
+// spans is set. The Prometheus page leaves them out: the registry never
+// drops a span, so copying them would make every scrape of a
+// long-running daemon cost more than the last.
+func (r *Registry) snapshot(spans bool) Snapshot {
 	var snap Snapshot
 	if r == nil {
 		return snap
 	}
 	r.mu.Lock()
-	for _, s := range r.spans {
-		st := SpanStat{Name: s.name, Depth: s.depth, Counters: copyCounters(s.counters)}
-		if s.done {
-			st.WallNS = int64(s.wall)
+	if spans {
+		for _, s := range r.spans {
+			st := SpanStat{Name: s.name, Depth: s.depth, Counters: copyCounters(s.counters)}
+			if s.done {
+				st.WallNS = int64(s.wall)
+			}
+			snap.Spans = append(snap.Spans, st)
 		}
-		snap.Spans = append(snap.Spans, st)
 	}
 	for _, name := range sortedKeys(r.counters) {
 		snap.Counters = append(snap.Counters, CounterStat{Name: name, Value: r.counters[name].v.Load()})
