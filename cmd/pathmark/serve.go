@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -76,21 +77,30 @@ type serveRequest struct {
 	Options  serveRequestOptions `json:"options"`
 }
 
-// serveRequestOptions is the result-affecting and scheduling subset of
-// jobs.Options a client may set; everything else is server policy. The
-// check_every/settle_checks/min_confidence trio applies to stream jobs
-// only (the early-exit probe cadence and settle rule).
+// serveRequestOptions is what a client may set: the grade fan-out and,
+// for a stream job, the early-exit probe cadence. Everything else is
+// server policy, at the jobs.Options and wm.StreamOpts defaults. A
+// submission that names any other option is refused.
 type serveRequestOptions struct {
-	Workers        int     `json:"workers,omitempty"`
-	StepLimit      int64   `json:"step_limit,omitempty"`
-	Retries        int     `json:"retries,omitempty"`
-	RetryDelayMS   int64   `json:"retry_delay_ms,omitempty"`
-	Breaker        int     `json:"breaker,omitempty"`
-	Wave           int     `json:"wave,omitempty"`
-	GradeTimeoutMS int64   `json:"grade_timeout_ms,omitempty"`
-	CheckEvery     int     `json:"check_every,omitempty"`
-	SettleChecks   int     `json:"settle_checks,omitempty"`
-	MinConfidence  float64 `json:"min_confidence,omitempty"`
+	Workers    int `json:"workers,omitempty"`
+	CheckEvery int `json:"check_every,omitempty"`
+
+	unread error // a strict decode's error naming an unknown option
+}
+
+// UnmarshalJSON decodes the options leniently, as a restart reads
+// request.json, and keeps what a strict decode says in unread. Only the
+// options object is decoded twice: a strict decoder over the whole body
+// would copy the program texts it carries.
+func (o *serveRequestOptions) UnmarshalJSON(b []byte) error {
+	type options serveRequestOptions
+	if err := json.Unmarshal(b, (*options)(o)); err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	o.unread = dec.Decode(new(options))
+	return nil
 }
 
 // streamChunkRequest is the POST /jobs/{id}/stream body: one chunk of
@@ -448,25 +458,16 @@ func (s *server) admit(raw []byte, req *serveRequest, resume string) (*serveJob,
 	var err error
 	if stream {
 		sspec = jobs.StreamSpec{Keys: keys, Opts: jobs.StreamOptions{
-			Workers:       o.Workers,
-			CheckEvery:    o.CheckEvery,
-			SettleChecks:  o.SettleChecks,
-			MinConfidence: o.MinConfidence,
-			NoSync:        s.cfg.noSync,
-			Obs:           s.cfg.reg,
-			FS:            s.cfg.fsys,
+			Workers:    o.Workers,
+			CheckEvery: o.CheckEvery,
+			NoSync:     s.cfg.noSync,
+			Obs:        s.cfg.reg,
+			FS:         s.cfg.fsys,
 		}}
 		id, err = jobs.StreamSpecID(sspec)
 	} else {
 		spec = jobs.Spec{Suspects: progs, Keys: keys, Opts: jobs.Options{
-			Workers:      o.Workers,
-			StepLimit:    o.StepLimit,
-			GradeTimeout: time.Duration(o.GradeTimeoutMS) * time.Millisecond,
-			Retry: jobs.RetryPolicy{
-				MaxAttempts: o.Retries,
-				BaseDelay:   time.Duration(o.RetryDelayMS) * time.Millisecond,
-			},
-			Breaker: jobs.BreakerPolicy{Threshold: o.Breaker, Wave: o.Wave},
+			Workers: o.Workers,
 			Obs:     s.cfg.reg,
 			NoSync:  s.cfg.noSync,
 			FS:      s.cfg.fsys,
@@ -728,6 +729,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req serveRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	// An option the daemon does not read is refused, naming it, rather
+	// than the job run without it.
+	if err := req.Options.unread; err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request options: %w", err))
 		return
 	}
 	j, code, err := s.admit(raw, &req, "")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,5 +142,66 @@ func TestServeResumeSkipsMisnamedJob(t *testing.T) {
 	}
 	if got, code := getBody(t, ts2.URL+"/jobs/"+st.ID+"/result"); code != http.StatusOK || !bytes.Equal(got, result) {
 		t.Errorf("original job's result after the restart: status %d, %d bytes (disk has %d)", code, len(got), len(result))
+	}
+}
+
+// withOption is body with one request option set to v.
+func withOption(t *testing.T, body []byte, name string, v any) []byte {
+	t.Helper()
+	var req map[string]any
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	opts, _ := req["options"].(map[string]any)
+	if opts == nil {
+		opts = map[string]any{}
+	}
+	opts[name] = v
+	req["options"] = opts
+	return mustJSON(t, req)
+}
+
+// TestServeRefusesUnreadOptions: a submission that sets an option the
+// daemon does not read answers 400 naming it and opens no job
+// directory, while workers and check_every are still accepted.
+func TestServeRefusesUnreadOptions(t *testing.T) {
+	root := t.TempDir()
+	srv, ts := startServer(t, serveConfig{root: root, maxActive: 1, maxJobs: 4,
+		reqTimeout: time.Minute, noSync: true})
+	defer ts.Close()
+	defer srv.drain()
+
+	grade, _ := serveFixture(t)
+	stream, _, _ := streamServeFixture(t)
+	for _, o := range []struct {
+		name string
+		v    any
+	}{
+		{"step_limit", 1000}, {"retries", 2}, {"retry_delay_ms", 5}, {"breaker", 1}, {"wave", 1},
+		{"grade_timeout_ms", 1000}, {"settle_checks", 2}, {"min_confidence", 0.5},
+	} {
+		for _, body := range [][]byte{grade, stream} {
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(withOption(t, body, o.name, o.v)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refusal struct {
+				Error string `json:"error"`
+			}
+			json.NewDecoder(resp.Body).Decode(&refusal)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, o.name) {
+				t.Errorf("option %s: status %d, error %q; want 400 naming it", o.name, resp.StatusCode, refusal.Error)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+		t.Errorf("job root after refused submissions: %d entries (err %v), want none", len(entries), err)
+	}
+	if _, code := submitJob(t, ts, withOption(t, grade, "workers", 2)); code != http.StatusAccepted {
+		t.Errorf("grade job with workers: status %d, want 202", code)
+	}
+	if _, code := submitJob(t, ts, withOption(t, stream, "check_every", 1024)); code != http.StatusAccepted {
+		t.Errorf("stream job with check_every: status %d, want 202", code)
 	}
 }

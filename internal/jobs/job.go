@@ -46,9 +46,9 @@ type Options struct {
 	// circuit breaker.
 	Retry   RetryPolicy
 	Breaker BreakerPolicy
-	// Obs, when non-nil, receives the jobs.run span and the jobs.*
-	// counters (grades, retries, breaker trips, journal traffic, resume
-	// savings).
+	// Obs, when non-nil, receives the jobs.run_us timing histogram (one
+	// observation per Run) and the jobs.* counters (grades, retries,
+	// breaker trips, journal traffic, resume savings).
 	Obs *obs.Registry
 	// Caches is ignored: perfbench-only, removed by ROADMAP item 1.
 	Caches *wm.FleetCaches
@@ -513,8 +513,9 @@ func (j *Job) runGrade(ctx context.Context, c wm.Cell, ut *unitTrace, scanWorker
 // grade; only grades already running finish.
 func (j *Job) Run(ctx context.Context) (*Result, error) {
 	opts := j.spec.Opts
-	span := opts.Obs.Start("jobs.run")
-	defer span.Finish()
+	defer func(start time.Time) {
+		opts.Obs.TimingHistogram("jobs.run_us").Observe(time.Since(start).Microseconds())
+	}(time.Now())
 
 	M, K := len(j.spec.Suspects), len(j.spec.Keys)
 	reused := j.Reused()
@@ -627,12 +628,6 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		"failed":        int64(res.Failed),
 		"breaker_trips": int64(br.trips),
 	}, nil)
-	span.Set("suspects", int64(M)).
-		Set("keys", int64(K)).
-		Set("ran", ran).
-		Set("reused", int64(reused)).
-		Set("skipped", skipped).
-		Set("breaker_trips", int64(br.trips))
 	return res, nil
 }
 

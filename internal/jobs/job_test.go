@@ -92,6 +92,31 @@ func TestJobResumeAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestRunKeepsNoSpan: a Run leaves a timing observation on the
+// registry, not a span, so a daemon's one registry does not grow with
+// every job it serves.
+func TestRunKeepsNoSpan(t *testing.T) {
+	reg := obs.NewRegistry()
+	for i := 0; i < 3; i++ {
+		spec := baseSpec(t)
+		spec.Opts.Obs = reg
+		mustExecute(t, t.TempDir(), spec)
+	}
+	snap := reg.Snapshot()
+	if len(snap.Spans) != 0 {
+		t.Errorf("three runs left %d spans, want none", len(snap.Spans))
+	}
+	var runs int64
+	for _, h := range snap.Hists {
+		if h.Name == "jobs.run_us" && h.Timing {
+			runs = h.Count
+		}
+	}
+	if runs != 3 {
+		t.Errorf("jobs.run_us counts %d runs, want 3", runs)
+	}
+}
+
 // TestRunHaltsOnJournalFailure: a failed journal fsync stops every grade
 // worker, not only the one whose settle hit it. Syncs #0-#2 commit the
 // header and two grades; the third grade's sync fails, after which at

@@ -331,8 +331,8 @@ var (
 	// naming add.
 	seedConstAddUnderflow = fuzzBytes(hotMain(
 		vm.Instr{Op: vm.OpConst, A: 1}, vm.Instr{Op: vm.OpAdd}, vm.Instr{Op: vm.OpRet}))
-	// store; load on an empty stack: the fused op underflows at its
-	// head, and the fault names store.
+	// store; load on an empty stack: the store underflows at its pc,
+	// and the fault names store.
 	seedStoreLoadUnderflow = fuzzBytes(hotMain(
 		vm.Instr{Op: vm.OpStore}, vm.Instr{Op: vm.OpLoad}, vm.Instr{Op: vm.OpRet}))
 	// A taken compare-and-branch window whose target is the method's

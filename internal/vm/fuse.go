@@ -15,36 +15,35 @@ const (
 	opPlain                                     // not decoded yet: dispatch the raw op
 	opLoadConst                                 // load a; const c
 	opLoadLoad                                  // load a; load b
-	opStoreLoad                                 // store a; load b
 	opStoreGoto                                 // store a; goto t
 	opAddStore                                  // add; store a
 	opConstAdd                                  // const c; add
 	opConstAnd                                  // const c; and
 	opConstShr                                  // const c; shr
-	opConstAndIfEq                              // const c; and; ifeq t
 	opLoadConstIfCmpLt                          // load a; const c; ifcmplt t
 	opLoadConstIfCmpGe                          // load a; const c; ifcmpge t
 	opLoadConstAddStore                         // load a; const c; add; store b
 	opLoadConstAndIfEq                          // load a; const c; and; ifeq t
 	opLoadConstShrStore                         // load a; const c; shr; store b
 	opLoadConstAddStoreGoto                     // load a; const c; add; store b; goto t
-	opConstIfCmpLt                              // const c; ifcmplt t
 	opLoadMulAddStore                           // load a; mul; add; store b
 )
 
 // fusedWindows is the fused set: the most frequent instruction windows
 // recognition executes, then the embedder's piece idioms among the plain
-// dispatches those left (DESIGN.md, "Three run modes", "Fused dispatch").
+// dispatches those left, less every window that saved no dispatches
+// (DESIGN.md, "Three run modes", "Fused dispatch"). A window that is a
+// longer window's tail runs only where the longer one cannot, and a
+// window that ends where a longer one starts takes that one's first
+// instruction, since the decoder keeps the longest window at each pc.
 var fusedWindows = map[Op][]Op{
 	opLoadConst:         {OpLoad, OpConst},
 	opLoadLoad:          {OpLoad, OpLoad},
-	opStoreLoad:         {OpStore, OpLoad},
 	opStoreGoto:         {OpStore, OpGoto},
 	opAddStore:          {OpAdd, OpStore},
 	opConstAdd:          {OpConst, OpAdd},
 	opConstAnd:          {OpConst, OpAnd},
 	opConstShr:          {OpConst, OpShr},
-	opConstAndIfEq:      {OpConst, OpAnd, OpIfEq},
 	opLoadConstIfCmpLt:  {OpLoad, OpConst, OpIfCmpLt},
 	opLoadConstIfCmpGe:  {OpLoad, OpConst, OpIfCmpGe},
 	opLoadConstAddStore: {OpLoad, OpConst, OpAdd, OpStore},
@@ -52,7 +51,6 @@ var fusedWindows = map[Op][]Op{
 	opLoadConstAndIfEq:      {OpLoad, OpConst, OpAnd, OpIfEq},
 	opLoadConstShrStore:     {OpLoad, OpConst, OpShr, OpStore},
 	opLoadConstAddStoreGoto: {OpLoad, OpConst, OpAdd, OpStore, OpGoto},
-	opConstIfCmpLt:          {OpConst, OpIfCmpLt},
 	opLoadMulAddStore:       {OpLoad, OpMul, OpAdd, OpStore},
 }
 

@@ -648,16 +648,6 @@ load:
 				stack[n+1], stack[n+2] = locals[in.A], locals[code[pc+1].A]
 				pc += 2
 				continue
-			case opStoreLoad:
-				if ops == nil || left < 1 || n < 0 || uint64(in.A) >= uint64(len(locals)) ||
-					uint64(code[pc+1].A) >= uint64(len(locals)) {
-					goto unfuse
-				}
-				left--
-				locals[in.A] = stack[n]
-				stack[n] = locals[code[pc+1].A]
-				pc += 2
-				continue
 			case opStoreGoto:
 				if ops == nil || left < 1 || n < 0 || uint64(in.A) >= uint64(len(locals)) ||
 					uint(code[pc+1].Target) >= uint(len(code)) {
@@ -701,14 +691,6 @@ load:
 				stack[n] >>= uint64(in.A) & 63
 				pc += 2
 				continue
-			case opConstAndIfEq:
-				if ops == nil || left < 2 || n < 0 {
-					goto unfuse
-				}
-				left -= 2
-				taken, stack = stack[n]&in.A == 0, stack[:n]
-				pc += 2
-				goto cond
 			case opLoadConstIfCmpLt:
 				if ops == nil || left < 2 || uint64(in.A) >= uint64(len(locals)) {
 					goto unfuse
@@ -760,14 +742,6 @@ load:
 				locals[code[pc+3].A] = locals[in.A] + code[pc+1].A
 				pc = int(code[pc+4].Target)
 				continue
-			case opConstIfCmpLt:
-				if ops == nil || left < 1 || n < 0 {
-					goto unfuse
-				}
-				left--
-				taken, stack = stack[n] < in.A, stack[:n]
-				pc++
-				goto cond
 			case opLoadMulAddStore:
 				if ops == nil || left < 3 || n < 1 || uint64(in.A) >= uint64(len(locals)) ||
 					uint64(code[pc+3].A) >= uint64(len(locals)) {

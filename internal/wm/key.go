@@ -43,6 +43,12 @@ type Key struct {
 // the §3.3 graph heuristic's premise.
 const primeBits = 16
 
+// maxPrimes is the largest prime basis a key holds: room for a 944-bit
+// watermark, past Fig. 5's 768 bits (r = 53). NewKey makes no larger
+// basis, so LoadKey can refuse one before crt.NewParams builds its
+// r(r-1)/2 pair tables.
+const maxPrimes = 64
+
 // NewKey derives a key for watermarks of up to wBits bits: it selects a
 // prime basis sized so the product of the primes exceeds 2^wBits, with one
 // prime of headroom for redundancy.
@@ -54,6 +60,9 @@ func NewKey(input []int64, cipherKey feistel.Key, wBits int) (*Key, error) {
 	r := wBits/(primeBits-1) + 2
 	if r < 3 {
 		r = 3
+	}
+	if r > maxPrimes {
+		return nil, fmt.Errorf("wm: a %d-bit watermark needs %d primes; a key holds at most %d", wBits, r, maxPrimes)
 	}
 	params, err := crt.NewParams(crt.DefaultPrimes(r, primeBits))
 	if err != nil {

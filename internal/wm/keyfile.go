@@ -117,9 +117,10 @@ func LoadKeyFile(path string) (*Key, error) {
 
 // LoadKey reads a key previously written by SaveKey. Malformed input —
 // truncated files, type-confused or missing fields, trailing garbage, an
-// invalid prime basis — is rejected with a *KeyFileError naming the field
-// and byte offset; a load never produces a partially zero-valued key,
-// which would make recognition fail silently instead of loudly.
+// invalid prime basis or one NewKey would not make — is rejected with a
+// *KeyFileError naming the field and byte offset; a load never produces
+// a partially zero-valued key, which would make recognition fail
+// silently instead of loudly.
 func LoadKey(r io.Reader) (*Key, error) {
 	dec := json.NewDecoder(r)
 
@@ -171,6 +172,17 @@ func LoadKey(r io.Reader) (*Key, error) {
 	if kf.Version != keyFileVersion {
 		return nil, &KeyFileError{Field: "version", Offset: -1,
 			Msg: fmt.Sprintf("unsupported version %d (want %d)", kf.Version, keyFileVersion)}
+	}
+	// Bound the basis before building it: its pair tables grow as r².
+	if len(kf.Primes) > maxPrimes {
+		return nil, &KeyFileError{Field: "primes", Offset: -1,
+			Msg: fmt.Sprintf("%d primes; a key holds at most %d", len(kf.Primes), maxPrimes)}
+	}
+	for _, p := range kf.Primes {
+		if p <= 1<<(primeBits-1) {
+			return nil, &KeyFileError{Field: "primes", Offset: -1,
+				Msg: fmt.Sprintf("prime %d is not above 2^%d", p, primeBits-1)}
+		}
 	}
 	params, err := crt.NewParams(kf.Primes)
 	if err != nil {

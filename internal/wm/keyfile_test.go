@@ -2,12 +2,15 @@ package wm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"pathmark/internal/crt"
 	"pathmark/internal/iofault"
 	"pathmark/internal/vm"
 )
@@ -72,6 +75,56 @@ func TestLoadKeyRejectsGarbage(t *testing.T) {
 		if _, err := LoadKey(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: LoadKey accepted %q", i, src)
 		}
+	}
+}
+
+// TestLoadKeyBoundsBasis: a basis larger than NewKey makes, or with a
+// prime NewKey would not pick, is refused on the primes field before
+// its pair tables are built. The two probes (16.6 KB and 18.1 KB of JSON)
+// would each have allocated hundreds of megabytes; refused, they stay
+// under 1 MB. The largest basis NewKey makes still round trips.
+func TestLoadKeyBoundsBasis(t *testing.T) {
+	doc := func(primes []uint64) []byte {
+		b, err := json.Marshal(keyFile{Version: keyFileVersion, Cipher: [4]uint32{1, 2, 3, 4}, Primes: primes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name   string
+		primes []uint64
+	}{
+		{"first 3000 primes", append([]uint64{2}, crt.DefaultPrimes(2999, 2)...)},
+		{"3000 primes above 2^15", crt.DefaultPrimes(3000, primeBits)},
+		{"small primes", []uint64{3, 5, 7}},
+		{"one small prime", append(crt.DefaultPrimes(3, primeBits), 32749)},
+	} {
+		data := doc(c.primes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadKey(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		var kfe *KeyFileError
+		if !errors.As(err, &kfe) || kfe.Field != "primes" {
+			t.Errorf("%s: LoadKey = %v, want a *KeyFileError on primes", c.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s (%d bytes): refusing it allocated %d bytes, want at most 1 MB", c.name, len(data), n)
+		}
+	}
+
+	wBits := (maxPrimes-2)*(primeBits-1) + primeBits - 2 // the widest watermark at maxPrimes
+	key := testKey(t, nil, wBits)
+	var buf bytes.Buffer
+	if err := SaveKey(&buf, key); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := LoadKey(&buf); err != nil || len(loaded.Params.Primes()) != maxPrimes {
+		t.Errorf("%d-bit key: LoadKey = %v, want its %d primes back", wBits, err, maxPrimes)
+	}
+	if _, err := NewKey(nil, testCipher, wBits+1); err == nil {
+		t.Errorf("NewKey made a %d-bit key, one prime past the bound", wBits+1)
 	}
 }
 
