@@ -397,6 +397,12 @@ func (s *server) quarantineDir(id, dir string, reason error) {
 	fmt.Fprintf(os.Stderr, "pathmark: serve: job %s: quarantined to %s: %v\n", id, dst, reason)
 }
 
+// observeSince records the time since start, in µs, in the named timing
+// histogram.
+func (s *server) observeSince(name string, start time.Time) {
+	s.cfg.reg.TimingHistogram(name).Observe(time.Since(start).Microseconds())
+}
+
 // writeRequestFile persists the submitted request.json durably (atomic
 // temp + fsync + rename + parent-dir fsync) before the submission is
 // acknowledged; an existing file (an idempotent re-submit) is left alone.
@@ -434,12 +440,16 @@ func (s *server) admit(raw []byte, req *serveRequest, resume string) (*serveJob,
 		return nil, http.StatusBadRequest, errors.New("need at least one suspect and one key")
 	}
 	var progs []*vm.Program
+	start := time.Now()
 	for i, src := range req.Suspects {
 		p, err := vm.Assemble(src)
 		if err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("suspect %d: %w", i, err)
 		}
 		progs = append(progs, p)
+	}
+	if !req.Stream {
+		s.observeSince("serve.ingest.assemble_us", start)
 	}
 	keys := make([]*wm.Key, len(req.Keys))
 	for i, doc := range req.Keys {
@@ -472,7 +482,9 @@ func (s *server) admit(raw []byte, req *serveRequest, resume string) (*serveJob,
 			NoSync:  s.cfg.noSync,
 			FS:      s.cfg.fsys,
 		}}
+		start = time.Now()
 		id, err = spec.ID() // keeps the suspect digests for the runner's Open
+		s.observeSince("serve.ingest.digest_us", start)
 	}
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -646,7 +658,7 @@ func (s *server) resumePending() error {
 			continue
 		}
 		var req serveRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
+		if err := decodeServeRequest(raw, &req); err != nil {
 			s.quarantineDir(id, dir, fmt.Errorf("unreadable request.json: %w", err))
 			continue
 		}
@@ -726,8 +738,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	start := time.Now()
 	var req serveRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	err := decodeServeRequest(raw, &req)
+	s.observeSince("serve.ingest.decode_us", start)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

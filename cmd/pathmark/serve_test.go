@@ -343,7 +343,7 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
 	return st
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

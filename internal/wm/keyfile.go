@@ -178,10 +178,13 @@ func LoadKey(r io.Reader) (*Key, error) {
 		return nil, &KeyFileError{Field: "primes", Offset: -1,
 			Msg: fmt.Sprintf("%d primes; a key holds at most %d", len(kf.Primes), maxPrimes)}
 	}
+	// NewKey's primes lie between 2^15 and 2^16. The upper bound caps the
+	// capacity below C(64,2)·2^32 < 2^43, so a garbage window passes
+	// framing with probability under 2^-21 (internal/crt/framing.go).
 	for _, p := range kf.Primes {
-		if p <= 1<<(primeBits-1) {
+		if p <= 1<<(primeBits-1) || p >= 1<<primeBits {
 			return nil, &KeyFileError{Field: "primes", Offset: -1,
-				Msg: fmt.Sprintf("prime %d is not above 2^%d", p, primeBits-1)}
+				Msg: fmt.Sprintf("prime %d is not between 2^%d and 2^%d", p, primeBits-1, primeBits)}
 		}
 	}
 	params, err := crt.NewParams(kf.Primes)

@@ -82,7 +82,9 @@ func TestLoadKeyRejectsGarbage(t *testing.T) {
 // prime NewKey would not pick, is refused on the primes field before
 // its pair tables are built. The two probes (16.6 KB and 18.1 KB of JSON)
 // would each have allocated hundreds of megabytes; refused, they stay
-// under 1 MB. The largest basis NewKey makes still round trips.
+// under 1 MB. Three primes near 2^30 have a capacity of about 2^61.6, so
+// about a third of garbage windows would pass framing. The largest basis
+// NewKey makes still round trips.
 func TestLoadKeyBoundsBasis(t *testing.T) {
 	doc := func(primes []uint64) []byte {
 		b, err := json.Marshal(keyFile{Version: keyFileVersion, Cipher: [4]uint32{1, 2, 3, 4}, Primes: primes})
@@ -99,6 +101,8 @@ func TestLoadKeyBoundsBasis(t *testing.T) {
 		{"3000 primes above 2^15", crt.DefaultPrimes(3000, primeBits)},
 		{"small primes", []uint64{3, 5, 7}},
 		{"one small prime", append(crt.DefaultPrimes(3, primeBits), 32749)},
+		{"primes near 2^30", []uint64{1073741741, 1073741783, 1073741789}},
+		{"one prime above 2^16", append(crt.DefaultPrimes(3, primeBits), 65537)},
 	} {
 		data := doc(c.primes)
 		var before, after runtime.MemStats
